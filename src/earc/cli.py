@@ -75,7 +75,6 @@ class ExperimentConfig:
     nullspace_tol: float
     lstsq_tol: float
     sparsify: int | None
-    normal_eq_threshold: int
     max_lag: int
     out: str
 
@@ -119,6 +118,10 @@ def _load_config(path):
         except json.JSONDecodeError as exc:
             raise ValidationError(
                 f"cannot parse config {path}: {exc.msg} at line {exc.lineno}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"cannot parse config {path}: not UTF-8 text ({exc.reason})"
             ) from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
@@ -183,8 +186,20 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+_CONFIG_KEYS = ("data", "group", "group_file", "L", "p", "train_count",
+                "train_fraction", "nullspace_tol", "lstsq_tol", "sparsify",
+                "max_lag", "out")
+"""Keys a ``train --config`` file may set; any other key is rejected."""
+
+
 def cmd_train(args):
     config = _load_config(args.config)
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(
+            f"unknown config keys {', '.join(unknown)} in {args.config}; "
+            f"expected a subset of {', '.join(_CONFIG_KEYS)}"
+        )
     cfg = ExperimentConfig(
         data=_pick(args.data, config, "data", None),
         group=_pick(args.group, config, "group", None),
@@ -198,9 +213,6 @@ def cmd_train(args):
         lstsq_tol=float(_pick(args.lstsq_tol, config, "lstsq_tol",
                               tensorops.LSTSQ_RTOL)),
         sparsify=_pick(args.sparsify, config, "sparsify", None),
-        normal_eq_threshold=int(_pick(args.normal_eq_threshold, config,
-                                      "normal_eq_threshold",
-                                      solver.NORMAL_EQ_THRESHOLD)),
         max_lag=int(_pick(args.max_lag, config, "max_lag", 50)),
         out=_pick(args.out, config, "out", "model.json"),
     )
@@ -219,7 +231,7 @@ def cmd_train(args):
     trained = model_mod.train(
         prefix, rep, lag, cfg.order,
         nullspace_tol=cfg.nullspace_tol, lstsq_tol=cfg.lstsq_tol,
-        sparsify=cfg.sparsify, normal_eq_threshold=cfg.normal_eq_threshold,
+        sparsify=cfg.sparsify,
     )
     model_mod.save(trained, cfg.out)
     print(f"trained on {count} samples (L={lag}, p={cfg.order}, group order "
@@ -376,7 +388,6 @@ def build_parser():
     tr.add_argument("--nullspace-tol", type=float)
     tr.add_argument("--lstsq-tol", type=float)
     tr.add_argument("--sparsify", type=int)
-    tr.add_argument("--normal-eq-threshold", type=int)
     tr.add_argument("--max-lag", type=int)
     tr.add_argument("--out")
     tr.add_argument("--config", help="JSON config; explicit flags win")

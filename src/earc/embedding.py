@@ -177,8 +177,7 @@ def compressed_features(plan, windows):
             f"windows must be (rows, {plan.dim_in}), got {windows.shape}"
         )
     out = np.empty((windows.shape[0], plan.reduced_dim))
-    _kernels.monomial_features(windows, plan.lead, plan.parent, out)
-    return out
+    return _kernels.monomial_features(windows, plan, out)
 
 
 def as_series(values):

@@ -71,8 +71,7 @@ class Forecast:
 
 
 def train(values, group, lag, order, *, nullspace_tol=tensorops.NULLSPACE_RTOL,
-          lstsq_tol=tensorops.LSTSQ_RTOL, sparsify=None,
-          normal_eq_threshold=solver.NORMAL_EQ_THRESHOLD, metadata=None):
+          lstsq_tol=tensorops.LSTSQ_RTOL, sparsify=None, metadata=None):
     """Fit an equivariant one-step predictor to a (T, n) series."""
     values = as_series(values)
     n = values.shape[1]
@@ -88,8 +87,7 @@ def train(values, group, lag, order, *, nullspace_tol=tensorops.NULLSPACE_RTOL,
     h0r, h1 = build_data_matrices(values, lag, order, plan)
     basis = solver.equivariant_basis(group, lag, plan, rel_tol=nullspace_tol)
     fit = solver.fit_coefficients(basis, h0r, h1, rel_tol=lstsq_tol,
-                                  sparsify=sparsify,
-                                  normal_eq_threshold=normal_eq_threshold)
+                                  sparsify=sparsify)
     coupling = solver.assemble(basis, fit)
     coupling.setflags(write=False)
     fit = replace(fit, equivariance_residual=solver.equivariance_residual(
@@ -134,12 +132,13 @@ def rollout(model, seed, horizon, mode="consistent"):
         raise ShapeError(f"horizon must be >= 1, got {horizon}")
     if mode not in ("consistent", "free"):
         raise ValidationError(f"unknown rollout mode {mode!r}")
-    values, windows, steps, diverged = _kernels.autoregress(
-        model.coupling, model.plan.lead, model.plan.parent, seed,
-        horizon, model.n, model.lag, mode == "consistent", DIVERGENCE_CAP,
+    windows, diverged = _kernels.autoregress(
+        model.coupling, model.plan, seed, horizon, model.lag,
+        mode == "consistent", DIVERGENCE_CAP,
     )
-    return Forecast(horizon=horizon, values=values[:steps].copy(),
-                    windows=windows[:steps].copy(), diverged=bool(diverged))
+    # the newest sample of each channel closes its block of the window
+    values = windows[:, model.lag - 1::model.lag].copy()
+    return Forecast(horizon=horizon, values=values, windows=windows, diverged=diverged)
 
 
 def estimate_lag(values, max_lag):
@@ -215,6 +214,10 @@ def load(path, check_equivariance=True):
         except json.JSONDecodeError as exc:
             raise ModelFormatError(
                 f"cannot parse {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(
+                f"cannot parse {path}: not UTF-8 text ({exc.reason})"
             ) from exc
     try:
         version = int(payload["version"])

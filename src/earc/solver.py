@@ -19,7 +19,9 @@ from .errors import DimensionOverflowError, NoFeasibleModelError, ShapeError
 from .groups import reduced_action, window_action
 
 NORMAL_EQ_THRESHOLD = 2000
-"""Basis sizes above this use the normal-equations fit to bound memory."""
+"""Basis sizes above this use the normal-equations fit to bound memory.
+
+``fit_coefficients`` reads it at call time, not as a default argument."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +90,11 @@ def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL,
 
 
 def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None,
-                     normal_eq_threshold=NORMAL_EQ_THRESHOLD,
                      entry_cap=tensorops.ENTRY_CAP):
     """Least-squares coefficients c with sum_j c_j X_j @ h0r ~ h1.
 
     The design matrix has columns vec(X_j @ h0r).  For basis sizes above
-    ``normal_eq_threshold`` (or when the design matrix would exceed the entry
+    ``NORMAL_EQ_THRESHOLD`` (or when the design matrix would exceed the entry
     cap) the normal equations are solved instead, trading conditioning for
     bounded memory.
     """
@@ -115,7 +116,7 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
         )
     cols = h0r.shape[1]
     design_entries = basis.state_dim * cols * m_basis
-    use_normal = m_basis > normal_eq_threshold or design_entries > entry_cap
+    use_normal = m_basis > NORMAL_EQ_THRESHOLD or design_entries > entry_cap
     if use_normal and m_basis * m_basis > entry_cap:
         raise DimensionOverflowError(
             "coefficient system exceeds the memory cap; reduce the embedding "

@@ -97,15 +97,6 @@ def direct_sum(blocks):
     return out
 
 
-def hadamard(x, y):
-    """Entrywise product of two vectors of equal dimension."""
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
-    if x.shape != y.shape:
-        raise ShapeError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    return x * y
-
-
 def null_space(a, rel_tol=NULLSPACE_RTOL):
     """Orthonormal basis of the numerical kernel of ``a``.
 

@@ -15,9 +15,8 @@ from earc.model import load, predict_step, rollout, save, train
 from earc.solver import (assemble, constraint_matrix, equivariant_basis,
                          fit_coefficients, unconstrained_fit)
 from earc.systems import (GROWTH_RATE, INTERACTION_MATRIX, CompetitionConfig,
-                          HamiltonianConfig, builtin_rep, competition_generate,
-                          competition_step, hamiltonian_energy,
-                          hamiltonian_generate, planted_linear)
+                          builtin_rep, competition_generate, competition_step,
+                          hamiltonian_energy, planted_linear)
 
 
 def _report(num, ok, detail):
@@ -32,21 +31,9 @@ def comp_series():
 
 
 @pytest.fixture(scope="module")
-def ham_series():
-    return hamiltonian_generate(HamiltonianConfig(steps=600))
-
-
-@pytest.fixture(scope="module")
 def z5_model(comp_series):
     start = time.perf_counter()
     m = train(comp_series[:31], builtin_rep("z5"), 1, 2)
-    return m, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def k4_model(ham_series):
-    start = time.perf_counter()
-    m = train(ham_series[:90], builtin_rep("k4"), 5, 3)
     return m, time.perf_counter() - start
 
 

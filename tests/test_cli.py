@@ -8,6 +8,9 @@ from earc.model import load, predict_step, save
 from earc.systems import builtin_rep
 from tests.test_model import manual_model
 
+UNDECODABLE = bytes([0xFF, 0xFE, 0x00])
+"""A file that is not valid UTF-8 (nor JSON)."""
+
 
 @pytest.fixture(scope="module")
 def comp_csv(tmp_path_factory):
@@ -109,6 +112,21 @@ class TestTrain:
               "--p", "2", "--train-count", "31", "--out", str(direct)])
         assert (tmp_path / "from_config.json").read_bytes() == direct.read_bytes()
 
+    def test_misspelt_config_key_exits_2(self, comp_csv, tmp_path, capsys):
+        cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2,
+               "train_count": 31, "lstsq_tol": 1e-8, "nullspce_tol": 5,
+               "out": str(tmp_path / "m.json")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "nullspce_tol" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(UNDECODABLE)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+
     def test_repeated_training_byte_identical(self, comp_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -178,6 +196,14 @@ class TestForecast:
         assert main(["forecast", "--model", str(z5_model_path),
                      "--horizon", "5", "--out", "/tmp/ignored.csv"]) == 2
 
+    def test_undecodable_model_exits_2(self, comp_csv, tmp_path):
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(UNDECODABLE)
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(bad), "--data", str(comp_csv),
+                     "--horizon", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestVerify:
     def test_fresh_model_passes(self, z5_model_path, capsys):
@@ -203,6 +229,11 @@ class TestVerify:
         assert main(["verify", "--model", str(bad)]) == 2
         bad.write_text('{"version": 1}')
         assert main(["verify", "--model", str(bad)]) == 3
+
+    def test_undecodable_file_exits_2(self, tmp_path):
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(UNDECODABLE)
+        assert main(["verify", "--model", str(bad)]) == 2
 
     def test_trivial_group_model_is_exactly_equivariant(self, tmp_path, capsys):
         from earc.groups import close_group

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from earc import _kernels, tensorops
+from earc import tensorops
 from earc.embedding import (as_series, build_data_matrices, compress,
                             compressed_features, compression_plan, delay_windows,
                             embed, embed_dim, expand)
 from earc.errors import InsufficientDataError, ShapeError, ValidationError
 from earc.groups import lifted_action, reduced_action, window_action
 from earc.systems import builtin_rep
+
+from oracles import monomial_features_by_column
 
 
 class TestEmbedDim:
@@ -140,15 +142,13 @@ class TestCompressedFeatures:
         for i in range(20):
             assert np.array_equal(feats[i], compress(plan, embed(windows[i], 3)))
 
-    def test_numba_and_numpy_paths_agree(self):
-        plan = compression_plan(5, 2)
+    @pytest.mark.parametrize("m,p", [(1, 1), (1, 3), (5, 2), (6, 3), (10, 3)])
+    def test_matches_column_loop_oracle(self, m, p):
+        plan = compression_plan(m, p)
         rng = np.random.default_rng(13)
-        windows = rng.standard_normal((50, 5))
-        out_dispatch = np.empty((50, plan.reduced_dim))
-        _kernels.monomial_features(windows, plan.lead, plan.parent, out_dispatch)
-        out_numpy = np.empty((50, plan.reduced_dim))
-        _kernels.monomial_features_numpy(windows, plan.lead, plan.parent, out_numpy)
-        assert np.array_equal(out_dispatch, out_numpy)
+        windows = rng.standard_normal((300, m))  # several row blocks at (10, 3)
+        expected = monomial_features_by_column(windows, plan.lead, plan.parent)
+        assert np.array_equal(compressed_features(plan, windows), expected)
 
 
 class TestBuildDataMatrices:

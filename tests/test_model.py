@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from earc.embedding import compression_plan, delay_windows
 from earc.errors import (CorruptModelError, InsufficientDataError,
                          ModelFormatError, ShapeError, ValidationError)
 from earc.groups import close_group, window_action
-from earc.model import (EarcModel, estimate_lag, load, predict_step, rollout,
-                        save, train)
+from earc.model import (DIVERGENCE_CAP, EarcModel, estimate_lag, load,
+                        predict_step, rollout, save, train)
 from earc.solver import FitReport
 from earc.systems import (CompetitionConfig, builtin_rep, competition_generate,
                           planted_linear)
+
+from oracles import autoregress_by_step
 
 
 def linear_series(a, x0, steps):
@@ -119,6 +122,23 @@ def shift_plus_map_model(a_map):
     return manual_model(w, group, 2, 1)
 
 
+def assert_matches_step_loop(model, seed, horizon, mode):
+    """Bitwise agreement of rollout() with the per-step column-loop oracle."""
+    fc = rollout(model, seed, horizon, mode=mode)
+    values, windows, steps, diverged = autoregress_by_step(
+        model.coupling, model.plan.lead, model.plan.parent, seed, horizon,
+        model.n, model.lag, mode == "consistent", DIVERGENCE_CAP)
+    assert (fc.steps, fc.diverged) == (steps, diverged)
+    assert np.array_equal(fc.values, values[:steps])
+    assert np.array_equal(fc.windows, windows[:steps])
+    return fc
+
+
+@pytest.fixture(scope="module")
+def k4_seed(ham_series):
+    return delay_windows(ham_series[:90], 5)[-1]
+
+
 class TestRollout:
     def test_modes_agree_for_shift_consistent_map(self):
         a_map = np.array([[0.8, 0.3], [-0.3, 0.8]])
@@ -147,6 +167,32 @@ class TestRollout:
         for g in z5_model.group.elements:
             mapped = rollout(z5_model, g @ seed, 50, mode=mode)
             assert np.max(np.abs(mapped.values - base.values @ g.T)) <= 1e-8
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
+    def test_z5_matches_step_loop_oracle(self, z5_model, comp_series, mode):
+        fc = assert_matches_step_loop(z5_model, comp_series[30], 394, mode)
+        assert not fc.diverged
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
+    def test_k4_matches_step_loop_oracle(self, k4_model, k4_seed, mode):
+        fc = assert_matches_step_loop(k4_model[0], k4_seed, 510, mode)
+        assert not fc.diverged
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
+    def test_diverging_rollout_matches_step_loop_oracle(self, k4_model, k4_seed, mode):
+        amplified = replace(k4_model[0], coupling=2.0 * k4_model[0].coupling)
+        fc = assert_matches_step_loop(amplified, k4_seed, 510, mode)
+        assert fc.diverged and 0 < fc.steps < 510
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
+    def test_k4_equivariant_over_full_horizon(self, k4_model, k4_seed, mode):
+        m = k4_model[0]
+        base = rollout(m, k4_seed, 510, mode=mode)
+        assert base.steps == 510
+        for g in m.group.elements:
+            mapped = rollout(m, window_action(g, 5) @ k4_seed, 510, mode=mode)
+            assert mapped.steps == 510
+            assert np.max(np.abs(mapped.values - base.values @ g.T)) <= 1e-9
 
     def test_divergence_truncates_with_flag(self):
         group = close_group([np.eye(1)])

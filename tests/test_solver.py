@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from earc import tensorops
+from earc import solver, tensorops
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DimensionOverflowError, NoFeasibleModelError, ShapeError
 from earc.groups import close_group, reduced_action
@@ -100,13 +100,14 @@ class TestFitCoefficients:
         assert np.allclose(w, [[1.0, 1.0]], atol=1e-12)
         assert fit.train_residual <= 1e-12
 
-    def test_normal_equation_path_matches_direct(self, z5_setup):
+    def test_normal_equation_path_matches_direct(self, z5_setup, monkeypatch):
         _, _, basis = z5_setup
         rng = np.random.default_rng(21)
         h0r = rng.standard_normal((basis.reduced_dim, 12))
         h1 = rng.standard_normal((basis.state_dim, 12))
         direct = fit_coefficients(basis, h0r, h1)
-        normal = fit_coefficients(basis, h0r, h1, normal_eq_threshold=1)
+        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
+        normal = fit_coefficients(basis, h0r, h1)
         w_direct = assemble(basis, direct)
         w_normal = assemble(basis, normal)
         assert np.max(np.abs(w_direct @ h0r - w_normal @ h0r)) <= 1e-8
@@ -126,12 +127,12 @@ class TestFitCoefficients:
         with pytest.raises(NoFeasibleModelError):
             fit_coefficients(empty, np.ones((3, 1)), np.ones((2, 1)))
 
-    def test_memory_cap(self, z5_setup):
+    def test_memory_cap(self, z5_setup, monkeypatch):
         _, _, basis = z5_setup
+        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 0)
         with pytest.raises(DimensionOverflowError):
             fit_coefficients(basis, np.ones((basis.reduced_dim, 4)),
-                             np.ones((basis.state_dim, 4)),
-                             normal_eq_threshold=0, entry_cap=16)
+                             np.ones((basis.state_dim, 4)), entry_cap=16)
 
     def test_shape_checks(self, z5_setup):
         _, _, basis = z5_setup

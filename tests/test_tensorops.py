@@ -117,24 +117,6 @@ class TestDirectSum:
             T.direct_sum([np.ones((2, 3))])
 
 
-class TestHadamard:
-    def test_definition(self):
-        assert np.array_equal(T.hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-                              np.array([3.0, 8.0]))
-
-    def test_ones_identity(self):
-        x = np.array([2.0, -5.0, 0.5])
-        assert np.array_equal(T.hadamard(x, np.ones(3)), x)
-
-    def test_zero_annihilates(self):
-        x = np.array([2.0, -5.0])
-        assert np.array_equal(T.hadamard(x, np.zeros(2)), np.zeros(2))
-
-    def test_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.hadamard(np.ones(2), np.ones(3))
-
-
 class TestNullSpace:
     def test_full_rank_empty(self):
         assert T.null_space(np.eye(3), 1e-10).shape == (3, 0)
