@@ -6,11 +6,11 @@ bases, truncated-SVD least squares, and autoregressive forecasting."""
 from .embedding import (CompressionPlan, build_data_matrices, compress,
                         compressed_features, compression_plan, delay_windows,
                         embed, embed_dim, expand)
-from .groups import GroupRep, close_group, lifted_action, reduced_action
+from .groups import GroupRep, close_group, reduced_action
 from .model import (EarcModel, Forecast, estimate_lag, load, predict_step,
                     rollout, save, train)
 from .solver import (EquivariantBasis, FitReport, assemble, equivariance_residual,
-                     equivariant_basis, fit_coefficients, unconstrained_fit)
+                     equivariant_basis, fit_coefficients)
 from .systems import (CompetitionConfig, HamiltonianConfig, builtin_rep,
                       competition_generate, competition_step,
                       hamiltonian_generate, planted_linear)
@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CompressionPlan", "build_data_matrices", "compress", "compressed_features",
     "compression_plan", "delay_windows", "embed", "embed_dim", "expand",
-    "GroupRep", "close_group", "lifted_action", "reduced_action",
+    "GroupRep", "close_group", "reduced_action",
     "EarcModel", "Forecast", "estimate_lag", "load", "predict_step", "rollout",
     "save", "train",
     "EquivariantBasis", "FitReport", "assemble", "equivariance_residual",
-    "equivariant_basis", "fit_coefficients", "unconstrained_fit",
+    "equivariant_basis", "fit_coefficients",
     "CompetitionConfig", "HamiltonianConfig", "builtin_rep",
     "competition_generate", "competition_step", "hamiltonian_generate",
     "planted_linear",

@@ -38,14 +38,19 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+def _write_rows(fh, index, values):
+    """One CSV row per index entry: the integer, then the values as in ``_fmt``."""
+    np.savetxt(fh, np.column_stack([index, values]),
+               fmt=["%d"] + ["%.17g"] * values.shape[1], delimiter=",")
+
+
 def write_series(path, values):
     """CSV with header t,ch1..chn and 17-significant-digit floats."""
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(f"ch{j + 1}" for j in range(n)) + "\n")
-        for t, row in enumerate(values):
-            fh.write(str(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, np.arange(values.shape[0]), values)
 
 
 def read_series(path):
@@ -297,16 +302,14 @@ def cmd_forecast(args):
             )
     n = m.n
     header = ["t"] + [f"ch{j + 1}" for j in range(n)]
+    columns = fc.values
     if reference is not None:
         header += [f"err{j + 1}" for j in range(n)]
+        columns = np.hstack([fc.values, np.abs(fc.values - reference)])
     base = offset if offset is not None else 1
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(fc.steps):
-            row = [str(base + i)] + [_fmt(v) for v in fc.values[i]]
-            if reference is not None:
-                row += [_fmt(abs(fc.values[i, j] - reference[i, j])) for j in range(n)]
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, base + np.arange(fc.steps), columns)
         if fc.diverged:
             fh.write(f"# diverged after {fc.steps} of {fc.horizon} steps\n")
     print(f"wrote {fc.steps} forecast rows to {args.out}")
@@ -344,9 +347,7 @@ def cmd_acf(args):
         n = series.shape[1]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("lag," + ",".join(f"ch{j + 1}" for j in range(n)) + "\n")
-            for ell in range(args.max_lag):
-                fh.write(str(ell + 1) + "," +
-                         ",".join(_fmt(v) for v in table[ell]) + "\n")
+            _write_rows(fh, np.arange(1, args.max_lag + 1), table)
         print(f"wrote ACF table to {args.out}")
     print(f"recommended lag: {lag}")
     return EXIT_OK

@@ -70,18 +70,6 @@ class CompressionPlan:
             c = int(self.parent[c])
         return tuple(out)
 
-    def selection_matrix(self):
-        """Dense (reduced_dim, full_dim) representative-selection matrix R."""
-        r = np.zeros((self.reduced_dim, self.full_dim))
-        r[np.arange(self.reduced_dim), self.rep_index] = 1.0
-        return r
-
-    def expansion_matrix(self):
-        """Dense (full_dim, reduced_dim) expansion matrix E with R @ E = I."""
-        e = np.zeros((self.full_dim, self.reduced_dim))
-        e[np.arange(self.full_dim), self.class_of] = 1.0
-        return e
-
 
 @lru_cache(maxsize=64)
 def compression_plan(dim_in, order):

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorops
-from .embedding import embed_dim
 from .errors import NonFiniteGroupError, ShapeError, ValidationError
 
 MATCH_TOL = 1e-9
@@ -76,32 +75,13 @@ def window_action(g, lag):
     return tensorops.kron(g, np.eye(lag))
 
 
-def lifted_action(g, lag, order, entry_cap=tensorops.ENTRY_CAP):
-    """Block-diagonal action on the full embedding.
-
-    The degree-k block is the k-fold Kronecker power of g (x) I_lag and the
-    trailing scalar block is 1, so that
-    embed((g (x) I_lag) x, p) = lifted_action(g, lag, p) @ embed(x, p).
-    """
-    h = window_action(g, lag)
-    d = embed_dim(h.shape[0], order)
-    tensorops._check_entries(d * d, entry_cap)
-    blocks = [h]
-    cur = h
-    for _ in range(order - 1):
-        cur = tensorops.kron(h, cur)
-        blocks.append(cur)
-    blocks.append(np.ones((1, 1)))
-    return tensorops.direct_sum(blocks)
-
-
 def reduced_action(g, lag, plan):
     """Action on compressed embedding coordinates: the q x q matrix with
     compress(embed((g (x) I_lag) x)) = reduced_action(g, lag, plan) @ compress(embed(x)).
 
-    Equal to R @ lifted_action @ E but computed degree by degree through the
-    monomial classes, without materialising the full-dimension matrix: the
-    aggregated block A_k obeys
+    Equal to R @ G @ E for the block-diagonal action G on the full embedding,
+    but computed degree by degree through the monomial classes, without
+    materialising the full-dimension matrix: the aggregated block A_k obeys
     A_k[a, c] = sum over distinct v in c of h[lead(a), v] * A_{k-1}[tail(a), c - v].
     """
     h = window_action(g, lag)

@@ -5,9 +5,10 @@ action with the reduced embedding action:
 
     (g (x) I_lag) W = W Ghat_g   for every group element g.
 
-Enforcing the equation for the generators suffices; the solution space is the
-kernel of the stacked constraint matrices K_g = I_q (x) h - Ghat_g^T (x) I_m
-under column-stacking vectorisation (h = g (x) I_lag, m = n*lag).
+Enforcing the equation for the generators suffices.  Under column-stacking
+vectorisation its matrix is K_g = I_q (x) g (x) I_lag - Ghat_g^T (x) I_n (x) I_lag
+= K'_g (x) I_lag with the one-lag-slot constraint K'_g = I_q (x) g - Ghat_g^T (x) I_n,
+so the kernel is solved for the n*q unknowns of one slot and repeated on every slot.
 """
 
 from dataclasses import dataclass
@@ -56,22 +57,21 @@ class FitReport:
 
 
 def constraint_matrix(g, lag, plan):
-    """Stacked-vec form of the intertwiner equation for one generator."""
+    """Vec form of the intertwiner equation for one generator on one lag slot."""
     ghat = reduced_action(g, lag, plan)
-    h = window_action(g, lag)
-    m = h.shape[0]
+    n = g.shape[0]
     q = plan.reduced_dim
-    return tensorops.kron(np.eye(q), h) - tensorops.kron(ghat.T, np.eye(m))
+    return tensorops.kron(np.eye(q), g) - tensorops.kron(ghat.T, np.eye(n))
 
 
-def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL,
-                      entry_cap=tensorops.ENTRY_CAP):
+def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
     """Basis of coupling matrices commuting with every group generator.
 
-    The kernel of the vertically stacked per-generator constraints is computed
+    The kernel of the vertically stacked one-slot constraints is computed
     with one SVD; stacking avoids squaring the condition number that forming
-    sum(K^T K) would cost.  An empty basis is a valid result and signals an
-    over-constrained symmetry.
+    sum(K^T K) would cost.  The kernel of K'_g (x) I_lag is the one-slot
+    kernel (x) I_lag, orthonormal again.  An empty basis is a valid result and
+    signals an over-constrained symmetry.
     """
     if group.n * lag != plan.dim_in:
         raise ShapeError(
@@ -79,13 +79,14 @@ def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL,
         )
     m = plan.dim_in
     q = plan.reduced_dim
-    unknowns = m * q
-    tensorops._check_entries(len(group.generators) * unknowns * unknowns, entry_cap)
+    unknowns = group.n * q
+    tensorops._check_entries(len(group.generators) * unknowns * unknowns, tensorops.ENTRY_CAP)
     stacked = np.vstack([constraint_matrix(g, lag, plan) for g in group.generators])
     kernel = tensorops.null_space(stacked, rel_tol)
-    mats = np.array([tensorops.unvec(kernel[:, j], m) for j in range(kernel.shape[1])])
-    if mats.size == 0:
-        mats = np.zeros((0, m, q))
+    tensorops._check_entries(kernel.shape[1] * lag * m * q, tensorops.ENTRY_CAP)
+    kernel = np.kron(kernel, np.eye(lag))
+    # unvec of every column, in C order: the fit's summation order depends on it
+    mats = np.ascontiguousarray(kernel.T.reshape(-1, q, m).transpose(0, 2, 1))
     return EquivariantBasis(state_dim=m, reduced_dim=q, matrices=mats)
 
 
@@ -96,7 +97,8 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     The design matrix has columns vec(X_j @ h0r).  For basis sizes above
     ``NORMAL_EQ_THRESHOLD`` (or when the design matrix would exceed the entry
     cap) the normal equations are solved instead, trading conditioning for
-    bounded memory.
+    bounded memory.  The rank is the truncated solve's kept singular values,
+    or the nonzero count under ``sparsify``.
     """
     h0r = tensorops._as_matrix(h0r, "h0r")
     h1 = tensorops._as_matrix(h1, "h1")
@@ -122,16 +124,14 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
             "coefficient system exceeds the memory cap; reduce the embedding "
             "order or the training length"
         )
-    target = h1.ravel(order="F")
     if not use_normal:
         mapped = np.einsum("jab,bc->jac", basis.matrices, h0r)
-        design = mapped.transpose(0, 2, 1).reshape(m_basis, -1).T
-        coeffs = tensorops.lstsq(design, target, rel_tol, sparsify)
-        rank = int(np.count_nonzero(coeffs)) if sparsify is not None else _svd_rank(design, rel_tol)
+        lhs = mapped.transpose(0, 2, 1).reshape(m_basis, -1).T
+        rhs = h1.ravel(order="F")
     else:
-        # Stream column blocks of the data: gram and right-hand side are exact
-        # Frobenius inner products, accumulated without holding the design.
-        gram = np.zeros((m_basis, m_basis))
+        # Stream column blocks of the data: gram matrix and right-hand side are
+        # exact Frobenius inner products, accumulated without holding the design.
+        lhs = np.zeros((m_basis, m_basis))
         rhs = np.zeros(m_basis)
         budget = 1 << 23  # entries held per mapped block
         col_block = max(1, budget // (m_basis * basis.state_dim))
@@ -139,10 +139,13 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
             c1 = min(c0 + col_block, cols)
             yb = np.einsum("jab,bc->jac", basis.matrices, h0r[:, c0:c1])
             yb = yb.reshape(m_basis, -1)
-            gram += yb @ yb.T
+            lhs += yb @ yb.T
             rhs += yb @ h1[:, c0:c1].ravel()
-        coeffs = tensorops.lstsq(gram, rhs, rel_tol, sparsify)
-        rank = _svd_rank(gram, rel_tol)
+    if sparsify is None:
+        coeffs, rank = tensorops._truncated_solve(lhs, rhs, rel_tol)
+    else:
+        coeffs = tensorops.lstsq(lhs, rhs, rel_tol, sparsify)
+        rank = int(np.count_nonzero(coeffs))
     w = np.tensordot(coeffs, basis.matrices, axes=1)
     h1norm = np.linalg.norm(h1)
     residual = np.linalg.norm(w @ h0r - h1) / (h1norm if h1norm > 0 else 1.0)
@@ -150,13 +153,6 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
                      equivariance_residual=float("nan"), basis_dim=m_basis,
                      rank=rank, rel_tol=rel_tol,
                      sparsify=sparsify)
-
-
-def _svd_rank(a, rel_tol):
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 def assemble(basis, report):
@@ -195,15 +191,3 @@ def generator_residuals(w, group, lag, plan):
         h = window_action(g, lag)
         out.append(float(np.linalg.norm(h @ w - w @ ghat)))
     return out
-
-
-def unconstrained_fit(h0r, h1, rel_tol=tensorops.LSTSQ_RTOL):
-    """Minimum-norm least-squares solution of W @ h0r = h1, one row at a time."""
-    h0r = tensorops._as_matrix(h0r, "h0r")
-    h1 = tensorops._as_matrix(h1, "h1")
-    if h0r.shape[1] != h1.shape[1]:
-        raise ShapeError(
-            f"feature and target column counts differ: {h0r.shape[1]} vs {h1.shape[1]}"
-        )
-    rows = [tensorops.lstsq(h0r.T, h1[i], rel_tol) for i in range(h1.shape[0])]
-    return np.vstack(rows)

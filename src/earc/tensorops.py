@@ -54,18 +54,6 @@ def kron(a, b, entry_cap=ENTRY_CAP):
     return np.kron(a, b)
 
 
-def kron_power(x, k, entry_cap=ENTRY_CAP):
-    """k-fold Kronecker power of a vector: x for k=1, kron(x, kron_power(x, k-1)) above."""
-    x = _as_vector(x, "x")
-    if k < 1:
-        raise ShapeError(f"power must be >= 1, got {k}")
-    _check_entries(x.shape[0] ** k, entry_cap)
-    out = x
-    for _ in range(k - 1):
-        out = np.kron(x, out)
-    return out
-
-
 def vec(a):
     """Stack the columns of a matrix into one vector."""
     return _as_matrix(a).ravel(order="F")
@@ -77,24 +65,6 @@ def unvec(v, rows):
     if rows < 1 or v.shape[0] % rows != 0:
         raise ShapeError(f"vector of dim {v.shape[0]} cannot be unstacked into {rows} rows")
     return v.reshape(rows, -1, order="F")
-
-
-def direct_sum(blocks):
-    """Block-diagonal assembly of square matrices."""
-    blocks = [_as_matrix(b, f"block {i}") for i, b in enumerate(blocks)]
-    if not blocks:
-        raise ShapeError("direct_sum needs at least one block")
-    for i, b in enumerate(blocks):
-        if b.shape[0] != b.shape[1]:
-            raise ShapeError(f"block {i} is not square: {b.shape}")
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim))
-    o = 0
-    for b in blocks:
-        s = b.shape[0]
-        out[o:o + s, o:o + s] = b
-        o += s
-    return out
 
 
 def null_space(a, rel_tol=NULLSPACE_RTOL):
@@ -134,15 +104,16 @@ def lstsq(a, b, rel_tol=LSTSQ_RTOL, sparsify=None):
         if sparsify < 1:
             raise ShapeError(f"sparsify must be >= 1, got {sparsify}")
         return _omp(a, b, sparsify, rel_tol)
-    return _truncated_solve(a, b, rel_tol)
+    return _truncated_solve(a, b, rel_tol)[0]
 
 
 def _truncated_solve(a, b, rel_tol):
+    """Truncated-SVD solution and the number of singular values it kept."""
     u, s, vt = _svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros(a.shape[1])
+        return np.zeros(a.shape[1]), 0
     keep = s > rel_tol * s[0]
-    return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
+    return vt[keep].T @ ((u[:, keep].T @ b) / s[keep]), int(np.count_nonzero(keep))
 
 
 def _omp(a, b, max_nonzero, rel_tol):
@@ -160,7 +131,7 @@ def _omp(a, b, max_nonzero, rel_tol):
         if corr[j] <= 1e-14 * max(bnorm, 1.0):
             break
         selected.append(j)
-        coeffs = _truncated_solve(a[:, selected], b, rel_tol)
+        coeffs = _truncated_solve(a[:, selected], b, rel_tol)[0]
         residual = b - a[:, selected] @ coeffs
         if np.linalg.norm(residual) <= 1e-13 * max(bnorm, 1.0):
             break

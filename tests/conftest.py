@@ -15,7 +15,8 @@ def ham_series():
 def k4_model(ham_series):
     """The Hamiltonian paper model (L=5, p=3) and its training time.
 
-    Its basis SVD dominates the suite's run time, so it is trained once.
+    Its coefficient fit is the suite's largest single computation, so it is
+    trained once.
     """
     start = time.perf_counter()
     m = train(ham_series[:90], builtin_rep("k4"), 5, 3)

@@ -1,10 +1,17 @@
-"""Reference implementations that the library's optimised kernels replaced.
+"""Reference implementations that the library's optimised kernels replaced,
+and dense constructions that only tests need.
 
 They are kept only as test oracles: the library must reproduce them bit for
-bit.
+bit, or, where the arithmetic changed, within the tolerance a test states.
 """
 
 import numpy as np
+
+from earc import tensorops
+from earc.embedding import embed_dim
+from earc.errors import ShapeError
+from earc.groups import reduced_action, window_action
+from earc.solver import EquivariantBasis
 
 
 def monomial_features_by_column(windows, lead, parent):
@@ -44,3 +51,114 @@ def autoregress_by_step(coupling, lead, parent, seed, horizon, n_channels, lag,
             values[k, j] = y[j * lag + lag - 1]
         windows[k] = w
     return values, windows, horizon, False
+
+
+def write_rows_by_value(fh, index, values):
+    """CSV rows formatted one value at a time: the index, then ``format(v, ".17g")``."""
+    for i, row in zip(index, values):
+        fh.write(str(int(i)) + "," + ",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
+def kron_power(x, k, entry_cap=tensorops.ENTRY_CAP):
+    """k-fold Kronecker power of a vector: x for k=1, kron(x, kron_power(x, k-1)) above."""
+    x = tensorops._as_vector(x, "x")
+    if k < 1:
+        raise ShapeError(f"power must be >= 1, got {k}")
+    tensorops._check_entries(x.shape[0] ** k, entry_cap)
+    out = x
+    for _ in range(k - 1):
+        out = np.kron(x, out)
+    return out
+
+
+def direct_sum(blocks):
+    """Block-diagonal assembly of square matrices."""
+    blocks = [tensorops._as_matrix(b, f"block {i}") for i, b in enumerate(blocks)]
+    if not blocks:
+        raise ShapeError("direct_sum needs at least one block")
+    for i, b in enumerate(blocks):
+        if b.shape[0] != b.shape[1]:
+            raise ShapeError(f"block {i} is not square: {b.shape}")
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim))
+    o = 0
+    for b in blocks:
+        s = b.shape[0]
+        out[o:o + s, o:o + s] = b
+        o += s
+    return out
+
+
+def lifted_action(g, lag, order, entry_cap=tensorops.ENTRY_CAP):
+    """Block-diagonal action on the full embedding.
+
+    The degree-k block is the k-fold Kronecker power of g (x) I_lag and the
+    trailing scalar block is 1, so that
+    embed((g (x) I_lag) x, p) = lifted_action(g, lag, p) @ embed(x, p).
+    """
+    h = window_action(g, lag)
+    d = embed_dim(h.shape[0], order)
+    tensorops._check_entries(d * d, entry_cap)
+    blocks = [h]
+    cur = h
+    for _ in range(order - 1):
+        cur = tensorops.kron(h, cur)
+        blocks.append(cur)
+    blocks.append(np.ones((1, 1)))
+    return direct_sum(blocks)
+
+
+def selection_matrix(plan):
+    """Dense (reduced_dim, full_dim) representative-selection matrix R."""
+    r = np.zeros((plan.reduced_dim, plan.full_dim))
+    r[np.arange(plan.reduced_dim), plan.rep_index] = 1.0
+    return r
+
+
+def expansion_matrix(plan):
+    """Dense (full_dim, reduced_dim) expansion matrix E with R @ E = I."""
+    e = np.zeros((plan.full_dim, plan.reduced_dim))
+    e[np.arange(plan.full_dim), plan.class_of] = 1.0
+    return e
+
+
+def unconstrained_fit(h0r, h1, rel_tol=tensorops.LSTSQ_RTOL):
+    """Minimum-norm least-squares solution of W @ h0r = h1, one row at a time."""
+    h0r = tensorops._as_matrix(h0r, "h0r")
+    h1 = tensorops._as_matrix(h1, "h1")
+    if h0r.shape[1] != h1.shape[1]:
+        raise ShapeError(
+            f"feature and target column counts differ: {h0r.shape[1]} vs {h1.shape[1]}"
+        )
+    rows = [tensorops.lstsq(h0r.T, h1[i], rel_tol) for i in range(h1.shape[0])]
+    return np.vstack(rows)
+
+
+def window_constraint_matrix(g, lag, plan):
+    """Vec form of the intertwiner equation over the whole delay window:
+    I_q (x) (g (x) I_lag) - Ghat_g^T (x) I_{n*lag}, with n*lag*q unknowns."""
+    ghat = reduced_action(g, lag, plan)
+    h = window_action(g, lag)
+    m = h.shape[0]
+    q = plan.reduced_dim
+    return tensorops.kron(np.eye(q), h) - tensorops.kron(ghat.T, np.eye(m))
+
+
+def window_equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
+    """Equivariant basis from one SVD of the stacked whole-window constraints."""
+    m = plan.dim_in
+    q = plan.reduced_dim
+    stacked = np.vstack([window_constraint_matrix(g, lag, plan) for g in group.generators])
+    kernel = tensorops.null_space(stacked, rel_tol)
+    mats = np.array([tensorops.unvec(kernel[:, j], m) for j in range(kernel.shape[1])])
+    if mats.size == 0:
+        mats = np.zeros((0, m, q))
+    return EquivariantBasis(state_dim=m, reduced_dim=q, matrices=mats)
+
+
+def svd_rank(a, rel_tol):
+    """Number of singular values above rel_tol * sigma_max, from a separate SVD."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rel_tol * s[0]))

@@ -1,12 +1,15 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from earc.cli import main, read_series, write_series
-from earc.model import load, predict_step, save
-from earc.systems import builtin_rep
+from earc.cli import _write_rows, main, read_series, write_series
+from earc.model import autocorrelation, load, predict_step, rollout, save
+from earc.systems import builtin_rep, planted_linear
 from tests.test_model import manual_model
+
+from oracles import write_rows_by_value
 
 UNDECODABLE = bytes([0xFF, 0xFE, 0x00])
 """A file that is not valid UTF-8 (nor JSON)."""
@@ -270,3 +273,69 @@ class TestAcf:
         data = tmp_path / "short.csv"
         write_series(data, np.ones((10, 1)))
         assert main(["acf", "--data", str(data), "--max-lag", "10"]) == 2
+
+
+def _oracle_csv(header, index, values):
+    fh = io.StringIO()
+    fh.write(header + "\n")
+    write_rows_by_value(fh, index, values)
+    return fh.getvalue()
+
+
+@pytest.fixture(scope="module")
+def special_csv(comp_csv, tmp_path_factory):
+    """The competition series with a -0.0 and a subnormal in its held-out part."""
+    series = read_series(comp_csv)
+    series[40, 0] = -0.0
+    series[41, 1] = 5e-324
+    path = tmp_path_factory.mktemp("special") / "special.csv"
+    write_series(path, series)
+    return path
+
+
+class TestCsvRows:
+    """CSV files match the value-by-value row loop byte for byte."""
+
+    def test_special_and_random_values(self):
+        rng = np.random.default_rng(30)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16,
+                   2.2250738585072014e-308, 1.7976931348623157e308]
+        random = rng.standard_normal(2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+        values = np.concatenate([special * 2, random]).reshape(-1, 10)
+        index = np.arange(7, 7 + values.shape[0])
+        fh = io.StringIO()
+        _write_rows(fh, index, values)
+        expected = io.StringIO()
+        write_rows_by_value(expected, index, values)
+        assert fh.getvalue() == expected.getvalue()
+
+    def test_generate(self, tmp_path):
+        out = tmp_path / "lin.csv"
+        assert main(["generate", "--system", "linear", "--matrix", "I3",
+                     "--x0", "[-0.0, 5e-324, 1.25]", "--steps", "4",
+                     "--out", str(out)]) == 0
+        values = planted_linear(np.eye(3), np.array([-0.0, 5e-324, 1.25]), 4)
+        text = out.read_text()
+        assert text == _oracle_csv("t,ch1,ch2,ch3", range(5), values)
+        assert text.splitlines()[1] == "0,-0,4.9406564584124654e-324,1.25"
+
+    def test_forecast_with_reference(self, special_csv, z5_model_path, tmp_path):
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(z5_model_path), "--data", str(special_csv),
+                     "--train-count", "31", "--horizon", "100",
+                     "--reference", str(special_csv), "--out", str(out)]) == 0
+        series = read_series(special_csv)
+        fc = rollout(load(z5_model_path), series[30], 100)
+        errors = np.abs(fc.values - series[31:131])
+        header = "t," + ",".join(f"ch{j}" for j in range(1, 6)) + "," + \
+            ",".join(f"err{j}" for j in range(1, 6))
+        expected = _oracle_csv(header, range(31, 131), np.hstack([fc.values, errors]))
+        assert out.read_text() == expected
+
+    def test_acf(self, special_csv, tmp_path):
+        out = tmp_path / "acf.csv"
+        assert main(["acf", "--data", str(special_csv), "--max-lag", "10",
+                     "--out", str(out)]) == 0
+        table = autocorrelation(read_series(special_csv), 10)
+        header = "lag," + ",".join(f"ch{j}" for j in range(1, 6))
+        assert out.read_text() == _oracle_csv(header, range(1, 11), table)

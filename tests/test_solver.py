@@ -2,16 +2,27 @@ import numpy as np
 import pytest
 
 from earc import solver, tensorops
-from earc.embedding import build_data_matrices, compression_plan
+from earc.embedding import build_data_matrices, compression_plan, delay_windows
 from earc.errors import DimensionOverflowError, NoFeasibleModelError, ShapeError
 from earc.groups import close_group, reduced_action
 from earc.solver import (EquivariantBasis, assemble, constraint_matrix,
                          equivariance_residual, equivariant_basis,
-                         fit_coefficients, generator_residuals, unconstrained_fit)
+                         fit_coefficients, generator_residuals)
+from earc.model import rollout, train
 from earc.systems import builtin_rep, competition_generate, CompetitionConfig
+from tests.test_model import manual_model
+
+from oracles import svd_rank, unconstrained_fit, window_equivariant_basis
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
+C3 = close_group([[[-0.5, -np.sqrt(0.75)], [np.sqrt(0.75), -0.5]]])
+"""Rotations by multiples of 120 degrees: a group that is not a signed permutation."""
+
+
+def _design(basis, h0r):
+    mapped = np.einsum("jab,bc->jac", basis.matrices, h0r)
+    return mapped.transpose(0, 2, 1).reshape(basis.size, -1).T
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +87,41 @@ class TestEquivariantBasis:
         with pytest.raises(ShapeError):
             equivariant_basis(TRIVIAL_2, 1, plan)
 
+    @pytest.mark.parametrize("name,lag,order,size", [
+        ("k4", 2, 3, 48), ("k4", 3, 3, 186), ("k4", 4, 3, 512), ("z5", 2, 2, 132),
+        ("c3", 2, 2, 20)])
+    def test_matches_whole_window_oracle(self, name, lag, order, size):
+        rep = C3 if name == "c3" else builtin_rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        basis = equivariant_basis(rep, lag, plan)
+        oracle = window_equivariant_basis(rep, lag, plan)
+        assert basis.size == oracle.size == size
+        flat = basis.matrices.reshape(basis.size, -1)
+        assert np.max(np.abs(flat @ flat.T - np.eye(basis.size))) <= 1e-12
+        oflat = oracle.matrices.reshape(oracle.size, -1)
+        assert np.max(np.abs(flat.T @ flat - oflat.T @ oflat)) <= 1e-12
+
+    def test_k4_paper_constraint_has_one_slot_of_unknowns(self):
+        rep = builtin_rep("k4")
+        plan = compression_plan(10, 3)
+        for g in rep.generators:
+            assert constraint_matrix(g, 5, plan).shape == (572, 572)
+        assert equivariant_basis(rep, 5, plan).size == 1150
+
+    @pytest.mark.parametrize("lag", [3, 4])
+    def test_k4_forecast_matches_whole_window_oracle(self, ham_series, lag):
+        rep = builtin_rep("k4")
+        plan = compression_plan(2 * lag, 3)
+        h0r, h1 = build_data_matrices(ham_series[:90], lag, 3, plan)
+        seed = delay_windows(ham_series[:90], lag)[-1]
+        rmse = []
+        for basis in (equivariant_basis(rep, lag, plan),
+                      window_equivariant_basis(rep, lag, plan)):
+            coupling = assemble(basis, fit_coefficients(basis, h0r, h1))
+            fc = rollout(manual_model(coupling, rep, lag, 3), seed, 100)
+            rmse.append(np.sqrt(np.mean((fc.values - ham_series[90:190]) ** 2)))
+        assert abs(rmse[0] / rmse[1] - 1.0) <= 0.01
+
 
 class TestFitCoefficients:
     def test_planted_basis_element(self, z5_setup):
@@ -120,6 +166,40 @@ class TestFitCoefficients:
         fit = fit_coefficients(basis, h0r, h1, sparsify=1)
         assert np.count_nonzero(fit.coefficients) == 1
         assert abs(fit.coefficients[3] - 2.5) <= 1e-9
+
+    def test_rank_of_z5_model_matches_separate_svd(self):
+        series = competition_generate(CompetitionConfig(steps=425))[:31]
+        m = train(series, builtin_rep("z5"), 1, 2)
+        basis = equivariant_basis(m.group, 1, m.plan)
+        h0r, _ = build_data_matrices(series, 1, 2, m.plan)
+        assert m.fit.rank == svd_rank(_design(basis, h0r), m.fit.rel_tol)
+
+    def test_rank_of_k4_model_matches_separate_svd(self, k4_model, ham_series):
+        m, _ = k4_model
+        basis = equivariant_basis(m.group, 5, m.plan)
+        h0r, _ = build_data_matrices(ham_series[:90], 5, 3, m.plan)
+        assert m.fit.rank == svd_rank(_design(basis, h0r), m.fit.rel_tol)
+
+    def test_normal_equation_rank_matches_separate_svd(self, z5_setup, monkeypatch):
+        _, _, basis = z5_setup
+        rng = np.random.default_rng(31)
+        h0r = rng.standard_normal((basis.reduced_dim, 3))  # 15 design rows
+        h1 = rng.standard_normal((basis.state_dim, 3))
+        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
+        fit = fit_coefficients(basis, h0r, h1)
+        design = _design(basis, h0r)
+        assert fit.rank == svd_rank(design.T @ design, fit.rel_tol) == 15
+
+    def test_sparsify_rank_is_nonzero_count_on_both_paths(self, z5_setup, monkeypatch):
+        _, _, basis = z5_setup
+        rng = np.random.default_rng(32)
+        h0r = rng.standard_normal((basis.reduced_dim, 10))
+        h1 = 2.5 * (basis.matrices[3] @ h0r)
+        direct = fit_coefficients(basis, h0r, h1, sparsify=2)
+        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
+        normal = fit_coefficients(basis, h0r, h1, sparsify=2)
+        assert direct.rank == np.count_nonzero(direct.coefficients) == 1
+        assert normal.rank == np.count_nonzero(normal.coefficients) == 1
 
     def test_empty_basis_rejected(self):
         empty = EquivariantBasis(state_dim=2, reduced_dim=3,
