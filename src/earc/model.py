@@ -177,7 +177,11 @@ def autocorrelation(values, max_lag):
 
 
 def save(model, path):
-    """Persist a model to JSON; float entries survive the round trip bit-exactly."""
+    """Persist a model to JSON; float entries survive the round trip bit-exactly.
+
+    NaN and infinities are refused before the file is opened: JSON has no
+    encoding for them and ``load`` would reject the file.
+    """
     if not (model.fit.equivariance_residual <= PERSISTED_RESIDUAL_BOUND):
         raise ValidationError(
             f"refusing to persist a model with equivariance residual "
@@ -197,9 +201,12 @@ def save(model, path):
             "delta_em": float(model.fit.equivariance_residual),
         },
     }
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"refusing to persist a model with non-finite values: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load(path, check_equivariance=True):

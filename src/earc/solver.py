@@ -20,22 +20,29 @@ from .errors import DimensionOverflowError, NoFeasibleModelError, ShapeError
 from .groups import reduced_action, window_action
 
 NORMAL_EQ_THRESHOLD = 2000
-"""Basis sizes above this use the normal-equations fit to bound memory.
+"""One-slot basis sizes (basis size / lag) above this use the normal-equations
+fit to bound memory.
 
 ``fit_coefficients`` reads it at call time, not as a default argument."""
 
 
 @dataclass(frozen=True, eq=False)
 class EquivariantBasis:
-    """Orthonormal basis (under vec inner product) of admissible couplings."""
+    """Orthonormal basis (under vec inner product) of admissible couplings.
+
+    The group never mixes lag slots, so the basis is the one-slot kernel
+    placed on every slot: element j*lag + t is ``slot_matrices[j]`` on the rows
+    c*lag + t (channel c) of an otherwise zero (state_dim, reduced_dim) matrix.
+    """
 
     state_dim: int
     reduced_dim: int
-    matrices: np.ndarray  # (size, state_dim, reduced_dim)
+    lag: int
+    slot_matrices: np.ndarray  # (size // lag, state_dim // lag, reduced_dim)
 
     @property
     def size(self):
-        return self.matrices.shape[0]
+        return self.slot_matrices.shape[0] * self.lag
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,40 +77,43 @@ def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
     The kernel of the vertically stacked one-slot constraints is computed
     with one SVD; stacking avoids squaring the condition number that forming
     sum(K^T K) would cost.  The kernel of K'_g (x) I_lag is the one-slot
-    kernel (x) I_lag, orthonormal again.  An empty basis is a valid result and
-    signals an over-constrained symmetry.
+    kernel (x) I_lag, orthonormal again, so only the one-slot matrices are
+    kept.  An empty basis is a valid result and signals an over-constrained
+    symmetry.
     """
     if group.n * lag != plan.dim_in:
         raise ShapeError(
             f"plan dim_in={plan.dim_in} does not match n*lag={group.n * lag}"
         )
-    m = plan.dim_in
     q = plan.reduced_dim
     unknowns = group.n * q
     tensorops._check_entries(len(group.generators) * unknowns * unknowns, tensorops.ENTRY_CAP)
     stacked = np.vstack([constraint_matrix(g, lag, plan) for g in group.generators])
     kernel = tensorops.null_space(stacked, rel_tol)
-    tensorops._check_entries(kernel.shape[1] * lag * m * q, tensorops.ENTRY_CAP)
-    kernel = np.kron(kernel, np.eye(lag))
     # unvec of every column, in C order: the fit's summation order depends on it
-    mats = np.ascontiguousarray(kernel.T.reshape(-1, q, m).transpose(0, 2, 1))
-    return EquivariantBasis(state_dim=m, reduced_dim=q, matrices=mats)
+    slots = np.ascontiguousarray(kernel.T.reshape(-1, q, group.n).transpose(0, 2, 1))
+    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=q, lag=lag,
+                            slot_matrices=slots)
 
 
 def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None,
                      entry_cap=tensorops.ENTRY_CAP):
     """Least-squares coefficients c with sum_j c_j X_j @ h0r ~ h1.
 
-    The design matrix has columns vec(X_j @ h0r).  For basis sizes above
-    ``NORMAL_EQ_THRESHOLD`` (or when the design matrix would exceed the entry
-    cap) the normal equations are solved instead, trading conditioning for
-    bounded memory.  The rank is the truncated solve's kept singular values,
-    or the nonzero count under ``sparsify``.
+    Basis element j*lag + t acts on lag slot t only, so up to a fixed row and
+    column permutation the design matrix [vec(X_j @ h0r)] is I_lag (x) A with
+    A = [vec(K_j @ h0r)] over the k one-slot matrices K_j.  One truncated SVD
+    of the (n*T, k) matrix A, solved against the lag slots' targets, has the
+    design's singular values (each repeated lag times), cutoff and solution,
+    and rank lag * rank(A).  For k above ``NORMAL_EQ_THRESHOLD`` (or A above
+    the entry cap) the k x k normal equations are solved instead, trading
+    conditioning for bounded memory.  ``sparsify`` runs orthogonal matching
+    pursuit on the whole design (or Gram matrix) rebuilt from A, and the rank
+    is then the nonzero count.
     """
     h0r = tensorops._as_matrix(h0r, "h0r")
     h1 = tensorops._as_matrix(h1, "h1")
-    m_basis = basis.size
-    if m_basis == 0:
+    if basis.size == 0:
         raise NoFeasibleModelError(
             "equivariant basis is empty: the symmetry admits no coupling matrix"
         )
@@ -116,43 +126,62 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
         raise ShapeError(
             f"feature and target column counts differ: {h0r.shape[1]} vs {h1.shape[1]}"
         )
+    slots = basis.slot_matrices
+    k, n, _ = slots.shape
+    lag = basis.lag
     cols = h0r.shape[1]
-    design_entries = basis.state_dim * cols * m_basis
-    use_normal = m_basis > NORMAL_EQ_THRESHOLD or design_entries > entry_cap
-    if use_normal and m_basis * m_basis > entry_cap:
+    # matching pursuit needs the whole design, lag*lag times the entries of A
+    held = 1 if sparsify is None else lag * lag
+    use_normal = k > NORMAL_EQ_THRESHOLD or n * cols * k * held > entry_cap
+    if use_normal and k * k * held > entry_cap:
         raise DimensionOverflowError(
             "coefficient system exceeds the memory cap; reduce the embedding "
             "order or the training length"
         )
     if not use_normal:
-        mapped = np.einsum("jab,bc->jac", basis.matrices, h0r)
-        lhs = mapped.transpose(0, 2, 1).reshape(m_basis, -1).T
-        rhs = h1.ravel(order="F")
+        lhs, rhs = _slot_system(slots, h0r, h1)
     else:
-        # Stream column blocks of the data: gram matrix and right-hand side are
-        # exact Frobenius inner products, accumulated without holding the design.
-        lhs = np.zeros((m_basis, m_basis))
-        rhs = np.zeros(m_basis)
+        # Stream column blocks of the data: gram matrix and right-hand sides are
+        # exact Frobenius inner products, accumulated without holding A.
+        lhs = np.zeros((k, k))
+        rhs = np.zeros((k, lag))
         budget = 1 << 23  # entries held per mapped block
-        col_block = max(1, budget // (m_basis * basis.state_dim))
+        col_block = max(1, budget // (k * n))
         for c0 in range(0, cols, col_block):
-            c1 = min(c0 + col_block, cols)
-            yb = np.einsum("jab,bc->jac", basis.matrices, h0r[:, c0:c1])
-            yb = yb.reshape(m_basis, -1)
-            lhs += yb @ yb.T
-            rhs += yb @ h1[:, c0:c1].ravel()
+            a, b = _slot_system(slots, h0r[:, c0:c0 + col_block], h1[:, c0:c0 + col_block])
+            lhs += a.T @ a
+            rhs += a.T @ b
     if sparsify is None:
         coeffs, rank = tensorops._truncated_solve(lhs, rhs, rel_tol)
+        coeffs = coeffs.ravel()
+        rank *= lag
     else:
-        coeffs = tensorops.lstsq(lhs, rhs, rel_tol, sparsify)
+        # A (x) I_lag is the whole design in vec(h1) row order, (A^T A) (x) I_lag its Gram
+        coeffs = tensorops.lstsq(tensorops.kron(lhs, np.eye(lag)), rhs.ravel(), rel_tol,
+                                 sparsify)
         rank = int(np.count_nonzero(coeffs))
-    w = np.tensordot(coeffs, basis.matrices, axes=1)
+    w = _combine(basis, coeffs)
     h1norm = np.linalg.norm(h1)
     residual = np.linalg.norm(w @ h0r - h1) / (h1norm if h1norm > 0 else 1.0)
     return FitReport(coefficients=coeffs, train_residual=float(residual),
-                     equivariance_residual=float("nan"), basis_dim=m_basis,
+                     equivariance_residual=float("nan"), basis_dim=basis.size,
                      rank=rank, rel_tol=rel_tol,
                      sparsify=sparsify)
+
+
+def _slot_system(slots, h0r, h1):
+    """A = [vec(K_j @ h0r)] and its right-hand sides: column t is vec of slot
+    t's target rows c*lag + t."""
+    k, n, _ = slots.shape
+    a = np.einsum("jab,bc->jac", slots, h0r).transpose(0, 2, 1).reshape(k, -1).T
+    return a, h1.reshape(n, -1, h1.shape[1]).transpose(2, 0, 1).reshape(a.shape[0], -1)
+
+
+def _combine(basis, coefficients):
+    """sum_j c_j X_j: slot t's rows are sum_j c[j*lag + t] K_j."""
+    c = coefficients.reshape(-1, basis.lag)
+    slots = [np.tensordot(c[:, t], basis.slot_matrices, axes=1) for t in range(basis.lag)]
+    return np.stack(slots, axis=1).reshape(basis.state_dim, basis.reduced_dim)
 
 
 def assemble(basis, report):
@@ -161,7 +190,7 @@ def assemble(basis, report):
         raise ShapeError(
             f"{report.coefficients.shape[0]} coefficients for a basis of size {basis.size}"
         )
-    return np.tensordot(report.coefficients, basis.matrices, axes=1)
+    return _combine(basis, report.coefficients)
 
 
 def equivariance_residual(w, group, lag, plan):

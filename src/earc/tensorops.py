@@ -54,19 +54,6 @@ def kron(a, b, entry_cap=ENTRY_CAP):
     return np.kron(a, b)
 
 
-def vec(a):
-    """Stack the columns of a matrix into one vector."""
-    return _as_matrix(a).ravel(order="F")
-
-
-def unvec(v, rows):
-    """Inverse of :func:`vec`; unvec(vec(A), A.shape[0]) == A."""
-    v = _as_vector(v)
-    if rows < 1 or v.shape[0] % rows != 0:
-        raise ShapeError(f"vector of dim {v.shape[0]} cannot be unstacked into {rows} rows")
-    return v.reshape(rows, -1, order="F")
-
-
 def null_space(a, rel_tol=NULLSPACE_RTOL):
     """Orthonormal basis of the numerical kernel of ``a``.
 
@@ -108,12 +95,16 @@ def lstsq(a, b, rel_tol=LSTSQ_RTOL, sparsify=None):
 
 
 def _truncated_solve(a, b, rel_tol):
-    """Truncated-SVD solution and the number of singular values it kept."""
+    """Truncated-SVD solution and the number of singular values it kept.
+
+    ``b`` is one right-hand side or a matrix of them, one per column.
+    """
     u, s, vt = _svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros(a.shape[1]), 0
+        return np.zeros((a.shape[1],) + b.shape[1:]), 0
     keep = s > rel_tol * s[0]
-    return vt[keep].T @ ((u[:, keep].T @ b) / s[keep]), int(np.count_nonzero(keep))
+    x = ((u[:, keep].T @ b).T / s[keep]).T
+    return vt[keep].T @ x, int(np.count_nonzero(keep))
 
 
 def _omp(a, b, max_nonzero, rel_tol):

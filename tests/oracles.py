@@ -11,7 +11,6 @@ from earc import tensorops
 from earc.embedding import embed_dim
 from earc.errors import ShapeError
 from earc.groups import reduced_action, window_action
-from earc.solver import EquivariantBasis
 
 
 def monomial_features_by_column(windows, lead, parent):
@@ -57,6 +56,19 @@ def write_rows_by_value(fh, index, values):
     """CSV rows formatted one value at a time: the index, then ``format(v, ".17g")``."""
     for i, row in zip(index, values):
         fh.write(str(int(i)) + "," + ",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
+def vec(a):
+    """Stack the columns of a matrix into one vector."""
+    return tensorops._as_matrix(a).ravel(order="F")
+
+
+def unvec(v, rows):
+    """Inverse of :func:`vec`; unvec(vec(A), A.shape[0]) == A."""
+    v = tensorops._as_vector(v)
+    if rows < 1 or v.shape[0] % rows != 0:
+        raise ShapeError(f"vector of dim {v.shape[0]} cannot be unstacked into {rows} rows")
+    return v.reshape(rows, -1, order="F")
 
 
 def kron_power(x, k, entry_cap=tensorops.ENTRY_CAP):
@@ -145,15 +157,47 @@ def window_constraint_matrix(g, lag, plan):
 
 
 def window_equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
-    """Equivariant basis from one SVD of the stacked whole-window constraints."""
+    """Dense (size, n*lag, q) equivariant basis from one SVD of the stacked
+    whole-window constraints."""
     m = plan.dim_in
     q = plan.reduced_dim
     stacked = np.vstack([window_constraint_matrix(g, lag, plan) for g in group.generators])
     kernel = tensorops.null_space(stacked, rel_tol)
-    mats = np.array([tensorops.unvec(kernel[:, j], m) for j in range(kernel.shape[1])])
+    mats = np.array([unvec(kernel[:, j], m) for j in range(kernel.shape[1])])
     if mats.size == 0:
         mats = np.zeros((0, m, q))
-    return EquivariantBasis(state_dim=m, reduced_dim=q, matrices=mats)
+    return mats
+
+
+def dense_matrices(basis):
+    """The (size, state_dim, reduced_dim) stack of a one-slot basis: element
+    j*lag + t is slot matrix j on the rows c*lag + t, zero elsewhere."""
+    k, n, q = basis.slot_matrices.shape
+    lag = basis.lag
+    out = np.zeros((k, lag, n, lag, q))
+    for t in range(lag):
+        out[:, t, :, t, :] = basis.slot_matrices
+    return out.reshape(k * lag, n * lag, q)
+
+
+def dense_fit(matrices, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None,
+              normal=False):
+    """Coefficients and rank of the least-squares fit over a dense basis stack.
+
+    The design matrix has columns vec(X_j @ h0r); ``normal`` solves its normal
+    equations instead.  Returns (coefficients, rank), the rank being the kept
+    singular values, or the nonzero count under ``sparsify``.
+    """
+    size = matrices.shape[0]
+    mapped = np.einsum("jab,bc->jac", matrices, h0r)
+    lhs = mapped.transpose(0, 2, 1).reshape(size, -1).T
+    rhs = h1.ravel(order="F")
+    if normal:
+        lhs, rhs = lhs.T @ lhs, lhs.T @ rhs
+    if sparsify is None:
+        return tensorops._truncated_solve(lhs, rhs, rel_tol)
+    coeffs = tensorops.lstsq(lhs, rhs, rel_tol, sparsify)
+    return coeffs, int(np.count_nonzero(coeffs))
 
 
 def svd_rank(a, rel_tol):

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from earc import tensorops
 from earc.cli import main
 from earc.embedding import (build_data_matrices, compress, compression_plan,
                             delay_windows, embed, expand)
@@ -18,8 +17,8 @@ from earc.systems import (GROWTH_RATE, INTERACTION_MATRIX, CompetitionConfig,
                           builtin_rep, competition_generate, competition_step,
                           hamiltonian_energy, planted_linear)
 
-from oracles import (expansion_matrix, lifted_action, selection_matrix,
-                     unconstrained_fit)
+from oracles import (dense_matrices, expansion_matrix, lifted_action,
+                     selection_matrix, unconstrained_fit, vec)
 
 
 def _report(num, ok, detail):
@@ -102,7 +101,7 @@ def test_criterion_05_kernel_equivalence_oracle():
     plan = compression_plan(2, 1)
     ks = [constraint_matrix(g, 1, plan) for g in sign_group.generators]
     basis = equivariant_basis(sign_group, 1, plan)
-    vecs = np.array([tensorops.vec(x) for x in basis.matrices])
+    vecs = np.array([vec(x) for x in dense_matrices(basis)])
     p_stacked = vecs.T @ vecs
     normal = sum(k.T @ k for k in ks)
     eigvals, eigvecs = np.linalg.eigh(normal)

@@ -163,10 +163,12 @@ class TestRollout:
     @pytest.mark.parametrize("mode", ["consistent", "free"])
     def test_equivariant_rollout(self, z5_model, comp_series, mode):
         seed = comp_series[30]
-        base = rollout(z5_model, seed, 50, mode=mode)
+        base = rollout(z5_model, seed, 394, mode=mode)
+        assert base.steps == 394
         for g in z5_model.group.elements:
-            mapped = rollout(z5_model, g @ seed, 50, mode=mode)
-            assert np.max(np.abs(mapped.values - base.values @ g.T)) <= 1e-8
+            mapped = rollout(z5_model, g @ seed, 394, mode=mode)
+            assert mapped.steps == 394
+            assert np.max(np.abs(mapped.values - base.values @ g.T)) <= 1e-9
 
     @pytest.mark.parametrize("mode", ["consistent", "free"])
     def test_z5_matches_step_loop_oracle(self, z5_model, comp_series, mode):
@@ -286,6 +288,16 @@ class TestPersistence:
         m = manual_model(w, rep, 1, 2, residual=1.0)
         with pytest.raises(ValidationError):
             save(m, tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_to_persist_non_finite_coefficient(self, tmp_path, bad):
+        rep = builtin_rep("z5")
+        m = manual_model(np.zeros((5, 21)), rep, 1, 2)
+        m = replace(m, fit=replace(m.fit, coefficients=np.array([bad])))
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValidationError):
+            save(m, path)
+        assert not path.exists()
 
 
 class TestDelayWindowHelpers:

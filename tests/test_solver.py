@@ -12,7 +12,8 @@ from earc.model import rollout, train
 from earc.systems import builtin_rep, competition_generate, CompetitionConfig
 from tests.test_model import manual_model
 
-from oracles import svd_rank, unconstrained_fit, window_equivariant_basis
+from oracles import (dense_fit, dense_matrices, svd_rank, unconstrained_fit,
+                     window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -21,8 +22,21 @@ C3 = close_group([[[-0.5, -np.sqrt(0.75)], [np.sqrt(0.75), -0.5]]])
 
 
 def _design(basis, h0r):
-    mapped = np.einsum("jab,bc->jac", basis.matrices, h0r)
+    mapped = np.einsum("jab,bc->jac", dense_matrices(basis), h0r)
     return mapped.transpose(0, 2, 1).reshape(basis.size, -1).T
+
+
+def _slot_design(basis, h0r):
+    """A = [vec(K_j @ h0r)] over the one-slot matrices K_j."""
+    mapped = np.einsum("jab,bc->jac", basis.slot_matrices, h0r)
+    return mapped.transpose(0, 2, 1).reshape(mapped.shape[0], -1).T
+
+
+def _k4_setup(ham_series, lag):
+    rep = builtin_rep("k4")
+    plan = compression_plan(2 * lag, 3)
+    h0r, h1 = build_data_matrices(ham_series[:90], lag, 3, plan)
+    return rep, equivariant_basis(rep, lag, plan), h0r, h1
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +59,18 @@ class TestEquivariantBasis:
         plan = compression_plan(2, 1)
         basis = equivariant_basis(SIGN_GROUP, 1, plan)
         assert basis.size == 4
-        for mat in basis.matrices:
+        for mat in dense_matrices(basis):
             assert np.max(np.abs(mat[:, 2])) <= 1e-12
 
     def test_basis_vectors_orthonormal(self, z5_setup):
         _, _, basis = z5_setup
-        flat = basis.matrices.reshape(basis.size, -1)
+        flat = dense_matrices(basis).reshape(basis.size, -1)
         gram = flat @ flat.T
         assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-10
 
     def test_generator_residuals_vanish(self, z5_setup):
         rep, plan, basis = z5_setup
-        for mat in basis.matrices:
+        for mat in dense_matrices(basis):
             scale = max(1.0, np.linalg.norm(mat))
             for g in rep.generators:
                 ghat = reduced_action(g, 1, plan)
@@ -64,7 +78,7 @@ class TestEquivariantBasis:
 
     def test_generators_suffice_for_whole_group(self, z5_setup):
         rep, plan, basis = z5_setup
-        for mat in basis.matrices:
+        for mat in dense_matrices(basis):
             scale = max(1.0, np.linalg.norm(mat))
             for g in rep.elements:
                 ghat = reduced_action(g, 1, plan)
@@ -95,10 +109,10 @@ class TestEquivariantBasis:
         plan = compression_plan(rep.n * lag, order)
         basis = equivariant_basis(rep, lag, plan)
         oracle = window_equivariant_basis(rep, lag, plan)
-        assert basis.size == oracle.size == size
-        flat = basis.matrices.reshape(basis.size, -1)
+        assert basis.size == oracle.shape[0] == size
+        flat = dense_matrices(basis).reshape(basis.size, -1)
         assert np.max(np.abs(flat @ flat.T - np.eye(basis.size))) <= 1e-12
-        oflat = oracle.matrices.reshape(oracle.size, -1)
+        oflat = oracle.reshape(oracle.shape[0], -1)
         assert np.max(np.abs(flat.T @ flat - oflat.T @ oflat)) <= 1e-12
 
     def test_k4_paper_constraint_has_one_slot_of_unknowns(self):
@@ -114,10 +128,11 @@ class TestEquivariantBasis:
         plan = compression_plan(2 * lag, 3)
         h0r, h1 = build_data_matrices(ham_series[:90], lag, 3, plan)
         seed = delay_windows(ham_series[:90], lag)[-1]
+        basis = equivariant_basis(rep, lag, plan)
+        oracle = window_equivariant_basis(rep, lag, plan)
         rmse = []
-        for basis in (equivariant_basis(rep, lag, plan),
-                      window_equivariant_basis(rep, lag, plan)):
-            coupling = assemble(basis, fit_coefficients(basis, h0r, h1))
+        for coupling in (assemble(basis, fit_coefficients(basis, h0r, h1)),
+                         np.tensordot(dense_fit(oracle, h0r, h1)[0], oracle, axes=1)):
             fc = rollout(manual_model(coupling, rep, lag, 3), seed, 100)
             rmse.append(np.sqrt(np.mean((fc.values - ham_series[90:190]) ** 2)))
         assert abs(rmse[0] / rmse[1] - 1.0) <= 0.01
@@ -128,7 +143,7 @@ class TestFitCoefficients:
         _, _, basis = z5_setup
         rng = np.random.default_rng(20)
         h0r = rng.standard_normal((basis.reduced_dim, 10))
-        h1 = basis.matrices[0] @ h0r
+        h1 = dense_matrices(basis)[0] @ h0r
         fit = fit_coefficients(basis, h0r, h1)
         expected = np.zeros(basis.size)
         expected[0] = 1.0
@@ -162,7 +177,7 @@ class TestFitCoefficients:
         _, _, basis = z5_setup
         rng = np.random.default_rng(22)
         h0r = rng.standard_normal((basis.reduced_dim, 10))
-        h1 = 2.5 * (basis.matrices[3] @ h0r)
+        h1 = 2.5 * (dense_matrices(basis)[3] @ h0r)
         fit = fit_coefficients(basis, h0r, h1, sparsify=1)
         assert np.count_nonzero(fit.coefficients) == 1
         assert abs(fit.coefficients[3] - 2.5) <= 1e-9
@@ -194,7 +209,7 @@ class TestFitCoefficients:
         _, _, basis = z5_setup
         rng = np.random.default_rng(32)
         h0r = rng.standard_normal((basis.reduced_dim, 10))
-        h1 = 2.5 * (basis.matrices[3] @ h0r)
+        h1 = 2.5 * (dense_matrices(basis)[3] @ h0r)
         direct = fit_coefficients(basis, h0r, h1, sparsify=2)
         monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
         normal = fit_coefficients(basis, h0r, h1, sparsify=2)
@@ -202,8 +217,8 @@ class TestFitCoefficients:
         assert normal.rank == np.count_nonzero(normal.coefficients) == 1
 
     def test_empty_basis_rejected(self):
-        empty = EquivariantBasis(state_dim=2, reduced_dim=3,
-                                 matrices=np.zeros((0, 2, 3)))
+        empty = EquivariantBasis(state_dim=2, reduced_dim=3, lag=1,
+                                 slot_matrices=np.zeros((0, 2, 3)))
         with pytest.raises(NoFeasibleModelError):
             fit_coefficients(empty, np.ones((3, 1)), np.ones((2, 1)))
 
@@ -220,19 +235,88 @@ class TestFitCoefficients:
             fit_coefficients(basis, np.ones((4, 3)), np.ones((5, 3)))
 
 
+
+class TestSlotFactoredFit:
+    """The fit over A = [vec(K_j @ h0r)] against the dense fit over the whole
+    (n*lag*T, k*lag) design built from the dense basis stack."""
+
+    @pytest.mark.parametrize("lag", [2, 3, 4, 5])
+    def test_k4_matches_dense_fit(self, ham_series, lag):
+        rep, basis, h0r, h1 = _k4_setup(ham_series, lag)
+        dense = dense_matrices(basis)
+        fit = fit_coefficients(basis, h0r, h1)
+        coeffs, rank = dense_fit(dense, h0r, h1)
+        assert fit.rank == rank
+        seed = delay_windows(ham_series[:90], lag)[-1]
+        rmse = []
+        for coupling in (assemble(basis, fit), np.tensordot(coeffs, dense, axes=1)):
+            fc = rollout(manual_model(coupling, rep, lag, 3), seed, 100)
+            rmse.append(np.sqrt(np.mean((fc.values - ham_series[90:190]) ** 2)))
+        assert abs(rmse[0] / rmse[1] - 1.0) <= 0.01
+
+    def test_c3_matches_dense_fit(self):
+        plan = compression_plan(4, 2)
+        basis = equivariant_basis(C3, 2, plan)
+        series = np.random.default_rng(33).standard_normal((40, 2))
+        h0r, h1 = build_data_matrices(series, 2, 2, plan)
+        dense = dense_matrices(basis)
+        fit = fit_coefficients(basis, h0r, h1)
+        coeffs, rank = dense_fit(dense, h0r, h1)
+        w_dense = np.tensordot(coeffs, dense, axes=1)
+        assert fit.rank == rank
+        assert np.linalg.norm(assemble(basis, fit) - w_dense) <= 1e-8 * np.linalg.norm(w_dense)
+
+    def test_normal_equation_path_matches_direct_at_k4(self, ham_series, monkeypatch):
+        _, basis, h0r, h1 = _k4_setup(ham_series, 3)
+        direct = fit_coefficients(basis, h0r, h1)
+        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
+        normal = fit_coefficients(basis, h0r, h1)
+        gap = np.max(np.abs(assemble(basis, direct) @ h0r - assemble(basis, normal) @ h0r))
+        assert gap <= 1e-8
+
+    @pytest.mark.parametrize("normal", [False, True])
+    @pytest.mark.parametrize("sparsify", [1, 2])
+    def test_sparsify_matches_dense_omp(self, ham_series, monkeypatch, sparsify, normal):
+        _, basis, h0r, _ = _k4_setup(ham_series, 2)
+        dense = dense_matrices(basis)
+        planted = 3 * basis.lag + 1  # one-slot matrix 3 on lag slot 1
+        noise = 1e-3 * np.random.default_rng(34).standard_normal((basis.state_dim, h0r.shape[1]))
+        h1 = 2.5 * (dense[planted] @ h0r) + noise
+        if normal:
+            monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
+        fit = fit_coefficients(basis, h0r, h1, sparsify=sparsify)
+        coeffs, rank = dense_fit(dense, h0r, h1, sparsify=sparsify, normal=normal)
+        support = np.flatnonzero(fit.coefficients)
+        assert planted in support and support.size == sparsify
+        assert np.array_equal(support, np.flatnonzero(coeffs))
+        assert np.max(np.abs(fit.coefficients - coeffs)) <= 1e-12
+        assert fit.rank == rank
+
+    def test_entry_cap_counts_the_slot_design(self, ham_series):
+        # a cap the whole design (lag**2 times larger) would exceed keeps the direct path
+        _, basis, h0r, h1 = _k4_setup(ham_series, 3)
+        k, n, _ = basis.slot_matrices.shape
+        entries = n * h0r.shape[1] * k
+        cap = 2 * entries
+        assert entries < cap < entries * basis.lag ** 2
+        fit = fit_coefficients(basis, h0r, h1, entry_cap=cap)
+        assert fit.rank == svd_rank(_slot_design(basis, h0r), fit.rel_tol) * basis.lag
+        # the normal equations, taken below the cap, keep fewer singular values
+        assert fit_coefficients(basis, h0r, h1, entry_cap=entries - 1).rank < fit.rank
+
 class TestAssemble:
     def test_unit_coefficient(self, z5_setup):
         _, _, basis = z5_setup
         fit = fit_coefficients(basis, np.eye(basis.reduced_dim),
-                               basis.matrices[0])
-        assert np.max(np.abs(assemble(basis, fit) - basis.matrices[0])) <= 1e-10
+                               dense_matrices(basis)[0])
+        assert np.max(np.abs(assemble(basis, fit) - dense_matrices(basis)[0])) <= 1e-10
 
     def test_zero_and_linearity(self, z5_setup):
         _, _, basis = z5_setup
         rng = np.random.default_rng(23)
         c1 = rng.standard_normal(basis.size)
         c2 = rng.standard_normal(basis.size)
-        combine = lambda c: np.tensordot(c, basis.matrices, axes=1)
+        combine = lambda c: np.tensordot(c, dense_matrices(basis), axes=1)
         assert np.array_equal(combine(np.zeros(basis.size)), np.zeros((5, 21)))
         assert np.allclose(combine(c1) + combine(c2), combine(c1 + c2), atol=1e-12)
 
@@ -241,7 +325,7 @@ class TestEquivarianceResidual:
     def test_basis_span_is_equivariant(self, z5_setup):
         rep, plan, basis = z5_setup
         rng = np.random.default_rng(24)
-        w = np.tensordot(rng.standard_normal(basis.size), basis.matrices, axes=1)
+        w = np.tensordot(rng.standard_normal(basis.size), dense_matrices(basis), axes=1)
         assert equivariance_residual(w, rep, 1, plan) <= 1e-10
 
     def test_random_matrix_is_not(self, z5_setup):
@@ -257,7 +341,7 @@ class TestEquivarianceResidual:
 
     def test_generator_residuals_reported_per_generator(self, z5_setup):
         rep, plan, basis = z5_setup
-        out = generator_residuals(basis.matrices[0], rep, 1, plan)
+        out = generator_residuals(dense_matrices(basis)[0], rep, 1, plan)
         assert len(out) == len(rep.generators)
         assert all(r <= 1e-9 for r in out)
 

