@@ -11,6 +11,8 @@ degree are filled by a single vectorised product once the lower degrees are
 known: p numpy calls per evaluation instead of one per feature.
 """
 
+import math
+
 import numpy as np
 
 NUMBA_ENABLED = False  # read by perfbench's environment record; there is no numba path
@@ -62,7 +64,7 @@ def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     for k in range(horizon):
         fill_features(w, blocks, phi)
         y = coupling @ phi
-        if not np.sqrt(np.sum(y * y)) <= norm_cap:  # NaN and inf fail too
+        if not math.sqrt(y @ y) <= norm_cap:  # NaN and inf fail too
             return windows[:k].copy(), True
         if consistent:
             # per channel: drop the oldest sample, append the predicted newest

@@ -8,7 +8,7 @@ assumes exactly this block order.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,13 +62,41 @@ class CompressionPlan:
         body = self.degree[:self.reduced_dim - 1]
         return int(np.searchsorted(body, k, "left")), int(np.searchsorted(body, k, "right"))
 
-    def class_tuple(self, c):
-        """Sorted variable tuple of class c, decoded from the lead/parent chain."""
-        out = []
-        while self.lead[c] >= 0:
-            out.append(int(self.lead[c]))
-            c = int(self.parent[c])
-        return tuple(out)
+    @cached_property
+    def action_tables(self):
+        """Index tables of the degree-k blocks (k = 2..p) of a reduced group action.
+
+        One entry (lo, hi, lead_rows, tail_rows, passes) per degree: the class
+        range, the lead variable and the within-degree-(k-1) parent of each
+        class, and per position t of the sorted variable tuples one
+        (cols, vars, rests) triple.  It holds the classes whose t-th variable
+        differs from the one before it, that variable, and the
+        within-degree-(k-1) class of the tuple without it, so that no class
+        occurs twice in a pass.
+        """
+        m = self.dim_in
+        tables = []
+        prev_lo, prev_hi = self.degree_class_range(1)
+        prev_code = self.lead[prev_lo:prev_hi]  # a degree-1 class's code is its variable
+        for k in range(2, self.order + 1):
+            lo, hi = self.degree_class_range(k)
+            cur = np.arange(lo, hi)
+            digits = np.empty((hi - lo, k), dtype=np.int64)
+            for t in range(k):
+                digits[:, t] = self.lead[cur]
+                cur = self.parent[cur]
+            # the classes of one degree are in ascending order of their sorted-tuple code
+            powers = m ** np.arange(k - 2, -1, -1)
+            passes = []
+            for t in range(k):
+                cols = np.arange(hi - lo) if t == 0 else np.flatnonzero(
+                    digits[:, t] != digits[:, t - 1])
+                rests = np.searchsorted(prev_code, np.delete(digits[cols], t, axis=1) @ powers)
+                passes.append((cols, digits[cols, t], rests))
+            tables.append((lo, hi, self.lead[lo:hi], self.parent[lo:hi] - prev_lo, passes))
+            prev_code = digits @ (m ** np.arange(k - 1, -1, -1))
+            prev_lo = lo
+        return tables
 
 
 @lru_cache(maxsize=64)

@@ -83,6 +83,11 @@ def reduced_action(g, lag, plan):
     but computed degree by degree through the monomial classes, without
     materialising the full-dimension matrix: the aggregated block A_k obeys
     A_k[a, c] = sum over distinct v in c of h[lead(a), v] * A_{k-1}[tail(a), c - v].
+    The terms are added by the position of v in c's sorted tuple, one
+    vectorised pass per position over the plan's ``action_tables``; a column
+    occurs at most once per pass, so every column sums the same products in
+    the same order as a loop over classes.  The passes build each block's
+    transpose, so that they gather and scatter whole contiguous rows.
     """
     h = window_action(g, lag)
     m = h.shape[0]
@@ -95,29 +100,15 @@ def reduced_action(g, lag, plan):
     out[q - 1, q - 1] = 1.0
     lo, hi = plan.degree_class_range(1)
     out[lo:hi, lo:hi] = h
-    prev = h
-    prev_lo = lo
-    for k in range(2, plan.order + 1):
-        lo, hi = plan.degree_class_range(k)
-        nk = hi - lo
-        tuples = [plan.class_tuple(lo + c) for c in range(nk)]
-        lead_rows = np.array([t[0] for t in tuples])
-        tail_rows = np.array([plan.parent[lo + c] - prev_lo for c in range(nk)])
-        block = np.zeros((nk, nk))
-        # class index of a sorted tuple within the previous degree
-        prev_pos = {plan.class_tuple(prev_lo + c): c for c in range(prev.shape[0])}
-        for c, tup in enumerate(tuples):
-            seen = set()
-            for t in range(k):
-                v = tup[t]
-                if v in seen:
-                    continue
-                seen.add(v)
-                rest = prev_pos[tup[:t] + tup[t + 1:]]
-                block[:, c] += h[lead_rows, v] * prev[tail_rows, rest]
-        out[lo:hi, lo:hi] = block
-        prev = block
-        prev_lo = lo
+    prev_t = h.T
+    for lo, hi, lead_rows, tail_rows, passes in plan.action_tables:
+        lead_t = np.take(h.T, lead_rows, axis=1)
+        tail_t = np.take(prev_t, tail_rows, axis=1)
+        block_t = np.zeros((hi - lo, hi - lo))
+        for cols, variables, rests in passes:
+            block_t[cols] += lead_t[variables] * tail_t[rests]
+        out[lo:hi, lo:hi] = block_t.T
+        prev_t = block_t
     return out
 
 

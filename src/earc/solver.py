@@ -199,11 +199,7 @@ def equivariance_residual(w, group, lag, plan):
     Zero exactly when W intertwines the window action with the reduced
     embedding action for the whole group.
     """
-    w = tensorops._as_matrix(w, "w")
-    if w.shape != (group.n * lag, plan.reduced_dim):
-        raise ShapeError(
-            f"coupling shape {w.shape} does not match ({group.n * lag}, {plan.reduced_dim})"
-        )
+    w = _coupling(w, group, lag, plan)
     total = 0.0
     for g in group.elements:
         ghat = reduced_action(g, lag, plan)
@@ -214,9 +210,20 @@ def equivariance_residual(w, group, lag, plan):
 
 def generator_residuals(w, group, lag, plan):
     """Per-generator commutator norms ||h W - W Ghat||_F."""
+    w = _coupling(w, group, lag, plan)
     out = []
     for g in group.generators:
         ghat = reduced_action(g, lag, plan)
         h = window_action(g, lag)
         out.append(float(np.linalg.norm(h @ w - w @ ghat)))
     return out
+
+
+def _coupling(w, group, lag, plan):
+    """``w`` as a float matrix, checked to be (n*lag, reduced_dim)."""
+    w = tensorops._as_matrix(w, "w")
+    if w.shape != (group.n * lag, plan.reduced_dim):
+        raise ShapeError(
+            f"coupling shape {w.shape} does not match ({group.n * lag}, {plan.reduced_dim})"
+        )
+    return w

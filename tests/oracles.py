@@ -58,6 +58,50 @@ def write_rows_by_value(fh, index, values):
         fh.write(str(int(i)) + "," + ",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
+def class_tuple(plan, c):
+    """Sorted variable tuple of class c, decoded from the lead/parent chain."""
+    out = []
+    while plan.lead[c] >= 0:
+        out.append(int(plan.lead[c]))
+        c = int(plan.parent[c])
+    return tuple(out)
+
+
+def reduced_action_by_class(g, lag, plan):
+    """Reduced action built one monomial class and one distinct variable at a time:
+    A_k[:, c] += h[lead rows, v] * A_{k-1}[tail rows, class of c without v]."""
+    h = window_action(g, lag)
+    q = plan.reduced_dim
+    out = np.zeros((q, q))
+    out[q - 1, q - 1] = 1.0
+    lo, hi = plan.degree_class_range(1)
+    out[lo:hi, lo:hi] = h
+    prev = h
+    prev_lo = lo
+    for k in range(2, plan.order + 1):
+        lo, hi = plan.degree_class_range(k)
+        nk = hi - lo
+        tuples = [class_tuple(plan, lo + c) for c in range(nk)]
+        lead_rows = np.array([t[0] for t in tuples])
+        tail_rows = np.array([plan.parent[lo + c] - prev_lo for c in range(nk)])
+        block = np.zeros((nk, nk))
+        # class index of a sorted tuple within the previous degree
+        prev_pos = {class_tuple(plan, prev_lo + c): c for c in range(prev.shape[0])}
+        for c, tup in enumerate(tuples):
+            seen = set()
+            for t in range(k):
+                v = tup[t]
+                if v in seen:
+                    continue
+                seen.add(v)
+                rest = prev_pos[tup[:t] + tup[t + 1:]]
+                block[:, c] += h[lead_rows, v] * prev[tail_rows, rest]
+        out[lo:hi, lo:hi] = block
+        prev = block
+        prev_lo = lo
+    return out
+
+
 def vec(a):
     """Stack the columns of a matrix into one vector."""
     return tensorops._as_matrix(a).ravel(order="F")

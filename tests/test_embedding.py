@@ -11,7 +11,7 @@ from earc.errors import InsufficientDataError, ShapeError, ValidationError
 from earc.groups import reduced_action, window_action
 from earc.systems import builtin_rep
 
-from oracles import (expansion_matrix, kron_power, lifted_action,
+from oracles import (class_tuple, expansion_matrix, kron_power, lifted_action,
                      monomial_features_by_column, selection_matrix)
 
 
@@ -102,10 +102,10 @@ class TestCompressionPlan:
     def test_class_tuples_are_sorted_and_consistent(self):
         plan = compression_plan(3, 3)
         for c in range(plan.reduced_dim - 1):
-            tup = plan.class_tuple(c)
+            tup = class_tuple(plan, c)
             assert tup == tuple(sorted(tup))
             assert len(tup) == plan.degree[c]
-        assert plan.class_tuple(plan.reduced_dim - 1) == ()
+        assert class_tuple(plan, plan.reduced_dim - 1) == ()
 
 
 class TestCompressExpand:

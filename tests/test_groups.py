@@ -7,9 +7,11 @@ from earc.embedding import compression_plan, embed_dim
 from earc.errors import NonFiniteGroupError, ShapeError, ValidationError
 from earc.groups import (close_group, from_json_dict, load_group, reduced_action,
                          save_group, to_json_dict, window_action)
+from earc.solver import equivariant_basis
 from earc.systems import builtin_rep
 
-from oracles import expansion_matrix, lifted_action, selection_matrix
+from oracles import (dense_matrices, expansion_matrix, lifted_action,
+                     reduced_action_by_class, selection_matrix, window_equivariant_basis)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)
@@ -18,6 +20,16 @@ FLIP = -np.eye(2)
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def random_orthogonal(n, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def named_rep(name):
+    """k4 or z5, or the rotations by multiples of 120 degrees in the plane (c3)."""
+    return close_group([rotation(2 * np.pi / 3)]) if name == "c3" else builtin_rep(name)
 
 
 class TestCloseGroup:
@@ -132,6 +144,73 @@ class TestReducedAction:
         plan = compression_plan(4, 2)
         with pytest.raises(ShapeError):
             reduced_action(SWAP, 1, plan)
+
+    @pytest.mark.parametrize("name,lag,order", [
+        ("k4", 1, 3), ("k4", 2, 3), ("k4", 3, 3), ("k4", 4, 3), ("k4", 5, 3),
+        ("z5", 1, 2), ("z5", 2, 3), ("c3", 2, 2), ("c3", 4, 3)])
+    def test_bitwise_equal_to_class_loop(self, name, lag, order):
+        rep = named_rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        for g in rep.elements:
+            assert np.array_equal(reduced_action(g, lag, plan),
+                                  reduced_action_by_class(g, lag, plan))
+
+    def test_dense_orthogonal_bitwise_equal_to_class_loop(self):
+        g = random_orthogonal(3, 50)
+        plan = compression_plan(3, 4)
+        out = reduced_action(g, 1, plan)
+        ranges = [plan.degree_class_range(k) for k in range(1, 5)]
+        assert np.count_nonzero(out) == sum((hi - lo) ** 2 for lo, hi in ranges) + 1
+        assert np.array_equal(out, reduced_action_by_class(g, 1, plan))
+
+
+class TestRandomFiniteGroups:
+    """k4, z5 and c3 conjugated by a random orthogonal matrix: only the
+    identity and, in k4, the central -I remain signed permutations."""
+
+    CASES = [("k4", 2, 3), ("z5", 1, 2), ("c3", 2, 2), ("z5", 2, 2)]
+
+    @staticmethod
+    def conjugated(name, seed):
+        rep = named_rep(name)
+        q = random_orthogonal(rep.n, seed)
+        out = close_group([q @ g @ q.T for g in rep.generators])
+        assert out.order == rep.order
+        eye = np.eye(rep.n)
+        for g in out.elements:
+            if min(np.max(np.abs(g - eye)), np.max(np.abs(g + eye))) > 1e-9:
+                assert np.any(np.abs(np.abs(g) - np.round(np.abs(g))) > 1e-3)
+        return out
+
+    @pytest.mark.parametrize("name,lag,order", CASES)
+    def test_homomorphism(self, name, lag, order):
+        rep = self.conjugated(name, 60)
+        plan = compression_plan(rep.n * lag, order)
+        actions = [reduced_action(g, lag, plan) for g in rep.elements]
+        for a, ga in zip(rep.elements, actions):
+            for b, gb in zip(rep.elements, actions):
+                assert np.max(np.abs(ga @ gb - reduced_action(a @ b, lag, plan))) <= 1e-10
+
+    @pytest.mark.parametrize("name,lag,order", CASES)
+    def test_matches_dense_construction(self, name, lag, order):
+        rep = self.conjugated(name, 61)
+        plan = compression_plan(rep.n * lag, order)
+        r = selection_matrix(plan)
+        e = expansion_matrix(plan)
+        for g in rep.elements:
+            dense = r @ lifted_action(g, lag, order) @ e
+            assert np.max(np.abs(reduced_action(g, lag, plan) - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("name,lag,order", CASES)
+    def test_one_slot_basis_matches_whole_window_oracle(self, name, lag, order):
+        rep = self.conjugated(name, 62)
+        plan = compression_plan(rep.n * lag, order)
+        flat = dense_matrices(equivariant_basis(rep, lag, plan))
+        flat = flat.reshape(flat.shape[0], -1)
+        oracle = window_equivariant_basis(rep, lag, plan)
+        oflat = oracle.reshape(oracle.shape[0], -1)
+        assert flat.shape[0] == oflat.shape[0] > 0
+        assert np.max(np.abs(flat.T @ flat - oflat.T @ oflat)) <= 1e-12
 
 
 class TestJsonEncoding:

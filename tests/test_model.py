@@ -187,6 +187,15 @@ class TestRollout:
         assert fc.diverged and 0 < fc.steps < 510
 
     @pytest.mark.parametrize("mode", ["consistent", "free"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coupling_stops_at_step_zero(self, k4_model, k4_seed, mode, bad):
+        coupling = k4_model[0].coupling.copy()
+        coupling[3, 7] = bad
+        fc = assert_matches_step_loop(replace(k4_model[0], coupling=coupling), k4_seed,
+                                      510, mode)
+        assert fc.diverged and fc.steps == 0
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
     def test_k4_equivariant_over_full_horizon(self, k4_model, k4_seed, mode):
         m = k4_model[0]
         base = rollout(m, k4_seed, 510, mode=mode)

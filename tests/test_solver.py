@@ -339,6 +339,14 @@ class TestEquivarianceResidual:
         w = np.random.default_rng(26).standard_normal((2, 3))
         assert equivariance_residual(w, TRIVIAL_2, 1, plan) == 0.0
 
+    def test_coupling_shape_checked(self):
+        rep = builtin_rep("k4")
+        plan = compression_plan(4, 2)
+        w = np.zeros((3, plan.reduced_dim))
+        for residual in (equivariance_residual, generator_residuals):
+            with pytest.raises(ShapeError):
+                residual(w, rep, 2, plan)
+
     def test_generator_residuals_reported_per_generator(self, z5_setup):
         rep, plan, basis = z5_setup
         out = generator_residuals(dense_matrices(basis)[0], rep, 1, plan)
