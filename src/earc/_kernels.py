@@ -56,22 +56,32 @@ def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     Returns (windows, diverged) with one window per completed step.  A step
     whose predicted dilated state is non-finite or has Euclidean norm above
     ``norm_cap`` is dropped, iteration stops and ``diverged`` is set.
+
+    Each step computes what ``fill_features`` and ``coupling @ phi`` would, in
+    buffers allocated once: the degree-1 features are the window coordinates
+    in order (lead c, parent the constant), so the window is kept as
+    ``phi[:m]`` and is itself the degree-1 block.
     """
-    blocks = degree_blocks(plan)
-    windows = np.empty((horizon, seed.shape[0]))
-    w = seed.copy()
+    m = seed.shape[0]
+    windows = np.empty((horizon, m))
     phi = np.empty(plan.reduced_dim)
+    phi[-1] = 1.0
+    w = phi[:m]
+    w[:] = seed
+    y = np.empty(m)
+    blocks = [(lead, parent, phi[lo:hi]) for lo, hi, lead, parent in degree_blocks(plan)[1:]]
+    if consistent:
+        # per channel: drop the oldest sample, append the predicted newest
+        moves = ((w[:-1], w[1:]), (w[lag - 1::lag], y[lag - 1::lag]))
+    else:
+        moves = ((w, y),)
     for k in range(horizon):
-        fill_features(w, blocks, phi)
-        y = coupling @ phi
+        for lead, parent, out in blocks:
+            np.multiply(w[lead], phi[parent], out=out)
+        np.matmul(coupling, phi, out=y)
         if not math.sqrt(y @ y) <= norm_cap:  # NaN and inf fail too
             return windows[:k].copy(), True
-        if consistent:
-            # per channel: drop the oldest sample, append the predicted newest
-            channels = w.reshape(-1, lag)
-            channels[:, :-1] = channels[:, 1:]
-            channels[:, -1] = y[lag - 1::lag]
-        else:
-            w = y
+        for dst, src in moves:
+            np.copyto(dst, src)
         windows[k] = w
     return windows, False

@@ -199,24 +199,29 @@ def equivariance_residual(w, group, lag, plan):
     Zero exactly when W intertwines the window action with the reduced
     embedding action for the whole group.
     """
-    w = _coupling(w, group, lag, plan)
     total = 0.0
-    for g in group.elements:
-        ghat = reduced_action(g, lag, plan)
-        h = window_action(g, lag)
-        total += np.linalg.norm(h @ w - w @ ghat)
+    for r in equivariance_residuals(w, group, lag, plan):
+        total += r
     return float(total)
+
+
+def equivariance_residuals(w, group, lag, plan):
+    """Per-element commutator norms ||h W - W Ghat||_F, in ``group.elements`` order."""
+    w = _coupling(w, group, lag, plan)
+    return [_commutator_norm(w, g, lag, plan) for g in group.elements]
 
 
 def generator_residuals(w, group, lag, plan):
     """Per-generator commutator norms ||h W - W Ghat||_F."""
     w = _coupling(w, group, lag, plan)
-    out = []
-    for g in group.generators:
-        ghat = reduced_action(g, lag, plan)
-        h = window_action(g, lag)
-        out.append(float(np.linalg.norm(h @ w - w @ ghat)))
-    return out
+    return [_commutator_norm(w, g, lag, plan) for g in group.generators]
+
+
+def _commutator_norm(w, g, lag, plan):
+    """||h W - W Ghat||_F of one element for a checked coupling ``w``."""
+    ghat = reduced_action(g, lag, plan)
+    h = window_action(g, lag)
+    return float(np.linalg.norm(h @ w - w @ ghat))
 
 
 def _coupling(w, group, lag, plan):

@@ -7,6 +7,7 @@ shift-equivariant when all growth rates coincide.  A planted linear map is
 included as a test oracle.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +78,15 @@ class CompetitionConfig:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
 
 
+def _hamiltonian_field(q, p):
+    """(dq/dt, dp/dt) = (p^3 - p, q^3 - q) of scalar coordinates."""
+    return p ** 3 - p, q ** 3 - q
+
+
 def hamiltonian_vector_field(state):
     """(dq/dt, dp/dt) = (p^3 - p, q^3 - q)."""
     q, p = state
-    return np.array([p ** 3 - p, q ** 3 - q])
+    return np.array(_hamiltonian_field(q, p))
 
 
 def hamiltonian_energy(q, p):
@@ -89,25 +95,42 @@ def hamiltonian_energy(q, p):
 
 
 def hamiltonian_generate(cfg):
-    """Classical fixed-step RK4 trajectory, returned as a (steps+1, 2) series."""
-    y = np.array([cfg.q0, cfg.p0], dtype=np.float64)
+    """Classical fixed-step RK4 trajectory, returned as a (steps+1, 2) series.
+
+    The state is stepped as two Python floats: the same operations in the same
+    order as on a length-2 array, without numpy's per-call cost.
+    """
+    q, p = float(cfg.q0), float(cfg.p0)
+    dt = float(cfg.dt)
+    half = 0.5 * dt
+    sixth = dt / 6.0
     rows = np.empty((cfg.steps + 1, 2))
-    rows[0] = y
-    dt = cfg.dt
-    for k in range(cfg.steps):
-        k1 = hamiltonian_vector_field(y)
-        k2 = hamiltonian_vector_field(y + 0.5 * dt * k1)
-        k3 = hamiltonian_vector_field(y + 0.5 * dt * k2)
-        k4 = hamiltonian_vector_field(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"integration diverged at step {k + 1}")
-        rows[k + 1] = y
+    rows[0] = q, p
+    k = 0
+    try:
+        for k in range(1, cfg.steps + 1):
+            a1, b1 = _hamiltonian_field(q, p)
+            a2, b2 = _hamiltonian_field(q + half * a1, p + half * b1)
+            a3, b3 = _hamiltonian_field(q + half * a2, p + half * b2)
+            a4, b4 = _hamiltonian_field(q + dt * a3, p + dt * b3)
+            q = q + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            if not (math.isfinite(q) and math.isfinite(p)):
+                raise DivergenceError(f"integration diverged at step {k}")
+            rows[k] = q, p
+    except OverflowError:
+        # float ** 3 raises where numpy's power returned inf
+        raise DivergenceError(f"integration diverged at step {k}") from None
     return rows
 
 
-def competition_step(p, r, interactions):
-    """One update of the competition recurrence p + r * p * (1 - N p)."""
+def _competition_update(p, r, n_matrix):
+    """p + r * p * (1 - N p) on validated operands."""
+    return p + r * p * (1.0 - n_matrix @ p)
+
+
+def _competition_operands(p, r, interactions):
+    """``p``, ``r`` and ``interactions`` as float arrays of matching dims."""
     p = tensorops._as_vector(p, "p")
     r = tensorops._as_vector(r, "r")
     n_matrix = tensorops._as_matrix(interactions, "interactions")
@@ -115,21 +138,24 @@ def competition_step(p, r, interactions):
         raise ShapeError(
             f"inconsistent dims: p {p.shape}, r {r.shape}, N {n_matrix.shape}"
         )
-    return p + r * p * (1.0 - n_matrix @ p)
+    return p, r, n_matrix
+
+
+def competition_step(p, r, interactions):
+    """One update of the competition recurrence p + r * p * (1 - N p)."""
+    return _competition_update(*_competition_operands(p, r, interactions))
 
 
 def competition_generate(cfg):
     """Iterated competition map, returned as a (steps+1, 5) series."""
-    p = np.asarray(cfg.p0, dtype=np.float64)
-    r = np.asarray(cfg.r, dtype=np.float64)
-    n_matrix = np.asarray(cfg.interactions, dtype=np.float64)
+    p, r, n_matrix = _competition_operands(cfg.p0, cfg.r, cfg.interactions)
     rows = np.empty((cfg.steps + 1, p.shape[0]))
     rows[0] = p
-    for k in range(cfg.steps):
-        p = competition_step(p, r, n_matrix)
-        if not np.all(np.isfinite(p)) or np.any(np.abs(p) > COMPETITION_RANGE):
-            raise DivergenceError(f"competition state left the admissible range at step {k + 1}")
-        rows[k + 1] = p
+    for k in range(1, cfg.steps + 1):
+        p = _competition_update(p, r, n_matrix)
+        if not np.abs(p).max() <= COMPETITION_RANGE:  # NaN and inf fail too
+            raise DivergenceError(f"competition state left the admissible range at step {k}")
+        rows[k] = p
     return rows
 
 

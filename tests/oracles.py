@@ -9,8 +9,49 @@ import numpy as np
 
 from earc import tensorops
 from earc.embedding import embed_dim
-from earc.errors import ShapeError
+from earc.errors import DivergenceError, ShapeError
 from earc.groups import reduced_action, window_action
+from earc.systems import COMPETITION_RANGE
+
+
+def hamiltonian_generate_by_array(cfg):
+    """Fixed-step RK4 stepping a length-2 array through an array-valued field."""
+    def field(state):
+        q, p = state
+        return np.array([p ** 3 - p, q ** 3 - q])
+
+    y = np.array([cfg.q0, cfg.p0], dtype=np.float64)
+    rows = np.empty((cfg.steps + 1, 2))
+    rows[0] = y
+    dt = cfg.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.steps):
+            k1 = field(y)
+            k2 = field(y + 0.5 * dt * k1)
+            k3 = field(y + 0.5 * dt * k2)
+            k4 = field(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(f"integration diverged at step {k + 1}")
+            rows[k + 1] = y
+    return rows
+
+
+def competition_generate_by_step(cfg):
+    """Competition map iterated with the full finiteness and range test at every step."""
+    p = np.asarray(cfg.p0, dtype=np.float64)
+    r = np.asarray(cfg.r, dtype=np.float64)
+    n_matrix = np.asarray(cfg.interactions, dtype=np.float64)
+    rows = np.empty((cfg.steps + 1, p.shape[0]))
+    rows[0] = p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.steps):
+            p = p + r * p * (1.0 - n_matrix @ p)
+            if not np.all(np.isfinite(p)) or np.any(np.abs(p) > COMPETITION_RANGE):
+                raise DivergenceError(
+                    f"competition state left the admissible range at step {k + 1}")
+            rows[k + 1] = p
+    return rows
 
 
 def monomial_features_by_column(windows, lead, parent):

@@ -4,12 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from earc.cli import _write_rows, main, read_series, write_series
+from earc import solver
+from earc.cli import CSV_BLOCK_ROWS, _write_rows, main, read_series, write_series
+from earc.errors import DivergenceError
+from earc.groups import close_group, reduced_action
 from earc.model import autocorrelation, load, predict_step, rollout, save
-from earc.systems import builtin_rep, planted_linear
+from earc.solver import equivariance_residual, generator_residuals
+from earc.systems import HamiltonianConfig, builtin_rep, planted_linear
 from tests.test_model import manual_model
 
-from oracles import write_rows_by_value
+from oracles import hamiltonian_generate_by_array, write_rows_by_value
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+FLIP = -np.eye(2)
 
 UNDECODABLE = bytes([0xFF, 0xFE, 0x00])
 """A file that is not valid UTF-8 (nor JSON)."""
@@ -67,6 +74,18 @@ class TestGenerate:
             main(["generate", "--system", "hamiltonian", "--steps", "50",
                   "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_hamiltonian_divergence_exits_4_at_the_array_loop_step(self, tmp_path, capsys):
+        cfg = HamiltonianConfig(q0=3.0, p0=3.0, dt=0.1, steps=200)
+        with pytest.raises(DivergenceError) as info:
+            hamiltonian_generate_by_array(cfg)
+        out = tmp_path / "ham.csv"
+        assert main(["generate", "--system", "hamiltonian", "--q0", "3", "--p0", "3",
+                     "--dt", "0.1", "--steps", "200", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"divergence: {info.value}\n"
+        assert "at step 3" in err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -238,6 +257,43 @@ class TestVerify:
         bad.write_bytes(UNDECODABLE)
         assert main(["verify", "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize("generators", [
+        [SWAP, SWAP, FLIP],                          # a repeated generator
+        [np.eye(2), SWAP, FLIP],                     # an identity generator
+        [SWAP, FLIP, SWAP + [[0.0, 1e-13], [0.0, 0.0]]],
+    ], ids=["repeated", "identity", "near-duplicate"])
+    def test_generator_norms_equal_direct_computation(self, k4_model, generators,
+                                                      tmp_path, capsys):
+        # the near-duplicate is an element only within the closure tolerance,
+        # so the generator norms are computed directly
+        trained = k4_model[0]
+        group = close_group(generators)
+        assert group.order == 4
+        m = manual_model(trained.coupling, group, trained.lag, trained.order)
+        path = tmp_path / "model.json"
+        save(m, path)
+        loaded = load(path, check_equivariance=False)
+        total = equivariance_residual(loaded.coupling, loaded.group, loaded.lag, loaded.plan)
+        per_gen = generator_residuals(loaded.coupling, loaded.group, loaded.lag, loaded.plan)
+        expected = [f"equivariance residual (all 4 elements): {format(total, '.17g')}"]
+        expected += [f"generator {i}: commutator norm {format(r, '.17g')}"
+                     for i, r in enumerate(per_gen)]
+        assert main(["verify", "--model", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == expected
+
+    def test_builds_each_reduced_action_once(self, k4_model, tmp_path, monkeypatch):
+        path = tmp_path / "k4.json"
+        save(k4_model[0], path)
+        calls = []
+
+        def counted(g, lag, plan):
+            calls.append(g)
+            return reduced_action(g, lag, plan)
+
+        monkeypatch.setattr(solver, "reduced_action", counted)
+        assert main(["verify", "--model", str(path)]) == 0
+        assert len(calls) == 4
+
     def test_trivial_group_model_is_exactly_equivariant(self, tmp_path, capsys):
         from earc.groups import close_group
         m = manual_model(np.random.default_rng(0).standard_normal((1, 2)),
@@ -303,6 +359,16 @@ class TestCsvRows:
         random = rng.standard_normal(2000) * 10.0 ** rng.uniform(-300, 300, 2000)
         values = np.concatenate([special * 2, random]).reshape(-1, 10)
         index = np.arange(7, 7 + values.shape[0])
+        fh = io.StringIO()
+        _write_rows(fh, index, values)
+        expected = io.StringIO()
+        write_rows_by_value(expected, index, values)
+        assert fh.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("rows", [0, CSV_BLOCK_ROWS, 2500])
+    def test_row_blocks(self, rows):
+        values = np.random.default_rng(rows).standard_normal((rows, 3))
+        index = np.arange(rows)
         fh = io.StringIO()
         _write_rows(fh, index, values)
         expected = io.StringIO()

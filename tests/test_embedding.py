@@ -93,6 +93,14 @@ class TestCompressionPlan:
                 expected = sum(math.comb(m + k - 1, k) for k in range(1, p + 1)) + 1
                 assert plan.reduced_dim == expected
 
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 3), (4, 1), (5, 2), (10, 3)])
+    def test_degree_one_classes_are_the_window(self, m, p):
+        # the rollout keeps its window as the degree-1 block of the features
+        plan = compression_plan(m, p)
+        assert plan.degree_class_range(1) == (0, m)
+        assert np.array_equal(plan.lead[:m], np.arange(m))
+        assert np.array_equal(plan.parent[:m], np.full(m, plan.reduced_dim - 1))
+
     def test_selection_times_expansion_is_identity(self):
         for m, p in [(2, 2), (3, 3), (5, 2)]:
             plan = compression_plan(m, p)

@@ -196,6 +196,14 @@ class TestRollout:
         assert fc.diverged and fc.steps == 0
 
     @pytest.mark.parametrize("mode", ["consistent", "free"])
+    @pytest.mark.parametrize("lag,order", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (3, 1)])
+    def test_matches_step_loop_at_each_lag(self, ham_series, lag, order, mode):
+        m = train(ham_series[:90], builtin_rep("k4"), lag, order)
+        seed = delay_windows(ham_series[:90], lag)[-1]
+        fc = assert_matches_step_loop(m, seed, 300, mode)
+        assert fc.steps > 0
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
     def test_k4_equivariant_over_full_horizon(self, k4_model, k4_seed, mode):
         m = k4_model[0]
         base = rollout(m, k4_seed, 510, mode=mode)

@@ -2,11 +2,25 @@ import numpy as np
 import pytest
 
 from earc.errors import DivergenceError, UnknownNameError, ValidationError
-from earc.systems import (GROWTH_RATE, INTERACTION_MATRIX, CompetitionConfig,
-                          HamiltonianConfig, builtin_rep, competition_generate,
-                          competition_step, hamiltonian_energy,
+from earc.systems import (DEFAULT_COMPETITION_START, GROWTH_RATE, INTERACTION_MATRIX,
+                          CompetitionConfig, HamiltonianConfig, builtin_rep,
+                          competition_generate, competition_step, hamiltonian_energy,
                           hamiltonian_generate, hamiltonian_vector_field,
                           planted_linear)
+
+from oracles import competition_generate_by_step, hamiltonian_generate_by_array
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and equal bytes: stricter than np.array_equal on -0.0 and NaN."""
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def diverged_message(generate, cfg):
+    with pytest.raises(DivergenceError) as info:
+        generate(cfg)
+    return str(info.value)
 
 
 class TestHamiltonian:
@@ -120,6 +134,53 @@ class TestCompetition:
             CompetitionConfig(p0=np.array([0.0, 0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(ValidationError):
             CompetitionConfig(interactions=-INTERACTION_MATRIX)
+
+
+class TestStepLoopOracles:
+    """The scalar RK4 and the hoisted-check competition loop reproduce the
+    array loops they replaced bit for bit, and diverge at the same step."""
+
+    @pytest.mark.parametrize("element", range(4))
+    def test_hamiltonian_from_benchmark_starts(self, element):
+        # the benchmark moves the default start by each k4 element (one gives p0 = -0.0)
+        q0, p0 = builtin_rep("k4").elements[element] @ np.array([0.5, 0.0])
+        cfg = HamiltonianConfig(q0=float(q0), p0=float(p0), steps=21000)
+        assert_same_bits(hamiltonian_generate(cfg), hamiltonian_generate_by_array(cfg))
+
+    @pytest.mark.parametrize("cfg", [
+        HamiltonianConfig(steps=600, dt=0.01),          # the README run
+        HamiltonianConfig(q0=1.0, p0=0.0, steps=50),    # the historic equilibrium
+        HamiltonianConfig(q0=0.3, p0=-0.2, dt=0.05, steps=5000),
+        HamiltonianConfig(q0=1e-105, p0=0.0, steps=50),  # q^3 is subnormal
+    ])
+    def test_hamiltonian_other_runs(self, cfg):
+        assert_same_bits(hamiltonian_generate(cfg), hamiltonian_generate_by_array(cfg))
+
+    @pytest.mark.parametrize("cfg", [
+        HamiltonianConfig(q0=3.0, p0=3.0, dt=0.1, steps=200),  # float ** 3 overflows
+        HamiltonianConfig(q0=1e103, p0=0.0, steps=10),          # overflow in the first step
+        HamiltonianConfig(q0=float("nan"), p0=0.0, steps=10),
+        HamiltonianConfig(q0=float("inf"), p0=0.0, steps=10),
+    ])
+    def test_hamiltonian_divergence_step(self, cfg):
+        expected = diverged_message(hamiltonian_generate_by_array, cfg)
+        assert diverged_message(hamiltonian_generate, cfg) == expected
+
+    @pytest.mark.parametrize("element", range(5))
+    def test_competition_from_benchmark_starts(self, element):
+        start = builtin_rep("z5").elements[element] @ DEFAULT_COMPETITION_START
+        cfg = CompetitionConfig(p0=start, steps=10031)
+        assert_same_bits(competition_generate(cfg), competition_generate_by_step(cfg))
+
+    def test_competition_readme_run(self):
+        cfg = CompetitionConfig(steps=425)
+        assert_same_bits(competition_generate(cfg), competition_generate_by_step(cfg))
+
+    @pytest.mark.parametrize("growth", [3.0, 80.0])
+    def test_competition_divergence_step(self, growth):
+        cfg = CompetitionConfig(r=np.full(5, growth), steps=200)
+        expected = diverged_message(competition_generate_by_step, cfg)
+        assert diverged_message(competition_generate, cfg) == expected
 
 
 class TestBuiltinReps:
