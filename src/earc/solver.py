@@ -21,7 +21,8 @@ from .groups import reduced_action, window_action
 
 NORMAL_EQ_THRESHOLD = 2000
 """One-slot basis sizes (basis size / lag) above this use the normal-equations
-fit to bound memory.
+fit to bound memory.  Below it the normal equations are solved only when A,
+built from the R factor of long data, is still above the entry cap.
 
 ``fit_coefficients`` reads it at call time, not as a default argument."""
 
@@ -105,8 +106,20 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     A = [vec(K_j @ h0r)] over the k one-slot matrices K_j.  One truncated SVD
     of the (n*T, k) matrix A, solved against the lag slots' targets, has the
     design's singular values (each repeated lag times), cutoff and solution,
-    and rank lag * rank(A).  For k above ``NORMAL_EQ_THRESHOLD`` (or A above
-    the entry cap) the k x k normal equations are solved instead, trading
+    and rank lag * rank(A).
+
+    When the data has T >= 2 (q + n*lag) columns, A is built from the R factor
+    of the (T, q + n*lag) matrix [h0r; h1]^T instead of the data: with
+    [h0r; h1] = R^T Q^T and Q orthonormal, every residual sum_j c_j X_j h0r - h1
+    has the Frobenius norm of sum_j c_j X_j R0^T - R1^T, so the fit (truncated,
+    normal or sparse) is the same least-squares problem on n (q + n*lag) rows of
+    A instead of n*T.  Shorter data, such as both paper experiments, is fitted
+    directly: there the saving is small, and the direct fit keeps their
+    models bit for bit.  ``train_residual`` is always measured on the caller's
+    data.
+
+    For k above ``NORMAL_EQ_THRESHOLD`` (or an A, reduced or not, above the
+    entry cap) the k x k normal equations are solved instead, trading
     conditioning for bounded memory.  ``sparsify`` runs orthogonal matching
     pursuit on the whole design (or Gram matrix) rebuilt from A, and the rank
     is then the nonzero count.
@@ -126,10 +139,15 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
         raise ShapeError(
             f"feature and target column counts differ: {h0r.shape[1]} vs {h1.shape[1]}"
         )
+    h0_fit, h1_fit = h0r, h1
+    q = h0r.shape[0]
+    if h0r.shape[1] >= 2 * (q + h1.shape[0]):
+        r = np.linalg.qr(np.vstack([h0r, h1]).T, mode="r")
+        h0_fit, h1_fit = r[:, :q].T, r[:, q:].T
     slots = basis.slot_matrices
     k, n, _ = slots.shape
     lag = basis.lag
-    cols = h0r.shape[1]
+    cols = h0_fit.shape[1]
     # matching pursuit needs the whole design, lag*lag times the entries of A
     held = 1 if sparsify is None else lag * lag
     use_normal = k > NORMAL_EQ_THRESHOLD or n * cols * k * held > entry_cap
@@ -139,7 +157,7 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
             "order or the training length"
         )
     if not use_normal:
-        lhs, rhs = _slot_system(slots, h0r, h1)
+        lhs, rhs = _slot_system(slots, h0_fit, h1_fit)
     else:
         # Stream column blocks of the data: gram matrix and right-hand sides are
         # exact Frobenius inner products, accumulated without holding A.
@@ -148,7 +166,8 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
         budget = 1 << 23  # entries held per mapped block
         col_block = max(1, budget // (k * n))
         for c0 in range(0, cols, col_block):
-            a, b = _slot_system(slots, h0r[:, c0:c0 + col_block], h1[:, c0:c0 + col_block])
+            a, b = _slot_system(slots, h0_fit[:, c0:c0 + col_block],
+                                h1_fit[:, c0:c0 + col_block])
             lhs += a.T @ a
             rhs += a.T @ b
     if sparsify is None:

@@ -285,6 +285,22 @@ def dense_fit(matrices, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None,
     return coeffs, int(np.count_nonzero(coeffs))
 
 
+def unreduced_fit(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
+    """Coefficients and rank of the slot-factored fit on the data itself: one
+    truncated SVD (or matching pursuit on A (x) I_lag) of the (n*T, k) matrix
+    A = [vec(K_j @ h0r)], never the R factor of the data."""
+    k, n, _ = basis.slot_matrices.shape
+    lag = basis.lag
+    mapped = np.einsum("jab,bc->jac", basis.slot_matrices, h0r)
+    a = mapped.transpose(0, 2, 1).reshape(k, -1).T
+    rhs = h1.reshape(n, -1, h1.shape[1]).transpose(2, 0, 1).reshape(a.shape[0], -1)
+    if sparsify is None:
+        coeffs, rank = tensorops._truncated_solve(a, rhs, rel_tol)
+        return coeffs.ravel(), rank * lag
+    coeffs = tensorops.lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(), rel_tol, sparsify)
+    return coeffs, int(np.count_nonzero(coeffs))
+
+
 def svd_rank(a, rel_tol):
     """Number of singular values above rel_tol * sigma_max, from a separate SVD."""
     s = np.linalg.svd(a, compute_uv=False)

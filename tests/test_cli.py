@@ -6,14 +6,15 @@ import pytest
 
 from earc import solver
 from earc.cli import CSV_BLOCK_ROWS, _write_rows, main, read_series, write_series
+from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError
 from earc.groups import close_group, reduced_action
 from earc.model import autocorrelation, load, predict_step, rollout, save
-from earc.solver import equivariance_residual, generator_residuals
-from earc.systems import HamiltonianConfig, builtin_rep, planted_linear
+from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
+from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
 from tests.test_model import manual_model
 
-from oracles import hamiltonian_generate_by_array, write_rows_by_value
+from oracles import hamiltonian_generate_by_array, unreduced_fit, write_rows_by_value
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)
@@ -93,6 +94,22 @@ class TestTrain:
         m = load(z5_model_path)
         assert m.fit.basis_dim == 21
         assert m.fit.equivariance_residual <= 1e-10
+
+    def test_sparsify_on_long_series_keeps_the_unreduced_support(self, tmp_path, capsys):
+        # 2,000 samples at L=3: the fit runs on the R factor of the data
+        series = hamiltonian_generate(HamiltonianConfig(steps=1999))
+        data = tmp_path / "ham.csv"
+        write_series(data, series)
+        out = tmp_path / "k4.json"
+        assert main(["train", "--data", str(data), "--group", "k4", "--L", "3", "--p", "3",
+                     "--train-count", "2000", "--sparsify", "20", "--out", str(out)]) == 0
+        plan = compression_plan(6, 3)
+        h0r, h1 = build_data_matrices(read_series(data), 3, 3, plan)
+        coeffs, _ = unreduced_fit(equivariant_basis(builtin_rep("k4"), 3, plan), h0r, h1,
+                                  sparsify=20)
+        support = np.flatnonzero(load(out).fit.coefficients)
+        assert support.size == 20
+        assert np.array_equal(support, np.flatnonzero(coeffs))
 
     def test_missing_csv_exits_2(self, capsys):
         code = main(["train", "--data", "/nonexistent/series.csv", "--group", "z5",

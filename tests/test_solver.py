@@ -3,17 +3,19 @@ import pytest
 
 from earc import solver, tensorops
 from earc.embedding import build_data_matrices, compression_plan, delay_windows
-from earc.errors import DimensionOverflowError, NoFeasibleModelError, ShapeError
+from earc.errors import (DimensionOverflowError, NoFeasibleModelError, NumericalError,
+                         ShapeError)
 from earc.groups import close_group, reduced_action
 from earc.solver import (EquivariantBasis, assemble, constraint_matrix,
                          equivariance_residual, equivariant_basis,
                          fit_coefficients, generator_residuals)
 from earc.model import rollout, train
-from earc.systems import builtin_rep, competition_generate, CompetitionConfig
+from earc.systems import (CompetitionConfig, HamiltonianConfig, builtin_rep,
+                          competition_generate, hamiltonian_generate)
 from tests.test_model import manual_model
 
 from oracles import (dense_fit, dense_matrices, svd_rank, unconstrained_fit,
-                     window_equivariant_basis)
+                     unreduced_fit, window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -303,6 +305,109 @@ class TestSlotFactoredFit:
         assert fit.rank == svd_rank(_slot_design(basis, h0r), fit.rel_tol) * basis.lag
         # the normal equations, taken below the cap, keep fewer singular values
         assert fit_coefficients(basis, h0r, h1, entry_cap=entries - 1).rank < fit.rank
+
+
+@pytest.fixture(scope="module")
+def k4_long_case():
+    """k4 at L=3, p=3 on 2,000 samples (T=1,997 against q+nL=90) and 100 more
+    to forecast."""
+    series = hamiltonian_generate(HamiltonianConfig(steps=2100))
+    plan = compression_plan(6, 3)
+    h0r, h1 = build_data_matrices(series[:2000], 3, 3, plan)
+    return series, equivariant_basis(builtin_rep("k4"), 3, plan), h0r, h1
+
+
+@pytest.fixture(scope="module")
+def z5_long_case():
+    """z5 at L=2, p=2 on 500 samples (T=498 against q+nL=76)."""
+    series = competition_generate(CompetitionConfig(steps=500))[:500]
+    plan = compression_plan(10, 2)
+    h0r, h1 = build_data_matrices(series, 2, 2, plan)
+    return equivariant_basis(builtin_rep("z5"), 2, plan), h0r, h1
+
+
+def _fitted_gap(basis, fit, coeffs, h0r, h1):
+    """max |W h0r - W_oracle h0r| / max |h1|."""
+    gap = assemble(basis, fit) @ h0r - solver._combine(basis, coeffs) @ h0r
+    return np.max(np.abs(gap)) / np.max(np.abs(h1))
+
+
+class TestReducedFit:
+    """With T >= 2 (q + n*lag) the fit runs on the R factor of [h0r; h1]^T;
+    the fit on the data itself is the oracle."""
+
+    def test_k4_matches_unreduced_fit(self, k4_long_case):
+        series, basis, h0r, h1 = k4_long_case
+        fit = fit_coefficients(basis, h0r, h1)
+        coeffs, rank = unreduced_fit(basis, h0r, h1)
+        assert fit.rank == rank == 90
+        assert _fitted_gap(basis, fit, coeffs, h0r, h1) <= 1e-10
+        w_oracle = solver._combine(basis, coeffs)
+        oracle_residual = np.linalg.norm(w_oracle @ h0r - h1) / np.linalg.norm(h1)
+        assert abs(fit.train_residual - oracle_residual) <= 1e-12
+        seed = delay_windows(series[:2000], 3)[-1]
+        rmse = []
+        for coupling in (assemble(basis, fit), w_oracle):
+            fc = rollout(manual_model(coupling, builtin_rep("k4"), 3, 3), seed, 100)
+            rmse.append(np.sqrt(np.mean((fc.values - series[2000:2100]) ** 2)))
+        assert abs(rmse[0] / rmse[1] - 1.0) <= 0.02
+
+    def test_z5_matches_unreduced_fit(self, z5_long_case):
+        basis, h0r, h1 = z5_long_case
+        fit = fit_coefficients(basis, h0r, h1)
+        coeffs, rank = unreduced_fit(basis, h0r, h1)
+        assert fit.rank == rank == 122
+        assert _fitted_gap(basis, fit, coeffs, h0r, h1) <= 1e-10
+
+    @pytest.mark.parametrize("extra,reduced", [(-1, False), (0, True)])
+    def test_threshold(self, k4_long_case, monkeypatch, extra, reduced):
+        # below T = 2 (q + n*lag) the fit is the oracle's, bit for bit
+        _, basis, h0r, h1 = k4_long_case
+        cols = 2 * (h0r.shape[0] + h1.shape[0]) + extra
+        calls = []
+        qr = np.linalg.qr
+
+        def counted_qr(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        fit = fit_coefficients(basis, h0r[:, :cols], h1[:, :cols])
+        assert calls == ([(cols, h0r.shape[0] + h1.shape[0])] if reduced else [])
+        if not reduced:
+            coeffs, rank = unreduced_fit(basis, h0r[:, :cols], h1[:, :cols])
+            assert np.array_equal(fit.coefficients, coeffs) and fit.rank == rank
+
+    def test_paper_sizes_are_not_reduced(self, ham_series):
+        cases = [(builtin_rep("k4"), ham_series[:90], 5, 3),
+                 (builtin_rep("z5"), competition_generate(CompetitionConfig(steps=425))[:31], 1, 2)]
+        for rep, series, lag, order in cases:
+            plan = compression_plan(rep.n * lag, order)
+            h0r, h1 = build_data_matrices(series, lag, order, plan)
+            basis = equivariant_basis(rep, lag, plan)
+            coeffs, rank = unreduced_fit(basis, h0r, h1)
+            fit = fit_coefficients(basis, h0r, h1)
+            assert np.array_equal(fit.coefficients, coeffs) and fit.rank == rank
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_raises(self, k4_long_case, bad):
+        _, basis, h0r, h1 = k4_long_case
+        h0r = h0r.copy()
+        h0r[3, 5] = bad
+        with pytest.raises(NumericalError):
+            fit_coefficients(basis, h0r, h1)
+
+    @pytest.mark.parametrize("sparsify", [5, 20])
+    @pytest.mark.parametrize("case", ["k4", "z5"])
+    def test_sparsify_matches_unreduced_omp(self, k4_long_case, z5_long_case, case, sparsify):
+        basis, h0r, h1 = k4_long_case[1:] if case == "k4" else z5_long_case
+        fit = fit_coefficients(basis, h0r, h1, sparsify=sparsify)
+        coeffs, rank = unreduced_fit(basis, h0r, h1, sparsify=sparsify)
+        assert np.array_equal(np.flatnonzero(fit.coefficients), np.flatnonzero(coeffs))
+        assert fit.rank == rank == sparsify
+        gap = np.max(np.abs(fit.coefficients - coeffs))
+        assert gap <= 1e-10 * np.max(np.abs(coeffs))
+
 
 class TestAssemble:
     def test_unit_coefficient(self, z5_setup):
