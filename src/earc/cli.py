@@ -81,6 +81,22 @@ def read_series(path):
     return data[:, 1:]
 
 
+def prefix_length(total, count=None, fraction=None):
+    """Samples in the training prefix of a ``total``-sample series: ``count``,
+    or ``fraction`` of ``total`` rounded, or all of them when neither is set."""
+    if count is not None and fraction is not None:
+        raise ValidationError("--train-count and --train-fraction are mutually exclusive")
+    if fraction is not None:
+        if not 0.0 < fraction <= 1.0:
+            raise ValidationError(f"train fraction must be in (0, 1], got {fraction}")
+        count = int(round(fraction * total))
+    if count is None:
+        return total
+    if count > total:
+        raise ValidationError(f"training prefix {count} exceeds series length {total}")
+    return count
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Merged, validated options of a training run."""
@@ -88,7 +104,7 @@ class ExperimentConfig:
     data: str
     group: str | None
     group_file: str | None
-    lag: object  # int or the string "auto"
+    lag: int | str  # an integer or "auto"
     order: int
     train_count: int | None
     train_fraction: float | None
@@ -99,28 +115,15 @@ class ExperimentConfig:
     out: str
 
     def __post_init__(self):
-        if (self.train_count is None) == (self.train_fraction is None):
-            raise ValidationError(
-                "exactly one of --train-count / --train-fraction must be set"
-            )
-        if self.train_fraction is not None and not 0.0 < self.train_fraction <= 1.0:
-            raise ValidationError(
-                f"train fraction must be in (0, 1], got {self.train_fraction}"
-            )
+        if self.train_count is None and self.train_fraction is None:
+            raise ValidationError("one of --train-count / --train-fraction is required")
         if self.group is None and self.group_file is None:
             raise ValidationError("one of --group / --group-file is required")
 
     def training_prefix(self, total):
-        if self.train_count is not None:
-            count = self.train_count
-        else:
-            count = int(round(self.train_fraction * total))
+        count = prefix_length(total, self.train_count, self.train_fraction)
         if count < 2:
             raise ValidationError(f"training prefix of {count} samples is too short")
-        if count > total:
-            raise ValidationError(
-                f"training prefix {count} exceeds series length {total}"
-            )
         return count
 
     def load_rep(self):
@@ -206,34 +209,61 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-_CONFIG_KEYS = ("data", "group", "group_file", "L", "p", "train_count",
-                "train_fraction", "nullspace_tol", "lstsq_tol", "sparsify",
-                "max_lag", "out")
-"""Keys a ``train --config`` file may set; any other key is rejected."""
+_CONFIG_TYPES = {"data": str, "group": str, "group_file": str, "L": int, "p": int,
+                 "train_count": int, "train_fraction": float, "nullspace_tol": float,
+                 "lstsq_tol": float, "sparsify": int, "max_lag": int, "out": str}
+"""Keys a ``train --config`` file may set and the type of each value (``L`` may
+also be "auto", and null leaves a key unset); any other key or type is rejected."""
+
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _config_value(key, value, path):
+    """``value`` of config key ``key`` as its type in ``_CONFIG_TYPES``."""
+    kind = _CONFIG_TYPES[key]
+    if key == "L" and value == "auto":
+        return value
+    # bool is an int subclass, and JSON integers are valid numbers
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        expected = _TYPE_NAMES[kind] + (' or "auto"' if key == "L" else "")
+        raise ValidationError(f"config key {key} in {path} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _lag_arg(text):
+    """``--L`` value: an integer or "auto"; argparse reports anything else."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'expected an integer or "auto", got {text!r}') from None
 
 
 def cmd_train(args):
     config = _load_config(args.config)
-    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    unknown = sorted(set(config) - set(_CONFIG_TYPES))
     if unknown:
         raise ValidationError(
             f"unknown config keys {', '.join(unknown)} in {args.config}; "
-            f"expected a subset of {', '.join(_CONFIG_KEYS)}"
+            f"expected a subset of {', '.join(_CONFIG_TYPES)}"
         )
+    config = {key: _config_value(key, value, args.config)
+              for key, value in config.items() if value is not None}
     cfg = ExperimentConfig(
         data=_pick(args.data, config, "data", None),
         group=_pick(args.group, config, "group", None),
         group_file=_pick(args.group_file, config, "group_file", None),
         lag=_pick(args.L, config, "L", "auto"),
-        order=int(_pick(args.p, config, "p", 2)),
+        order=_pick(args.p, config, "p", 2),
         train_count=_pick(args.train_count, config, "train_count", None),
         train_fraction=_pick(args.train_fraction, config, "train_fraction", None),
-        nullspace_tol=float(_pick(args.nullspace_tol, config, "nullspace_tol",
-                                  tensorops.NULLSPACE_RTOL)),
-        lstsq_tol=float(_pick(args.lstsq_tol, config, "lstsq_tol",
-                              tensorops.LSTSQ_RTOL)),
+        nullspace_tol=_pick(args.nullspace_tol, config, "nullspace_tol",
+                            tensorops.NULLSPACE_RTOL),
+        lstsq_tol=_pick(args.lstsq_tol, config, "lstsq_tol", tensorops.LSTSQ_RTOL),
         sparsify=_pick(args.sparsify, config, "sparsify", None),
-        max_lag=int(_pick(args.max_lag, config, "max_lag", 50)),
+        max_lag=_pick(args.max_lag, config, "max_lag", 50),
         out=_pick(args.out, config, "out", "model.json"),
     )
     if cfg.data is None:
@@ -246,7 +276,7 @@ def cmd_train(args):
         lag = model_mod.estimate_lag(prefix, max_lag)
         print(f"estimated lag L={lag} (max considered {max_lag})")
     else:
-        lag = int(cfg.lag)
+        lag = cfg.lag
     rep = cfg.load_rep()
     trained = model_mod.train(
         prefix, rep, lag, cfg.order,
@@ -276,17 +306,9 @@ def _seed_window(args, m):
     if args.data is None:
         raise ValidationError("either --seed-csv or --data is required")
     series = read_series(args.data)
-    if args.train_count is not None:
-        count = args.train_count
-    elif args.train_fraction is not None:
-        count = int(round(args.train_fraction * series.shape[0]))
-    else:
-        count = series.shape[0]
-    if count < lag or count > series.shape[0]:
-        raise ValidationError(
-            f"training prefix {count} incompatible with series of "
-            f"{series.shape[0]} rows and lag {lag}"
-        )
+    count = prefix_length(series.shape[0], args.train_count, args.train_fraction)
+    if count < lag:
+        raise ValidationError(f"training prefix {count} is shorter than lag {lag}")
     tail = series[count - lag:count]
     return tail.T.ravel(), count
 
@@ -405,7 +427,7 @@ def build_parser():
     tr.add_argument("--data")
     tr.add_argument("--group", choices=["k4", "z5"])
     tr.add_argument("--group-file", help="JSON file with {n, generators}")
-    tr.add_argument("--L", help='lag as an integer or "auto"')
+    tr.add_argument("--L", type=_lag_arg, help='lag as an integer or "auto"')
     tr.add_argument("--p", type=int, help="embedding order")
     tr.add_argument("--train-count", type=int)
     tr.add_argument("--train-fraction", type=float)

@@ -76,11 +76,13 @@ def window_action(g, lag):
 
 
 def reduced_action(g, lag, plan):
-    """Action on compressed embedding coordinates: the q x q matrix with
-    compress(embed((g (x) I_lag) x)) = reduced_action(g, lag, plan) @ compress(embed(x)).
+    """Action on compressed features: the q x q matrix with
+    phi((g (x) I_lag) x) = reduced_action(g, lag, plan) @ phi(x) for the
+    compressed features phi of ``embedding.compressed_features``.
 
-    Equal to R @ G @ E for the block-diagonal action G on the full embedding,
-    but computed degree by degree through the monomial classes, without
+    Equal to R @ G @ E for the block-diagonal action G on the full embedding
+    and the selection and expansion maps R and E (all three are test oracles),
+    but computed degree by degree through the plan's monomials, without
     materialising the full-dimension matrix: the aggregated block A_k obeys
     A_k[a, c] = sum over distinct v in c of h[lead(a), v] * A_{k-1}[tail(a), c - v].
     The terms are added by the position of v in c's sorted tuple, one
@@ -112,14 +114,6 @@ def reduced_action(g, lag, plan):
     return out
 
 
-def to_json_dict(rep):
-    """JSON-serialisable encoding: dimension plus row-major generator entries."""
-    return {
-        "n": rep.n,
-        "generators": [[float(v) for v in g.ravel()] for g in rep.generators],
-    }
-
-
 def from_json_dict(data, match_tol=MATCH_TOL, max_order=MAX_ORDER):
     """Rebuild a group from its JSON encoding; the closure is recomputed."""
     try:
@@ -129,12 +123,6 @@ def from_json_dict(data, match_tol=MATCH_TOL, max_order=MAX_ORDER):
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed group encoding: {exc}") from exc
     return close_group(gens, match_tol=match_tol, max_order=max_order)
-
-
-def save_group(rep, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(rep), fh)
-        fh.write("\n")
 
 
 def load_group(path):

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels, solver, tensorops
-from .embedding import (as_series, build_data_matrices, compressed_features,
-                        compression_plan)
+from .embedding import as_series, build_data_matrices, compression_plan
 from .errors import (CorruptModelError, InsufficientDataError, ModelFormatError,
                      ShapeError, ValidationError)
 from .groups import close_group
@@ -102,17 +101,6 @@ def train(values, group, lag, order, *, nullspace_tol=tensorops.NULLSPACE_RTOL,
         record.update(metadata)
     return EarcModel(n=n, lag=lag, order=order, group=group, plan=plan,
                      coupling=coupling, fit=fit, metadata=record)
-
-
-def predict_step(model, window):
-    """Predicted dilated state: coupling @ compressed embedding of the window."""
-    window = tensorops._as_vector(window, "window")
-    if window.shape[0] != model.n * model.lag:
-        raise ShapeError(
-            f"window dim {window.shape[0]} does not match n*lag={model.n * model.lag}"
-        )
-    phi = compressed_features(model.plan, window[None, :])[0]
-    return model.coupling @ phi
 
 
 def rollout(model, seed, horizon, mode="consistent"):

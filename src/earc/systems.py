@@ -83,17 +83,6 @@ def _hamiltonian_field(q, p):
     return p ** 3 - p, q ** 3 - q
 
 
-def hamiltonian_vector_field(state):
-    """(dq/dt, dp/dt) = (p^3 - p, q^3 - q)."""
-    q, p = state
-    return np.array(_hamiltonian_field(q, p))
-
-
-def hamiltonian_energy(q, p):
-    """Conserved energy p^4/4 - p^2/2 + q^2/2 - q^4/4 of the flow."""
-    return p ** 4 / 4 - p ** 2 / 2 + q ** 2 / 2 - q ** 4 / 4
-
-
 def hamiltonian_generate(cfg):
     """Classical fixed-step RK4 trajectory, returned as a (steps+1, 2) series.
 
@@ -139,11 +128,6 @@ def _competition_operands(p, r, interactions):
             f"inconsistent dims: p {p.shape}, r {r.shape}, N {n_matrix.shape}"
         )
     return p, r, n_matrix
-
-
-def competition_step(p, r, interactions):
-    """One update of the competition recurrence p + r * p * (1 - N p)."""
-    return _competition_update(*_competition_operands(p, r, interactions))
 
 
 def competition_generate(cfg):

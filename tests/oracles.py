@@ -1,17 +1,188 @@
-"""Reference implementations that the library's optimised kernels replaced,
-and dense constructions that only tests need.
+"""Reference implementations that the library's optimised code replaced,
+and constructions that only tests need: the full embedding and its
+selection and expansion maps, dense group actions, single prediction steps,
+the Hamiltonian field and energy, one competition step and group files.
 
 They are kept only as test oracles: the library must reproduce them bit for
 bit, or, where the arithmetic changed, within the tolerance a test states.
 """
 
+import json
+from functools import lru_cache
+from types import SimpleNamespace
+
 import numpy as np
 
 from earc import tensorops
-from earc.embedding import embed_dim
+from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, ShapeError
 from earc.groups import reduced_action, window_action
-from earc.systems import COMPETITION_RANGE
+from earc.systems import (COMPETITION_RANGE, _competition_operands, _competition_update,
+                          _hamiltonian_field)
+
+
+def hamiltonian_vector_field(state):
+    """(dq/dt, dp/dt) = (p^3 - p, q^3 - q)."""
+    q, p = state
+    return np.array(_hamiltonian_field(q, p))
+
+
+def hamiltonian_energy(q, p):
+    """Conserved energy p^4/4 - p^2/2 + q^2/2 - q^4/4 of the flow."""
+    return p ** 4 / 4 - p ** 2 / 2 + q ** 2 / 2 - q ** 4 / 4
+
+
+def competition_step(p, r, interactions):
+    """One update of the competition recurrence p + r * p * (1 - N p)."""
+    return _competition_update(*_competition_operands(p, r, interactions))
+
+
+def predict_step(model, window):
+    """Predicted dilated state: coupling @ compressed embedding of the window."""
+    window = tensorops._as_vector(window, "window")
+    if window.shape[0] != model.n * model.lag:
+        raise ShapeError(
+            f"window dim {window.shape[0]} does not match n*lag={model.n * model.lag}"
+        )
+    phi = compressed_features(model.plan, window[None, :])[0]
+    return model.coupling @ phi
+
+
+def to_json_dict(rep):
+    """JSON-serialisable encoding: dimension plus row-major generator entries."""
+    return {
+        "n": rep.n,
+        "generators": [[float(v) for v in g.ravel()] for g in rep.generators],
+    }
+
+
+def save_group(rep, path):
+    """Write a group file that ``groups.load_group`` and ``--group-file`` read."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(to_json_dict(rep), fh)
+        fh.write("\n")
+
+
+@lru_cache(maxsize=64)
+def compression_plan_by_enumeration(dim_in, order):
+    """Monomial classes found by listing every full-embedding coordinate.
+
+    Each degree-k coordinate's k digits (base dim_in) are sorted and the sorted
+    codes made unique; classes are ordered by degree and code, the constant
+    last.  Returns a namespace with the fields of ``CompressionPlan`` that the
+    library reads, ``full_dim``, ``class_of`` (the class of every full
+    coordinate), ``degree`` and ``action_tables``, the latter rebuilt from the
+    lead/parent chains.
+    """
+    dim = embed_dim(dim_in, order)
+    m, p = dim_in, order
+    classes = np.empty(dim, dtype=np.int64)
+    rep_chunks, lead_chunks, parent_chunks, degree_chunks = [], [], [], []
+    prev_enc = None
+    prev_class_off = off = class_off = 0
+    for k in range(1, p + 1):
+        size = m ** k
+        digits = np.empty((size, k), dtype=np.int64)
+        tmp = np.arange(size)
+        for t in range(k - 1, -1, -1):
+            digits[:, t] = tmp % m
+            tmp //= m
+        powers = m ** np.arange(k - 1, -1, -1)
+        uniq, inv = np.unique(np.sort(digits, axis=1) @ powers, return_inverse=True)
+        classes[off:off + size] = class_off + inv
+        rep_chunks.append(off + uniq)
+        rep_digits = digits[uniq]  # a sorted code is its own representative
+        lead_chunks.append(rep_digits[:, 0])
+        if k > 1:
+            tail_enc = rep_digits[:, 1:] @ (m ** np.arange(k - 2, -1, -1))
+            parent_chunks.append(prev_class_off + np.searchsorted(prev_enc, tail_enc))
+        degree_chunks.append(np.full(uniq.shape[0], k, dtype=np.int64))
+        prev_enc = uniq
+        prev_class_off = class_off
+        off += size
+        class_off += uniq.shape[0]
+    classes[off] = class_off
+    q = class_off + 1
+    plan = SimpleNamespace(
+        dim_in=m, order=p, full_dim=dim, reduced_dim=q, class_of=classes,
+        rep_index=np.concatenate(rep_chunks + [np.array([off])]),
+        lead=np.concatenate(lead_chunks + [np.array([-1])]),
+        parent=np.concatenate([np.full(m, q - 1)] + parent_chunks + [np.array([-1])]),
+        degree=np.concatenate(degree_chunks + [np.array([0])]),
+    )
+    plan.action_tables = action_tables_by_chain(plan)
+    return plan
+
+
+def class_of(plan):
+    """(full_dim,) monomial class of every full-embedding coordinate."""
+    return compression_plan_by_enumeration(plan.dim_in, plan.order).class_of
+
+
+def full_dim(plan):
+    """Dimension of the full embedding that ``plan`` compresses."""
+    return embed_dim(plan.dim_in, plan.order)
+
+
+def action_tables_by_chain(plan):
+    """``CompressionPlan.action_tables`` with every class's sorted tuple decoded
+    from its lead/parent chain and the classes of a degree found by its
+    ``degree`` entries."""
+    m = plan.dim_in
+
+    def class_range(k):
+        idx = np.flatnonzero(plan.degree == k)
+        return int(idx[0]), int(idx[-1]) + 1
+
+    tables = []
+    prev_lo, prev_hi = class_range(1)
+    prev_code = plan.lead[prev_lo:prev_hi]  # a degree-1 class's code is its variable
+    for k in range(2, plan.order + 1):
+        lo, hi = class_range(k)
+        cur = np.arange(lo, hi)
+        digits = np.empty((hi - lo, k), dtype=np.int64)
+        for t in range(k):
+            digits[:, t] = plan.lead[cur]
+            cur = plan.parent[cur]
+        powers = m ** np.arange(k - 2, -1, -1)
+        passes = []
+        for t in range(k):
+            cols = np.arange(hi - lo) if t == 0 else np.flatnonzero(
+                digits[:, t] != digits[:, t - 1])
+            rests = np.searchsorted(prev_code, np.delete(digits[cols], t, axis=1) @ powers)
+            passes.append((cols, digits[cols, t], rests))
+        tables.append((lo, hi, plan.lead[lo:hi], plan.parent[lo:hi] - prev_lo, passes))
+        prev_code = digits @ (m ** np.arange(k - 1, -1, -1))
+        prev_lo = lo
+    return tables
+
+
+def embed(x, p):
+    """Order-p polynomial embedding [x; x(x)x; ...; x^(x)p; 1].
+
+    Every coordinate is evaluated through the canonical product order of its
+    monomial class, so symmetric duplicates are bit-identical and compression
+    round trips are exact.
+    """
+    x = tensorops._as_vector(x, "x")
+    plan = compression_plan(x.shape[0], p)
+    return expand(plan, compressed_features(plan, x[None, :])[0])
+
+
+def compress(plan, full):
+    """Keep one representative coordinate per monomial class."""
+    full = tensorops._as_vector(full, "full")
+    if full.shape[0] != full_dim(plan):
+        raise ShapeError(f"expected dim {full_dim(plan)}, got {full.shape[0]}")
+    return full[plan.rep_index]
+
+
+def expand(plan, reduced):
+    """Write every full coordinate from its class representative; right inverse of compress."""
+    reduced = tensorops._as_vector(reduced, "reduced")
+    if reduced.shape[0] != plan.reduced_dim:
+        raise ShapeError(f"expected dim {plan.reduced_dim}, got {reduced.shape[0]}")
+    return reduced[class_of(plan)]
 
 
 def hamiltonian_generate_by_array(cfg):
@@ -207,15 +378,15 @@ def lifted_action(g, lag, order, entry_cap=tensorops.ENTRY_CAP):
 
 def selection_matrix(plan):
     """Dense (reduced_dim, full_dim) representative-selection matrix R."""
-    r = np.zeros((plan.reduced_dim, plan.full_dim))
+    r = np.zeros((plan.reduced_dim, full_dim(plan)))
     r[np.arange(plan.reduced_dim), plan.rep_index] = 1.0
     return r
 
 
 def expansion_matrix(plan):
     """Dense (full_dim, reduced_dim) expansion matrix E with R @ E = I."""
-    e = np.zeros((plan.full_dim, plan.reduced_dim))
-    e[np.arange(plan.full_dim), plan.class_of] = 1.0
+    e = np.zeros((full_dim(plan), plan.reduced_dim))
+    e[np.arange(full_dim(plan)), class_of(plan)] = 1.0
     return e
 
 

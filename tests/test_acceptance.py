@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from earc.cli import main
-from earc.embedding import (build_data_matrices, compress, compression_plan,
-                            delay_windows, embed, expand)
+from earc.embedding import build_data_matrices, compression_plan, delay_windows
 from earc.groups import close_group, window_action
-from earc.model import load, predict_step, rollout, save, train
+from earc.model import load, rollout, save, train
 from earc.solver import (assemble, constraint_matrix, equivariant_basis,
                          fit_coefficients)
 from earc.systems import (GROWTH_RATE, INTERACTION_MATRIX, CompetitionConfig,
-                          builtin_rep, competition_generate, competition_step,
-                          hamiltonian_energy, planted_linear)
+                          builtin_rep, competition_generate, planted_linear)
 
-from oracles import (dense_matrices, expansion_matrix, lifted_action,
+from oracles import (competition_step, compress, dense_matrices, embed, expand,
+                     expansion_matrix, hamiltonian_energy, lifted_action, predict_step,
                      selection_matrix, unconstrained_fit, vec)
 
 

@@ -9,12 +9,13 @@ from earc.cli import CSV_BLOCK_ROWS, _write_rows, main, read_series, write_serie
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError
 from earc.groups import close_group, reduced_action
-from earc.model import autocorrelation, load, predict_step, rollout, save
+from earc.model import autocorrelation, load, rollout, save
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
 from tests.test_model import manual_model
 
-from oracles import hamiltonian_generate_by_array, unreduced_fit, write_rows_by_value
+from oracles import (hamiltonian_generate_by_array, predict_step, unreduced_fit,
+                     write_rows_by_value)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)
@@ -161,6 +162,40 @@ class TestTrain:
         assert "nullspce_tol" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("train_count", "31"), ("train_count", 31.5), ("train_count", True),
+        ("sparsify", "3"), ("train_fraction", "0.5"), ("nullspace_tol", "abc"),
+        ("L", 1.7), ("p", 2.9)])
+    def test_mistyped_config_value_exits_2(self, comp_csv, tmp_path, capsys, key, value):
+        cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2,
+               "train_count": 31, "out": str(tmp_path / "m.json")}
+        if key == "train_fraction":
+            del cfg["train_count"]
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"config key {key} " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_null_config_value_leaves_the_key_unset(self, comp_csv, tmp_path):
+        cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
+               "train_fraction": None, "sparsify": None, "out": str(tmp_path / "c.json")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        direct = tmp_path / "direct.json"
+        assert main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1",
+                     "--p", "2", "--train-count", "31", "--out", str(direct)]) == 0
+        assert (tmp_path / "c.json").read_bytes() == direct.read_bytes()
+
+    def test_non_integer_lag_flag_exits_2(self, comp_csv, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1.7",
+                  "--p", "2", "--train-count", "31", "--out", str(tmp_path / "m.json")])
+        assert info.value.code == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_undecodable_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(UNDECODABLE)
@@ -191,6 +226,26 @@ class TestForecast:
         expected = predict_step(m, series[30])
         got = read_series(out)[0]
         assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_both_prefix_flags_exit_2(self, comp_csv, z5_model_path, tmp_path, capsys):
+        out = tmp_path / "fc.csv"
+        code = main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
+                     "--train-count", "31", "--train-fraction", "0.9", "--horizon", "5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "--train-fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_prefix_flag_seeds_from_the_whole_series(self, comp_csv, z5_model_path,
+                                                         tmp_path):
+        out = tmp_path / "fc1.csv"
+        assert main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
+                     "--horizon", "1", "--out", str(out)]) == 0
+        series = read_series(comp_csv)
+        expected = predict_step(load(z5_model_path), series[-1])
+        row = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)[0]
+        assert row[0] == series.shape[0]
+        assert np.max(np.abs(row[1:] - expected)) <= 1e-15
 
     def test_reference_errors_appended(self, comp_csv, z5_model_path, tmp_path, capsys):
         out = tmp_path / "fc.csv"

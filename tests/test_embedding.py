@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from earc import tensorops
-from earc.embedding import (as_series, build_data_matrices, compress,
-                            compressed_features, compression_plan, delay_windows,
-                            embed, embed_dim, expand)
-from earc.errors import InsufficientDataError, ShapeError, ValidationError
+from earc.embedding import (as_series, build_data_matrices, compressed_features,
+                            compression_plan, delay_windows, embed_dim)
+from earc.errors import (DimensionOverflowError, InsufficientDataError, ShapeError,
+                         ValidationError)
 from earc.groups import reduced_action, window_action
 from earc.systems import builtin_rep
 
-from oracles import (class_tuple, expansion_matrix, kron_power, lifted_action,
+from oracles import (class_of, class_tuple, compress, compression_plan_by_enumeration,
+                     embed, expand, expansion_matrix, full_dim, kron_power, lifted_action,
                      monomial_features_by_column, selection_matrix)
+
+
+ORACLE_SIZES = sorted({(m, p) for m in range(1, 9) for p in range(1, 6)
+                       if embed_dim(m, p) <= 2 * 10**5}
+                      | {(5, 2), (6, 3), (10, 3), (10, 4), (14, 4)})
 
 
 class TestEmbedDim:
@@ -73,11 +79,11 @@ class TestDelayWindows:
 class TestCompressionPlan:
     def test_two_vars_order_two(self):
         plan = compression_plan(2, 2)
-        assert plan.full_dim == 7
+        assert full_dim(plan) == 7
         assert plan.reduced_dim == 6
         # degree-2 block occupies full coordinates 2..5; the mixed monomial
         # appears twice (1-2 and 2-1) and shares a class
-        assert list(plan.class_of[2:6]) == [2, 3, 3, 4]
+        assert list(class_of(plan)[2:6]) == [2, 3, 3, 4]
         assert list(plan.rep_index) == [0, 1, 2, 3, 5, 6]
 
     @pytest.mark.parametrize("m,p,q", [(5, 2, 21), (10, 3, 286)])
@@ -107,12 +113,39 @@ class TestCompressionPlan:
             prod = selection_matrix(plan) @ expansion_matrix(plan)
             assert np.array_equal(prod, np.eye(plan.reduced_dim))
 
+    @pytest.mark.parametrize("m,p", ORACLE_SIZES)
+    def test_matches_enumeration_oracle(self, m, p):
+        plan = compression_plan(m, p)
+        oracle = compression_plan_by_enumeration(m, p)
+        assert plan.reduced_dim == oracle.reduced_dim
+        for name in ("rep_index", "lead", "parent"):
+            assert np.array_equal(getattr(plan, name), getattr(oracle, name)), name
+        for k in range(1, p + 1):
+            lo, hi = plan.degree_class_range(k)
+            assert np.array_equal(np.arange(lo, hi), np.flatnonzero(oracle.degree == k))
+            assert np.array_equal(plan.tuples[k - 1],
+                                  [class_tuple(oracle, c) for c in range(lo, hi)])
+        assert len(plan.action_tables) == len(oracle.action_tables) == p - 1
+        for got, want in zip(plan.action_tables, oracle.action_tables):
+            assert got[:2] == want[:2]
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+            assert len(got[4]) == len(want[4])
+            for got_pass, want_pass in zip(got[4], want[4]):
+                for a, b in zip(got_pass, want_pass):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m,p", [(3, 20), (2, 31)])
+    def test_overflowing_full_embedding_refused(self, m, p):
+        # the plans themselves would have only 1771 and 528 features
+        with pytest.raises(DimensionOverflowError):
+            compression_plan(m, p)
+
     def test_class_tuples_are_sorted_and_consistent(self):
         plan = compression_plan(3, 3)
         for c in range(plan.reduced_dim - 1):
             tup = class_tuple(plan, c)
             assert tup == tuple(sorted(tup))
-            assert len(tup) == plan.degree[c]
+            assert len(tup) == compression_plan_by_enumeration(3, 3).degree[c]
         assert class_tuple(plan, plan.reduced_dim - 1) == ()
 
 

@@ -5,13 +5,13 @@ import pytest
 
 from earc.embedding import compression_plan, embed_dim
 from earc.errors import NonFiniteGroupError, ShapeError, ValidationError
-from earc.groups import (close_group, from_json_dict, load_group, reduced_action,
-                         save_group, to_json_dict, window_action)
+from earc.groups import close_group, from_json_dict, load_group, reduced_action, window_action
 from earc.solver import equivariant_basis
 from earc.systems import builtin_rep
 
 from oracles import (dense_matrices, expansion_matrix, lifted_action,
-                     reduced_action_by_class, selection_matrix, window_equivariant_basis)
+                     reduced_action_by_class, save_group, selection_matrix, to_json_dict,
+                     window_equivariant_basis)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)

@@ -8,13 +8,12 @@ from earc.embedding import compression_plan, delay_windows
 from earc.errors import (CorruptModelError, InsufficientDataError,
                          ModelFormatError, ShapeError, ValidationError)
 from earc.groups import close_group, window_action
-from earc.model import (DIVERGENCE_CAP, EarcModel, estimate_lag, load,
-                        predict_step, rollout, save, train)
+from earc.model import DIVERGENCE_CAP, EarcModel, estimate_lag, load, rollout, save, train
 from earc.solver import FitReport
 from earc.systems import (CompetitionConfig, builtin_rep, competition_generate,
                           planted_linear)
 
-from oracles import autoregress_by_step
+from oracles import autoregress_by_step, predict_step
 
 
 def linear_series(a, x0, steps):

@@ -4,11 +4,11 @@ import pytest
 from earc.errors import DivergenceError, UnknownNameError, ValidationError
 from earc.systems import (DEFAULT_COMPETITION_START, GROWTH_RATE, INTERACTION_MATRIX,
                           CompetitionConfig, HamiltonianConfig, builtin_rep,
-                          competition_generate, competition_step, hamiltonian_energy,
-                          hamiltonian_generate, hamiltonian_vector_field,
-                          planted_linear)
+                          competition_generate, hamiltonian_generate, planted_linear)
 
-from oracles import competition_generate_by_step, hamiltonian_generate_by_array
+from oracles import (competition_generate_by_step, competition_step,
+                     hamiltonian_energy, hamiltonian_generate_by_array,
+                     hamiltonian_vector_field)
 
 
 def assert_same_bits(a, b):
