@@ -114,15 +114,18 @@ def reduced_action(g, lag, plan):
     return out
 
 
-def from_json_dict(data, match_tol=MATCH_TOL, max_order=MAX_ORDER):
+def from_json_dict(data):
     """Rebuild a group from its JSON encoding; the closure is recomputed."""
     try:
-        n = int(data["n"])
+        n = data["n"]
         flat = data["generators"]
+        # bool is an int subclass, and int() would truncate a float
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be an integer, got {n!r}")
         gens = [np.asarray(g, dtype=np.float64).reshape(n, n) for g in flat]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed group encoding: {exc}") from exc
-    return close_group(gens, match_tol=match_tol, max_order=max_order)
+    return close_group(gens)
 
 
 def load_group(path):

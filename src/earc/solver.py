@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorops
-from .errors import DimensionOverflowError, NoFeasibleModelError, ShapeError
+from .errors import NoFeasibleModelError, ShapeError
 from .groups import reduced_action, window_action
 
 NORMAL_EQ_THRESHOLD = 2000
-"""One-slot basis sizes (basis size / lag) above this use the normal-equations
-fit to bound memory.  Below it the normal equations are solved only when A,
-built from the R factor of long data, is still above the entry cap.
-
-``fit_coefficients`` reads it at call time, not as a default argument."""
+"""One-slot basis size above which an earlier ``fit_coefficients`` solved the
+normal equations.  No code in ``src/`` reads it: the fit has one path, and
+the constant stays only for the benchmark's ``normal_eq_margin``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +95,7 @@ def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
                             slot_matrices=slots)
 
 
-def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None,
-                     entry_cap=tensorops.ENTRY_CAP):
+def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
     """Least-squares coefficients c with sum_j c_j X_j @ h0r ~ h1.
 
     Basis element j*lag + t acts on lag slot t only, so up to a fixed row and
@@ -106,26 +103,28 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     A = [vec(K_j @ h0r)] over the k one-slot matrices K_j.  One truncated SVD
     of the (n*T, k) matrix A, solved against the lag slots' targets, has the
     design's singular values (each repeated lag times), cutoff and solution,
-    and rank lag * rank(A).
+    and rank lag * rank(A).  ``sparsify`` runs orthogonal matching pursuit on
+    the whole design A (x) I_lag instead, and the rank is the nonzero count.
 
     When the data has T >= 2 (q + n*lag) columns, A is built from the R factor
     of the (T, q + n*lag) matrix [h0r; h1]^T instead of the data: with
     [h0r; h1] = R^T Q^T and Q orthonormal, every residual sum_j c_j X_j h0r - h1
-    has the Frobenius norm of sum_j c_j X_j R0^T - R1^T, so the fit (truncated,
-    normal or sparse) is the same least-squares problem on n (q + n*lag) rows of
-    A instead of n*T.  Shorter data, such as both paper experiments, is fitted
+    has the Frobenius norm of sum_j c_j X_j R0^T - R1^T, so the fit (truncated
+    or sparse) is the same least-squares problem on n (q + n*lag) rows of A
+    instead of n*T.  Shorter data, such as both paper experiments, is fitted
     directly: there the saving is small, and the direct fit keeps their
     models bit for bit.  ``train_residual`` is always measured on the caller's
     data.
 
-    For k above ``NORMAL_EQ_THRESHOLD`` (or an A, reduced or not, above the
-    entry cap) the k x k normal equations are solved instead, trading
-    conditioning for bounded memory.  ``sparsify`` runs orthogonal matching
-    pursuit on the whole design (or Gram matrix) rebuilt from A, and the rank
-    is then the nonzero count.
+    Either way A has fewer than 2 n (q + n*lag) rows and at most n*q columns,
+    under four times the entries of the one-slot constraint block that
+    ``equivariant_basis`` factorises, so there is no fallback solver: a
+    design above ``tensorops.ENTRY_CAP`` raises before it is built.
     """
     h0r = tensorops._as_matrix(h0r, "h0r")
     h1 = tensorops._as_matrix(h1, "h1")
+    if not 0 <= rel_tol < np.inf:
+        raise ShapeError(f"least-squares rel_tol must be finite and >= 0, got {rel_tol}")
     if basis.size == 0:
         raise NoFeasibleModelError(
             "equivariant basis is empty: the symmetry admits no coupling matrix"
@@ -147,36 +146,17 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     slots = basis.slot_matrices
     k, n, _ = slots.shape
     lag = basis.lag
-    cols = h0_fit.shape[1]
     # matching pursuit needs the whole design, lag*lag times the entries of A
     held = 1 if sparsify is None else lag * lag
-    use_normal = k > NORMAL_EQ_THRESHOLD or n * cols * k * held > entry_cap
-    if use_normal and k * k * held > entry_cap:
-        raise DimensionOverflowError(
-            "coefficient system exceeds the memory cap; reduce the embedding "
-            "order or the training length"
-        )
-    if not use_normal:
-        lhs, rhs = _slot_system(slots, h0_fit, h1_fit)
-    else:
-        # Stream column blocks of the data: gram matrix and right-hand sides are
-        # exact Frobenius inner products, accumulated without holding A.
-        lhs = np.zeros((k, k))
-        rhs = np.zeros((k, lag))
-        budget = 1 << 23  # entries held per mapped block
-        col_block = max(1, budget // (k * n))
-        for c0 in range(0, cols, col_block):
-            a, b = _slot_system(slots, h0_fit[:, c0:c0 + col_block],
-                                h1_fit[:, c0:c0 + col_block])
-            lhs += a.T @ a
-            rhs += a.T @ b
+    tensorops._check_entries(n * h0_fit.shape[1] * k * held, tensorops.ENTRY_CAP)
+    a, rhs = _slot_system(slots, h0_fit, h1_fit)
     if sparsify is None:
-        coeffs, rank = tensorops._truncated_solve(lhs, rhs, rel_tol)
+        coeffs, rank = tensorops._truncated_solve(a, rhs, rel_tol)
         coeffs = coeffs.ravel()
         rank *= lag
     else:
-        # A (x) I_lag is the whole design in vec(h1) row order, (A^T A) (x) I_lag its Gram
-        coeffs = tensorops.lstsq(tensorops.kron(lhs, np.eye(lag)), rhs.ravel(), rel_tol,
+        # A (x) I_lag is the whole design in vec(h1) row order
+        coeffs = tensorops.lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(), rel_tol,
                                  sparsify)
         rank = int(np.count_nonzero(coeffs))
     w = _combine(basis, coeffs)
@@ -184,8 +164,7 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     residual = np.linalg.norm(w @ h0r - h1) / (h1norm if h1norm > 0 else 1.0)
     return FitReport(coefficients=coeffs, train_residual=float(residual),
                      equivariance_residual=float("nan"), basis_dim=basis.size,
-                     rank=rank, rel_tol=rel_tol,
-                     sparsify=sparsify)
+                     rank=rank, rel_tol=rel_tol, sparsify=sparsify)
 
 
 def _slot_system(slots, h0r, h1):

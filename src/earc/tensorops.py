@@ -46,11 +46,11 @@ def _svd(a, full_matrices):
         raise NumericalError(f"SVD did not converge on a {a.shape} matrix") from exc
 
 
-def kron(a, b, entry_cap=ENTRY_CAP):
+def kron(a, b):
     """Kronecker product of two matrices, block (i, j) equal to a[i, j] * b."""
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
-    _check_entries(a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1], entry_cap)
+    _check_entries(a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1], ENTRY_CAP)
     return np.kron(a, b)
 
 
@@ -62,8 +62,8 @@ def null_space(a, rel_tol=NULLSPACE_RTOL):
     sigma_max == 0).  k may be zero.
     """
     a = _as_matrix(a)
-    if rel_tol <= 0:
-        raise ShapeError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0 < rel_tol < np.inf:
+        raise ShapeError(f"null-space rel_tol must be finite and > 0, got {rel_tol}")
     m, n = a.shape
     if m < n:
         # Zero rows do not change right singular pairs but let the economy

@@ -436,20 +436,17 @@ def dense_matrices(basis):
     return out.reshape(k * lag, n * lag, q)
 
 
-def dense_fit(matrices, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None,
-              normal=False):
+def dense_fit(matrices, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
     """Coefficients and rank of the least-squares fit over a dense basis stack.
 
-    The design matrix has columns vec(X_j @ h0r); ``normal`` solves its normal
-    equations instead.  Returns (coefficients, rank), the rank being the kept
-    singular values, or the nonzero count under ``sparsify``.
+    The design matrix has columns vec(X_j @ h0r).  Returns (coefficients,
+    rank), the rank being the kept singular values, or the nonzero count
+    under ``sparsify``.
     """
     size = matrices.shape[0]
     mapped = np.einsum("jab,bc->jac", matrices, h0r)
     lhs = mapped.transpose(0, 2, 1).reshape(size, -1).T
     rhs = h1.ravel(order="F")
-    if normal:
-        lhs, rhs = lhs.T @ lhs, lhs.T @ rhs
     if sparsify is None:
         return tensorops._truncated_solve(lhs, rhs, rel_tol)
     coeffs = tensorops.lstsq(lhs, rhs, rel_tol, sparsify)

@@ -209,6 +209,54 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--lstsq-tol", "nan", "least-squares"), ("--lstsq-tol", "inf", "least-squares"),
+        ("--lstsq-tol", "-1e-12", "least-squares"), ("--nullspace-tol", "nan", "null-space"),
+        ("--nullspace-tol", "inf", "null-space")])
+    def test_bad_tolerance_flag_exits_2(self, comp_csv, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1",
+                     "--p", "2", "--train-count", "31", f"{flag}={value}", "--out", str(out)]) == 2
+        assert f"{name} rel_tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,name", [("nullspace_tol", "null-space"),
+                                          ("lstsq_tol", "least-squares")])
+    def test_nan_tolerance_in_config_exits_2(self, comp_csv, tmp_path, capsys, key, name):
+        cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
+               key: float("nan"), "out": str(tmp_path / "m.json")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert f'"{key}": NaN' in cfg_path.read_text()  # json.load accepts the literal
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"{name} rel_tol must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_zero_lstsq_tol_trains(self, comp_csv, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1",
+                     "--p", "2", "--train-count", "31", "--lstsq-tol", "0",
+                     "--out", str(out)]) == 0
+        assert load(out).fit.equivariance_residual <= 1e-10
+
+    @pytest.mark.parametrize("n", [5.9, True])
+    def test_non_integer_group_n_exits_2(self, comp_csv, tmp_path, capsys, n):
+        # int() would read 5.9 as the z5 channel count and true as one channel
+        if n is True:
+            data = tmp_path / "one.csv"
+            write_series(data, np.sin(np.arange(40) / 5.0)[:, None])
+            generator = [1.0]
+        else:
+            data, generator = comp_csv, builtin_rep("z5").generators[0].ravel().tolist()
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"n": n, "generators": [generator]}))
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--group-file", str(group), "--L", "1",
+                     "--p", "2", "--train-count", "31", "--out", str(out)]) == 2
+        assert f"n must be an integer, got {n!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _trivial_group_file(tmp_path, n):
     path = tmp_path / f"trivial{n}.json"
     path.write_text(json.dumps({"n": n, "generators": [list(np.eye(n).ravel())]}))

@@ -233,6 +233,11 @@ class TestJsonEncoding:
         with pytest.raises(ValidationError):
             from_json_dict({"n": 2})
 
+    @pytest.mark.parametrize("n", [1.9, 2.0, True, "2"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            from_json_dict({"n": n, "generators": [[0.0, 1.0, 1.0, 0.0]]})
+
 
 class TestWindowAction:
     def test_lag_one_returns_element(self):

@@ -163,18 +163,6 @@ class TestFitCoefficients:
         assert np.allclose(w, [[1.0, 1.0]], atol=1e-12)
         assert fit.train_residual <= 1e-12
 
-    def test_normal_equation_path_matches_direct(self, z5_setup, monkeypatch):
-        _, _, basis = z5_setup
-        rng = np.random.default_rng(21)
-        h0r = rng.standard_normal((basis.reduced_dim, 12))
-        h1 = rng.standard_normal((basis.state_dim, 12))
-        direct = fit_coefficients(basis, h0r, h1)
-        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
-        normal = fit_coefficients(basis, h0r, h1)
-        w_direct = assemble(basis, direct)
-        w_normal = assemble(basis, normal)
-        assert np.max(np.abs(w_direct @ h0r - w_normal @ h0r)) <= 1e-8
-
     def test_sparsify_selects_planted_column(self, z5_setup):
         _, _, basis = z5_setup
         rng = np.random.default_rng(22)
@@ -197,26 +185,15 @@ class TestFitCoefficients:
         h0r, _ = build_data_matrices(ham_series[:90], 5, 3, m.plan)
         assert m.fit.rank == svd_rank(_design(basis, h0r), m.fit.rel_tol)
 
-    def test_normal_equation_rank_matches_separate_svd(self, z5_setup, monkeypatch):
-        _, _, basis = z5_setup
-        rng = np.random.default_rng(31)
-        h0r = rng.standard_normal((basis.reduced_dim, 3))  # 15 design rows
-        h1 = rng.standard_normal((basis.state_dim, 3))
-        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
-        fit = fit_coefficients(basis, h0r, h1)
-        design = _design(basis, h0r)
-        assert fit.rank == svd_rank(design.T @ design, fit.rel_tol) == 15
-
-    def test_sparsify_rank_is_nonzero_count_on_both_paths(self, z5_setup, monkeypatch):
+    def test_sparsify_rank_is_nonzero_count_on_both_paths(self, z5_setup):
+        # 10 columns are fitted directly, 60 >= 2 (q + n*lag) on the R factor
         _, _, basis = z5_setup
         rng = np.random.default_rng(32)
-        h0r = rng.standard_normal((basis.reduced_dim, 10))
-        h1 = 2.5 * (dense_matrices(basis)[3] @ h0r)
-        direct = fit_coefficients(basis, h0r, h1, sparsify=2)
-        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
-        normal = fit_coefficients(basis, h0r, h1, sparsify=2)
-        assert direct.rank == np.count_nonzero(direct.coefficients) == 1
-        assert normal.rank == np.count_nonzero(normal.coefficients) == 1
+        for cols in (10, 60):
+            h0r = rng.standard_normal((basis.reduced_dim, cols))
+            h1 = 2.5 * (dense_matrices(basis)[3] @ h0r)
+            fit = fit_coefficients(basis, h0r, h1, sparsify=2)
+            assert fit.rank == np.count_nonzero(fit.coefficients) == 1
 
     def test_empty_basis_rejected(self):
         empty = EquivariantBasis(state_dim=2, reduced_dim=3, lag=1,
@@ -226,15 +203,23 @@ class TestFitCoefficients:
 
     def test_memory_cap(self, z5_setup, monkeypatch):
         _, _, basis = z5_setup
-        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 0)
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", 16)
         with pytest.raises(DimensionOverflowError):
             fit_coefficients(basis, np.ones((basis.reduced_dim, 4)),
-                             np.ones((basis.state_dim, 4)), entry_cap=16)
+                             np.ones((basis.state_dim, 4)))
 
     def test_shape_checks(self, z5_setup):
         _, _, basis = z5_setup
         with pytest.raises(ShapeError):
             fit_coefficients(basis, np.ones((4, 3)), np.ones((5, 3)))
+
+    @pytest.mark.parametrize("sparsify", [None, 2])
+    @pytest.mark.parametrize("rel_tol", [-1e-12, np.nan, np.inf])
+    def test_cutoff_must_be_finite_and_non_negative(self, z5_setup, rel_tol, sparsify):
+        _, _, basis = z5_setup
+        h0r = np.ones((basis.reduced_dim, 4))
+        with pytest.raises(ShapeError, match="least-squares rel_tol"):
+            fit_coefficients(basis, h0r, np.ones((basis.state_dim, 4)), rel_tol, sparsify)
 
 
 
@@ -268,43 +253,53 @@ class TestSlotFactoredFit:
         assert fit.rank == rank
         assert np.linalg.norm(assemble(basis, fit) - w_dense) <= 1e-8 * np.linalg.norm(w_dense)
 
-    def test_normal_equation_path_matches_direct_at_k4(self, ham_series, monkeypatch):
-        _, basis, h0r, h1 = _k4_setup(ham_series, 3)
-        direct = fit_coefficients(basis, h0r, h1)
-        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
-        normal = fit_coefficients(basis, h0r, h1)
-        gap = np.max(np.abs(assemble(basis, direct) @ h0r - assemble(basis, normal) @ h0r))
-        assert gap <= 1e-8
-
-    @pytest.mark.parametrize("normal", [False, True])
     @pytest.mark.parametrize("sparsify", [1, 2])
-    def test_sparsify_matches_dense_omp(self, ham_series, monkeypatch, sparsify, normal):
+    def test_sparsify_matches_dense_omp(self, ham_series, sparsify):
         _, basis, h0r, _ = _k4_setup(ham_series, 2)
         dense = dense_matrices(basis)
         planted = 3 * basis.lag + 1  # one-slot matrix 3 on lag slot 1
         noise = 1e-3 * np.random.default_rng(34).standard_normal((basis.state_dim, h0r.shape[1]))
         h1 = 2.5 * (dense[planted] @ h0r) + noise
-        if normal:
-            monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 1)
         fit = fit_coefficients(basis, h0r, h1, sparsify=sparsify)
-        coeffs, rank = dense_fit(dense, h0r, h1, sparsify=sparsify, normal=normal)
+        coeffs, rank = dense_fit(dense, h0r, h1, sparsify=sparsify)
         support = np.flatnonzero(fit.coefficients)
         assert planted in support and support.size == sparsify
         assert np.array_equal(support, np.flatnonzero(coeffs))
         assert np.max(np.abs(fit.coefficients - coeffs)) <= 1e-12
         assert fit.rank == rank
 
-    def test_entry_cap_counts_the_slot_design(self, ham_series):
-        # a cap the whole design (lag**2 times larger) would exceed keeps the direct path
+    def test_entry_cap_counts_the_slot_design(self, ham_series, monkeypatch):
+        # a cap the whole design (lag**2 times larger) would exceed still fits
         _, basis, h0r, h1 = _k4_setup(ham_series, 3)
         k, n, _ = basis.slot_matrices.shape
         entries = n * h0r.shape[1] * k
         cap = 2 * entries
         assert entries < cap < entries * basis.lag ** 2
-        fit = fit_coefficients(basis, h0r, h1, entry_cap=cap)
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", cap)
+        fit = fit_coefficients(basis, h0r, h1)
         assert fit.rank == svd_rank(_slot_design(basis, h0r), fit.rel_tol) * basis.lag
-        # the normal equations, taken below the cap, keep fewer singular values
-        assert fit_coefficients(basis, h0r, h1, entry_cap=entries - 1).rank < fit.rank
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", entries - 1)
+        with pytest.raises(DimensionOverflowError):
+            fit_coefficients(basis, h0r, h1)
+
+    def test_sparsify_checks_the_whole_design_before_building(self, ham_series, monkeypatch):
+        # matching pursuit holds A (x) I_lag: above the cap nothing is built
+        _, basis, h0r, h1 = _k4_setup(ham_series, 3)
+        k, n, _ = basis.slot_matrices.shape
+        entries = n * h0r.shape[1] * k
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", 2 * entries)
+        monkeypatch.setattr(solver, "_slot_system", None)  # calling it would raise TypeError
+        with pytest.raises(DimensionOverflowError):
+            fit_coefficients(basis, h0r, h1, sparsify=2)
+
+    def test_normal_eq_threshold_is_not_read(self, ham_series, monkeypatch):
+        # the k4 paper fit: 16 singular values of A kept, each once per lag slot
+        _, basis, h0r, h1 = _k4_setup(ham_series, 5)
+        default = fit_coefficients(basis, h0r, h1)
+        monkeypatch.setattr(solver, "NORMAL_EQ_THRESHOLD", 0)
+        fit = fit_coefficients(basis, h0r, h1)
+        assert np.array_equal(fit.coefficients, default.coefficients)
+        assert fit.rank == default.rank == 80
 
 
 @pytest.fixture(scope="module")

@@ -120,6 +120,11 @@ class TestDirectSum:
 
 
 class TestNullSpace:
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_cutoff_must_be_finite_and_positive(self, rel_tol):
+        with pytest.raises(ShapeError, match="null-space rel_tol"):
+            T.null_space(np.eye(2), rel_tol)
+
     def test_full_rank_empty(self):
         assert T.null_space(np.eye(3), 1e-10).shape == (3, 0)
 
