@@ -197,6 +197,13 @@ def save(model, path):
         fh.write(text + "\n")
 
 
+def _integer(value, name):
+    """A JSON integer; bool is an int subclass, and int() would truncate a float."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load(path, check_equivariance=True):
     """Load a persisted model, revalidating every invariant.
 
@@ -215,13 +222,11 @@ def load(path, check_equivariance=True):
                 f"cannot parse {path}: not UTF-8 text ({exc.reason})"
             ) from exc
     try:
-        version = int(payload["version"])
-        n = int(payload["n"])
-        lag = int(payload["L"])
-        order = int(payload["p"])
+        version, n, lag, order = (_integer(payload[key], key)
+                                  for key in ("version", "n", "L", "p"))
         generators = [np.asarray(g, dtype=np.float64).reshape(n, n)
                       for g in payload["generators"]]
-        rep_index = [int(i) for i in payload["rep_index"]]
+        rep_index = [_integer(i, "rep_index entry") for i in payload["rep_index"]]
         flat_w = np.asarray(payload["W"], dtype=np.float64)
         fit_data = payload["fit"]
         coefficients = np.asarray(fit_data["coefficients"], dtype=np.float64)

@@ -9,6 +9,12 @@ Enforcing the equation for the generators suffices.  Under column-stacking
 vectorisation its matrix is K_g = I_q (x) g (x) I_lag - Ghat_g^T (x) I_n (x) I_lag
 = K'_g (x) I_lag with the one-lag-slot constraint K'_g = I_q (x) g - Ghat_g^T (x) I_n,
 so the kernel is solved for the n*q unknowns of one slot and repeated on every slot.
+
+Ghat_g never mixes monomial degrees, so the kernel is a direct sum over degree
+blocks, and the dimension of block k's share is the character count
+(1/|G|) sum_g tr(g) tr(Ghat_g^(k)) (Serre, *Linear Representations of Finite
+Groups*, 1977).  The unknowns of blocks whose count is 0 are left out of the
+one SVD: every even degree of k4, for instance, because -I is in the group.
 """
 
 from dataclasses import dataclass
@@ -16,13 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorops
-from .errors import NoFeasibleModelError, ShapeError
+from .errors import NoFeasibleModelError, NumericalError, ShapeError
 from .groups import reduced_action, window_action
 
 NORMAL_EQ_THRESHOLD = 2000
 """One-slot basis size above which an earlier ``fit_coefficients`` solved the
 normal equations.  No code in ``src/`` reads it: the fit has one path, and
 the constant stays only for the benchmark's ``normal_eq_margin``."""
+
+CHARACTER_TOL = 1e-6
+"""Largest distance from an integer that ``degree_kernel_dims`` accepts in a
+character count.  Each term tr(g) tr(Ghat_g^(k)) is at most n times the block
+size in magnitude, so rounding moves a count by about 1e-16 of that.  Measured
+at lags 1-5 and orders 2-4: exactly 0 for k4 and z5, at most 4.4e-16 for C_3
+and at most 2.1e-14 for k4, z5 and C_3 conjugated by random orthogonal
+matrices."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +76,57 @@ class FitReport:
     sparsify: int | None
 
 
-def constraint_matrix(g, lag, plan):
-    """Vec form of the intertwiner equation for one generator on one lag slot."""
-    ghat = reduced_action(g, lag, plan)
-    n = g.shape[0]
-    q = plan.reduced_dim
-    return tensorops.kron(np.eye(q), g) - tensorops.kron(ghat.T, np.eye(n))
+def constraint_matrix(g, lag, plan, features=slice(None)):
+    """Vec form of the intertwiner equation for one generator on one lag slot,
+    on the unknowns of the given features (all of them by default).
+
+    Ghat_g maps every degree block to itself, so on a union of degree blocks
+    the equation's rows involve only that union's unknowns.
+    """
+    ghat = reduced_action(g, lag, plan)[features][:, features]
+    return tensorops.kron(np.eye(ghat.shape[0]), g) - tensorops.kron(ghat.T, np.eye(g.shape[0]))
+
+
+def degree_kernel_dims(group, lag, order):
+    """Kernel dimension of the one-slot constraint on each degree block.
+
+    Entry k (k = 1..order, and 0 for the constant) is the character count
+    (1/|G|) sum_g tr(g) tr(Ghat_g^(k)).  The degree-k block of Ghat_g is the
+    action of h = g (x) I_lag on degree-k polynomials, Sym^k(h), whose trace is
+    the complete homogeneous polynomial h_k of h's eigenvalues.  Newton's
+    identities k h_k = sum_{j=1..k} p_j h_{k-j} give it from the power sums
+    p_j = tr(h^j) = lag tr(g^j), without eigenvalues or Ghat_g.  A count
+    further than CHARACTER_TOL from an integer raises NumericalError rather
+    than decide whether a block is empty.
+    """
+    elements = np.array(group.elements)
+    power = elements
+    sums = [lag * np.trace(power, axis1=1, axis2=2)]
+    for _ in range(order - 1):
+        power = power @ elements
+        sums.append(lag * np.trace(power, axis1=1, axis2=2))
+    complete = [np.ones(len(elements))]
+    for k in range(1, order + 1):
+        complete.append(sum(sums[j - 1] * complete[k - j] for j in range(1, k + 1)) / k)
+    counts = np.array(complete) @ np.trace(elements, axis1=1, axis2=2) / group.order
+    dims = np.rint(counts)
+    off = float(np.max(np.abs(counts - dims)))
+    if off > CHARACTER_TOL:
+        raise NumericalError(
+            f"character counts {counts.tolist()} are {off:.1e} from integers"
+        )
+    return dims.astype(np.int64)
+
+
+def basis_features(group, lag, plan):
+    """Ascending feature indices of the degree blocks whose character count is
+    not 0; the degree-1 block always has count lag * <chi, chi> >= 1."""
+    dims = degree_kernel_dims(group, lag, plan.order)
+    blocks = [np.arange(*plan.degree_class_range(k))
+              for k in range(1, plan.order + 1) if dims[k]]
+    if dims[0]:
+        blocks.append(np.array([plan.reduced_dim - 1]))
+    return np.concatenate(blocks)
 
 
 def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
@@ -75,23 +134,26 @@ def equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
 
     The kernel of the vertically stacked one-slot constraints is computed
     with one SVD; stacking avoids squaring the condition number that forming
-    sum(K^T K) would cost.  The kernel of K'_g (x) I_lag is the one-slot
-    kernel (x) I_lag, orthonormal again, so only the one-slot matrices are
-    kept.  An empty basis is a valid result and signals an over-constrained
-    symmetry.
+    sum(K^T K) would cost.  Only the unknowns of ``basis_features`` enter it:
+    the other degree blocks hold no kernel vector, and when every block has
+    one the matrix is the whole constraint.  The kernel of K'_g (x) I_lag is
+    the one-slot kernel (x) I_lag, orthonormal again, so only the one-slot
+    matrices are kept, zero on the left-out features.  An empty basis is a
+    valid result and signals an over-constrained symmetry.
     """
     if group.n * lag != plan.dim_in:
         raise ShapeError(
             f"plan dim_in={plan.dim_in} does not match n*lag={group.n * lag}"
         )
-    q = plan.reduced_dim
-    unknowns = group.n * q
+    features = basis_features(group, lag, plan)
+    unknowns = group.n * features.size
     tensorops._check_entries(len(group.generators) * unknowns * unknowns, tensorops.ENTRY_CAP)
-    stacked = np.vstack([constraint_matrix(g, lag, plan) for g in group.generators])
+    stacked = np.vstack([constraint_matrix(g, lag, plan, features) for g in group.generators])
     kernel = tensorops.null_space(stacked, rel_tol)
     # unvec of every column, in C order: the fit's summation order depends on it
-    slots = np.ascontiguousarray(kernel.T.reshape(-1, q, group.n).transpose(0, 2, 1))
-    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=q, lag=lag,
+    slots = np.zeros((kernel.shape[1], group.n, plan.reduced_dim))
+    slots[:, :, features] = kernel.T.reshape(-1, features.size, group.n).transpose(0, 2, 1)
+    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
                             slot_matrices=slots)
 
 

@@ -17,6 +17,7 @@ from earc import tensorops
 from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, ShapeError
 from earc.groups import reduced_action, window_action
+from earc.solver import EquivariantBasis, constraint_matrix
 from earc.systems import (COMPETITION_RANGE, _competition_operands, _competition_update,
                           _hamiltonian_field)
 
@@ -423,6 +424,17 @@ def window_equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL)
     if mats.size == 0:
         mats = np.zeros((0, m, q))
     return mats
+
+
+def whole_equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
+    """One-slot basis from one SVD of the stacked one-slot constraints on all
+    n*q unknowns, empty degree blocks included."""
+    q = plan.reduced_dim
+    stacked = np.vstack([constraint_matrix(g, lag, plan) for g in group.generators])
+    kernel = tensorops.null_space(stacked, rel_tol)
+    slots = np.ascontiguousarray(kernel.T.reshape(-1, q, group.n).transpose(0, 2, 1))
+    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=q, lag=lag,
+                            slot_matrices=slots)
 
 
 def dense_matrices(basis):

@@ -372,6 +372,21 @@ class TestVerify:
         bad.write_text('{"version": 1}')
         assert main(["verify", "--model", str(bad)]) == 3
 
+    @pytest.mark.parametrize("key,value", [("p", 2.5), ("L", True), ("version", 1.9),
+                                           ("n", 5.0), ("rep_index", 0.0),
+                                           ("rep_index", False)])
+    def test_non_integer_header_exits_3(self, z5_model_path, tmp_path, capsys, key, value):
+        payload = json.loads(z5_model_path.read_text())
+        if key == "rep_index":
+            payload[key][0] = value  # the first representative is the integer 0
+        else:
+            payload[key] = value
+        bad = tmp_path / "mistyped.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["verify", "--model", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and "PASS" not in err
+
     def test_undecodable_file_exits_2(self, tmp_path):
         bad = tmp_path / "binary.json"
         bad.write_bytes(UNDECODABLE)

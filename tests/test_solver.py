@@ -5,22 +5,26 @@ from earc import solver, tensorops
 from earc.embedding import build_data_matrices, compression_plan, delay_windows
 from earc.errors import (DimensionOverflowError, NoFeasibleModelError, NumericalError,
                          ShapeError)
-from earc.groups import close_group, reduced_action
-from earc.solver import (EquivariantBasis, assemble, constraint_matrix,
-                         equivariance_residual, equivariant_basis,
+from earc.groups import GroupRep, close_group, reduced_action
+from earc.solver import (EquivariantBasis, assemble, basis_features, constraint_matrix,
+                         degree_kernel_dims, equivariance_residual, equivariant_basis,
                          fit_coefficients, generator_residuals)
 from earc.model import rollout, train
 from earc.systems import (CompetitionConfig, HamiltonianConfig, builtin_rep,
                           competition_generate, hamiltonian_generate)
+from tests import test_groups
+from tests.test_groups import named_rep, rotation
 from tests.test_model import manual_model
 
 from oracles import (dense_fit, dense_matrices, svd_rank, unconstrained_fit,
-                     unreduced_fit, window_equivariant_basis)
+                     unreduced_fit, whole_equivariant_basis, window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
 C3 = close_group([[[-0.5, -np.sqrt(0.75)], [np.sqrt(0.75), -0.5]]])
 """Rotations by multiples of 120 degrees: a group that is not a signed permutation."""
+C3_CYCLE = close_group([np.roll(np.eye(3), 1, axis=0)])
+"""The cyclic shift of three coordinates: C_3 with the trivial representation in it."""
 
 
 def _design(basis, h0r):
@@ -138,6 +142,146 @@ class TestEquivariantBasis:
             fc = rollout(manual_model(coupling, rep, lag, 3), seed, 100)
             rmse.append(np.sqrt(np.mean((fc.values - ham_series[90:190]) ** 2)))
         assert abs(rmse[0] / rmse[1] - 1.0) <= 0.01
+
+
+def _degree_features(plan, k):
+    """Feature indices of degree block k; 0 is the constant."""
+    if k == 0:
+        return np.array([plan.reduced_dim - 1])
+    return np.arange(*plan.degree_class_range(k))
+
+
+def _stacked(rep, lag, plan, features):
+    return np.vstack([constraint_matrix(g, lag, plan, features) for g in rep.generators])
+
+
+def _kernel_dim(a):
+    """Right singular vectors of ``a`` that ``tensorops.null_space`` keeps,
+    counted from the singular values alone."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s <= tensorops.NULLSPACE_RTOL * s[0])) + a.shape[1] - s.size
+
+
+def _projector(basis):
+    flat = basis.slot_matrices.reshape(basis.slot_matrices.shape[0], -1)
+    return flat.T @ flat
+
+
+COUNT_CASES = ([("k4", lag, order) for lag in (2, 3, 4, 5) for order in (3, 4)]
+               + [("z5", lag, order) for lag in (1, 2) for order in (2, 3)]
+               + [("c3", 1, 3), ("c3", 2, 2), ("k4Q", 2, 3), ("k4Q", 3, 4), ("z5Q", 1, 3),
+                  ("z5Q", 2, 2), ("c3Q", 2, 3)])
+"""(group, lag, order); a trailing Q conjugates the group by a random orthogonal
+matrix, which leaves no element but the identity and -I a signed permutation."""
+
+MARGIN_CASES = [case for case in COUNT_CASES if case[0] in ("k4", "z5")]
+
+
+def _rep(name):
+    if name.endswith("Q"):
+        return test_groups.TestRandomFiniteGroups.conjugated(name[:-1], 63)
+    return named_rep(name)
+
+
+class TestDegreeBlocks:
+    """The basis SVD runs on the degree blocks whose character count is not 0;
+    the one SVD of the whole one-slot constraint is the oracle."""
+
+    @pytest.mark.parametrize("rep,lag", [(builtin_rep("z5"), 1), (builtin_rep("z5"), 2),
+                                         (C3_CYCLE, 1), (C3_CYCLE, 2)],
+                             ids=["z5-1", "z5-2", "c3-1", "c3-2"])
+    def test_no_empty_block_is_bitwise_the_whole_matrix(self, rep, lag):
+        plan = compression_plan(rep.n * lag, 2)
+        assert np.array_equal(basis_features(rep, lag, plan), np.arange(plan.reduced_dim))
+        basis = equivariant_basis(rep, lag, plan)
+        oracle = whole_equivariant_basis(rep, lag, plan)
+        assert basis.slot_matrices.flags.c_contiguous
+        assert np.array_equal(basis.slot_matrices, oracle.slot_matrices)
+
+    @pytest.mark.parametrize("name,lag,order", [("k4", lag, 3) for lag in (2, 3, 4, 5)]
+                             + [("c3", 2, 2), ("c3", 1, 3)])
+    def test_projector_matches_whole_matrix_basis(self, name, lag, order):
+        # measured: at most 1.6e-15 on k4, 1.7e-16 on the rotations C3, which
+        # leave out the constant
+        rep = named_rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        basis = equivariant_basis(rep, lag, plan)
+        oracle = whole_equivariant_basis(rep, lag, plan)
+        assert basis.size == oracle.size
+        assert np.max(np.abs(_projector(basis) - _projector(oracle))) <= 1e-13
+
+    def test_k4_paper_forecast_matches_whole_matrix_basis(self, k4_model, ham_series):
+        m, _ = k4_model
+        h0r, h1 = build_data_matrices(ham_series[:90], 5, 3, m.plan)
+        oracle = whole_equivariant_basis(m.group, 5, m.plan)
+        w_oracle = assemble(oracle, fit_coefficients(oracle, h0r, h1))
+        seed = delay_windows(ham_series[:90], 5)[-1]
+        rmse = []
+        for coupling in (m.coupling, w_oracle):
+            fc = rollout(manual_model(coupling, m.group, 5, 3), seed, 100)
+            rmse.append(np.sqrt(np.mean((fc.values - ham_series[90:190]) ** 2)))
+        assert abs(rmse[0] / rmse[1] - 1.0) <= 0.01  # measured 0.063%
+
+    def test_k4_skips_the_constant_and_even_degrees(self):
+        rep = builtin_rep("k4")
+        plan = compression_plan(10, 4)
+        assert degree_kernel_dims(rep, 5, 4).tolist() == [0, 10, 0, 220, 0]
+        lo, hi = plan.degree_class_range(3)
+        assert np.array_equal(basis_features(rep, 5, plan),
+                              np.concatenate([np.arange(10), np.arange(lo, hi)]))
+        basis = equivariant_basis(rep, 5, plan)
+        assert basis.size == 230 * 5
+        kept = np.zeros(plan.reduced_dim, dtype=bool)
+        kept[basis_features(rep, 5, plan)] = True
+        assert not np.any(basis.slot_matrices[:, :, ~kept])
+
+    @pytest.mark.parametrize("name,lag,order", COUNT_CASES)
+    def test_character_count_is_each_blocks_kernel_dimension(self, name, lag, order,
+                                                             monkeypatch):
+        # the counts' measured distance from integers is at most 2.1e-14; hold
+        # them to 1e-13 here, far inside the library's CHARACTER_TOL
+        monkeypatch.setattr(solver, "CHARACTER_TOL", 1e-13)
+        rep = _rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        dims = degree_kernel_dims(rep, lag, order)
+        svd = [_kernel_dim(_stacked(rep, lag, plan, _degree_features(plan, k)))
+               for k in range(order + 1)]
+        assert dims.tolist() == svd
+        assert dims[1] >= 1
+
+    def test_count_off_an_integer_raises(self):
+        # two rotations by 60 degrees are no group: the degree-1 count is 2.5
+        half_closed = GroupRep(n=2, generators=(rotation(np.pi / 3),),
+                               elements=(np.eye(2), rotation(np.pi / 3)), order=2)
+        with pytest.raises(NumericalError, match="from integers"):
+            degree_kernel_dims(half_closed, 1, 2)
+        with pytest.raises(NumericalError):
+            equivariant_basis(half_closed, 1, compression_plan(2, 2))
+
+    @pytest.mark.parametrize("name,lag,order", MARGIN_CASES)
+    def test_null_space_cutoff_has_margin(self, name, lag, order):
+        # every singular value of the restricted stack sits far from the
+        # NULLSPACE_RTOL cutoff; measured: dropped <= 1.2e-15, kept 1.000 on k4
+        # and >= 0.618 on z5
+        rep = _rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        stacked = _stacked(rep, lag, plan, basis_features(rep, lag, plan))
+        ratio = np.linalg.svd(stacked, compute_uv=False)
+        ratio /= ratio[0]
+        assert np.all((ratio <= 1e-14) | (ratio >= 0.5))
+        assert 1e-14 < tensorops.NULLSPACE_RTOL < 0.5
+        assert _kernel_dim(stacked) == sum(degree_kernel_dims(rep, lag, order))
+
+    def test_entry_cap_counts_the_restricted_matrix(self, monkeypatch):
+        rep = builtin_rep("k4")
+        plan = compression_plan(10, 3)
+        restricted = 2 * (2 * 230) ** 2  # two generators, 460 unknowns
+        assert restricted < 2 * (2 * plan.reduced_dim) ** 2
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", restricted)
+        assert equivariant_basis(rep, 5, plan).size == 1150
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", restricted - 1)
+        with pytest.raises(DimensionOverflowError):
+            equivariant_basis(rep, 5, plan)
 
 
 class TestFitCoefficients:
