@@ -108,7 +108,6 @@ class ExperimentConfig:
     order: int
     train_count: int | None
     train_fraction: float | None
-    nullspace_tol: float
     lstsq_tol: float
     sparsify: int | None
     max_lag: int
@@ -210,8 +209,8 @@ def cmd_generate(args):
 
 
 _CONFIG_TYPES = {"data": str, "group": str, "group_file": str, "L": int, "p": int,
-                 "train_count": int, "train_fraction": float, "nullspace_tol": float,
-                 "lstsq_tol": float, "sparsify": int, "max_lag": int, "out": str}
+                 "train_count": int, "train_fraction": float, "lstsq_tol": float,
+                 "sparsify": int, "max_lag": int, "out": str}
 """Keys a ``train --config`` file may set and the type of each value (``L`` may
 also be "auto", and null leaves a key unset); any other key or type is rejected."""
 
@@ -259,8 +258,6 @@ def cmd_train(args):
         order=_pick(args.p, config, "p", 2),
         train_count=_pick(args.train_count, config, "train_count", None),
         train_fraction=_pick(args.train_fraction, config, "train_fraction", None),
-        nullspace_tol=_pick(args.nullspace_tol, config, "nullspace_tol",
-                            tensorops.NULLSPACE_RTOL),
         lstsq_tol=_pick(args.lstsq_tol, config, "lstsq_tol", tensorops.LSTSQ_RTOL),
         sparsify=_pick(args.sparsify, config, "sparsify", None),
         max_lag=_pick(args.max_lag, config, "max_lag", 50),
@@ -278,11 +275,8 @@ def cmd_train(args):
     else:
         lag = cfg.lag
     rep = cfg.load_rep()
-    trained = model_mod.train(
-        prefix, rep, lag, cfg.order,
-        nullspace_tol=cfg.nullspace_tol, lstsq_tol=cfg.lstsq_tol,
-        sparsify=cfg.sparsify,
-    )
+    trained = model_mod.train(prefix, rep, lag, cfg.order, lstsq_tol=cfg.lstsq_tol,
+                              sparsify=cfg.sparsify)
     model_mod.save(trained, cfg.out)
     print(f"trained on {count} samples (L={lag}, p={cfg.order}, group order "
           f"{rep.order})")
@@ -363,6 +357,8 @@ def cmd_forecast(args):
 
 
 def cmd_verify(args):
+    if not 0 <= args.threshold < np.inf:
+        raise ValidationError(f"--threshold must be finite and >= 0, got {args.threshold}")
     m = model_mod.load(args.model, check_equivariance=False)
     norms = solver.equivariance_residuals(m.coupling, m.group, m.lag, m.plan)
     total = 0.0
@@ -431,7 +427,6 @@ def build_parser():
     tr.add_argument("--p", type=int, help="embedding order")
     tr.add_argument("--train-count", type=int)
     tr.add_argument("--train-fraction", type=float)
-    tr.add_argument("--nullspace-tol", type=float)
     tr.add_argument("--lstsq-tol", type=float)
     tr.add_argument("--sparsify", type=int)
     tr.add_argument("--max-lag", type=int)

@@ -69,8 +69,8 @@ class Forecast:
         return self.values.shape[0]
 
 
-def train(values, group, lag, order, *, nullspace_tol=tensorops.NULLSPACE_RTOL,
-          lstsq_tol=tensorops.LSTSQ_RTOL, sparsify=None, metadata=None):
+def train(values, group, lag, order, *, lstsq_tol=tensorops.LSTSQ_RTOL, sparsify=None,
+          metadata=None):
     """Fit an equivariant one-step predictor to a (T, n) series."""
     values = as_series(values)
     n = values.shape[1]
@@ -84,7 +84,7 @@ def train(values, group, lag, order, *, nullspace_tol=tensorops.NULLSPACE_RTOL,
         )
     plan = compression_plan(n * lag, order)
     h0r, h1 = build_data_matrices(values, lag, order, plan)
-    basis = solver.equivariant_basis(group, lag, plan, rel_tol=nullspace_tol)
+    basis = solver.equivariant_basis(group, lag, plan)
     fit = solver.fit_coefficients(basis, h0r, h1, rel_tol=lstsq_tol,
                                   sparsify=sparsify)
     coupling = solver.assemble(basis, fit)
@@ -93,7 +93,6 @@ def train(values, group, lag, order, *, nullspace_tol=tensorops.NULLSPACE_RTOL,
         coupling, group, lag, plan))
     record = {
         "training_samples": int(values.shape[0]),
-        "nullspace_tol": nullspace_tol,
         "lstsq_tol": lstsq_tol,
         "sparsify": sparsify,
     }
@@ -247,6 +246,9 @@ def load(path, check_equivariance=True):
         raise CorruptModelError(
             f"coupling has {flat_w.shape[0]} entries, expected {expected}"
         )
+    size = lag * int(solver.degree_kernel_dims(group, lag, order).sum())
+    if coefficients.shape != (size,):
+        raise CorruptModelError(f"fit has {coefficients.shape} coefficients, expected ({size},)")
     if not np.all(np.isfinite(flat_w)) or not np.all(np.isfinite(coefficients)):
         raise CorruptModelError("model contains non-finite entries")
     coupling = flat_w.reshape(n * lag, plan.reduced_dim)

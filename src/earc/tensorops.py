@@ -11,9 +11,6 @@ from .errors import DimensionOverflowError, NumericalError, ShapeError
 ENTRY_CAP = 2**31
 """Hard ceiling on the entry count of any produced array."""
 
-NULLSPACE_RTOL = 1e-10
-"""Default relative singular-value cutoff for numerical kernels."""
-
 LSTSQ_RTOL = 1e-12
 """Default relative truncation threshold for least-squares solves."""
 
@@ -52,28 +49,6 @@ def kron(a, b):
     b = _as_matrix(b, "b")
     _check_entries(a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1], ENTRY_CAP)
     return np.kron(a, b)
-
-
-def null_space(a, rel_tol=NULLSPACE_RTOL):
-    """Orthonormal basis of the numerical kernel of ``a``.
-
-    Returns an (n, k) array whose columns are the right singular vectors with
-    singular values sigma_i <= rel_tol * sigma_max (every vector when
-    sigma_max == 0).  k may be zero.
-    """
-    a = _as_matrix(a)
-    if not 0 < rel_tol < np.inf:
-        raise ShapeError(f"null-space rel_tol must be finite and > 0, got {rel_tol}")
-    m, n = a.shape
-    if m < n:
-        # Zero rows do not change right singular pairs but let the economy
-        # SVD return all n right singular vectors.
-        a = np.vstack([a, np.zeros((n - m, n))])
-    _, s, vt = _svd(a, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return vt.T.copy()
-    return vt[s <= rel_tol * smax].T.copy()
 
 
 def lstsq(a, b, rel_tol=LSTSQ_RTOL, sparsify=None):

@@ -17,7 +17,8 @@ from earc import tensorops
 from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, ShapeError
 from earc.groups import reduced_action, window_action
-from earc.solver import EquivariantBasis, constraint_matrix
+from earc.solver import (EquivariantBasis, basis_features, constraint_matrix,
+                         degree_kernel_dims)
 from earc.systems import (COMPETITION_RANGE, _competition_operands, _competition_update,
                           _hamiltonian_field)
 
@@ -403,6 +404,46 @@ def unconstrained_fit(h0r, h1, rel_tol=tensorops.LSTSQ_RTOL):
     return np.vstack(rows)
 
 
+NULLSPACE_RTOL = 1e-10
+"""Relative singular-value cutoff of ``null_space``."""
+
+
+def null_space(a, rel_tol=NULLSPACE_RTOL):
+    """Orthonormal basis of the numerical kernel of ``a``.
+
+    Returns an (n, k) array whose columns are the right singular vectors with
+    singular values sigma_i <= rel_tol * sigma_max (every vector when
+    sigma_max == 0).  k may be zero.
+    """
+    a = tensorops._as_matrix(a)
+    if not 0 < rel_tol < np.inf:
+        raise ShapeError(f"null-space rel_tol must be finite and > 0, got {rel_tol}")
+    m, n = a.shape
+    if m < n:
+        # Zero rows do not change right singular pairs but let the economy
+        # SVD return all n right singular vectors.
+        a = np.vstack([a, np.zeros((n - m, n))])
+    _, s, vt = tensorops._svd(a, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    if smax == 0.0:
+        return vt.T.copy()
+    return vt[s <= rel_tol * smax].T.copy()
+
+
+def cutoff_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
+    """One-slot basis from one SVD of the stacked one-slot constraints on the
+    ``basis_features`` unknowns, Ghat_g built on the whole plan, keeping the
+    right singular vectors whose singular value is at most rel_tol * sigma_max
+    (the basis size is what the cutoff selects, not the character count)."""
+    features = basis_features(degree_kernel_dims(group, lag, plan.order), plan)
+    stacked = np.vstack([constraint_matrix(g, lag, plan, features) for g in group.generators])
+    kernel = null_space(stacked, rel_tol)
+    slots = np.zeros((kernel.shape[1], group.n, plan.reduced_dim))
+    slots[:, :, features] = kernel.T.reshape(-1, features.size, group.n).transpose(0, 2, 1)
+    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
+                            slot_matrices=slots)
+
+
 def window_constraint_matrix(g, lag, plan):
     """Vec form of the intertwiner equation over the whole delay window:
     I_q (x) (g (x) I_lag) - Ghat_g^T (x) I_{n*lag}, with n*lag*q unknowns."""
@@ -413,25 +454,25 @@ def window_constraint_matrix(g, lag, plan):
     return tensorops.kron(np.eye(q), h) - tensorops.kron(ghat.T, np.eye(m))
 
 
-def window_equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
+def window_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
     """Dense (size, n*lag, q) equivariant basis from one SVD of the stacked
     whole-window constraints."""
     m = plan.dim_in
     q = plan.reduced_dim
     stacked = np.vstack([window_constraint_matrix(g, lag, plan) for g in group.generators])
-    kernel = tensorops.null_space(stacked, rel_tol)
+    kernel = null_space(stacked, rel_tol)
     mats = np.array([unvec(kernel[:, j], m) for j in range(kernel.shape[1])])
     if mats.size == 0:
         mats = np.zeros((0, m, q))
     return mats
 
 
-def whole_equivariant_basis(group, lag, plan, rel_tol=tensorops.NULLSPACE_RTOL):
+def whole_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
     """One-slot basis from one SVD of the stacked one-slot constraints on all
     n*q unknowns, empty degree blocks included."""
     q = plan.reduced_dim
     stacked = np.vstack([constraint_matrix(g, lag, plan) for g in group.generators])
-    kernel = tensorops.null_space(stacked, rel_tol)
+    kernel = null_space(stacked, rel_tol)
     slots = np.ascontiguousarray(kernel.T.reshape(-1, q, group.n).transpose(0, 2, 1))
     return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=q, lag=lag,
                             slot_matrices=slots)

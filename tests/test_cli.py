@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from earc import solver
-from earc.cli import CSV_BLOCK_ROWS, _write_rows, main, read_series, write_series
+from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, main,
+                      read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError
 from earc.groups import close_group, reduced_action
@@ -164,7 +165,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("key,value", [
         ("train_count", "31"), ("train_count", 31.5), ("train_count", True),
-        ("sparsify", "3"), ("train_fraction", "0.5"), ("nullspace_tol", "abc"),
+        ("sparsify", "3"), ("train_fraction", "0.5"), ("lstsq_tol", "abc"),
         ("L", 1.7), ("p", 2.9)])
     def test_mistyped_config_value_exits_2(self, comp_csv, tmp_path, capsys, key, value):
         cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2,
@@ -211,8 +212,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value,name", [
         ("--lstsq-tol", "nan", "least-squares"), ("--lstsq-tol", "inf", "least-squares"),
-        ("--lstsq-tol", "-1e-12", "least-squares"), ("--nullspace-tol", "nan", "null-space"),
-        ("--nullspace-tol", "inf", "null-space")])
+        ("--lstsq-tol", "-1e-12", "least-squares")])
     def test_bad_tolerance_flag_exits_2(self, comp_csv, tmp_path, capsys, flag, value, name):
         out = tmp_path / "m.json"
         assert main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1",
@@ -220,8 +220,18 @@ class TestTrain:
         assert f"{name} rel_tol must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,name", [("nullspace_tol", "null-space"),
-                                          ("lstsq_tol", "least-squares")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_removed_nullspace_tol_flag_exits_2(self, comp_csv, tmp_path, capsys, value):
+        # the basis size is the character count: no cutoff is settable
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1", "--p", "2",
+                  "--train-count", "31", f"--nullspace-tol={value}", "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --nullspace-tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,name", [("lstsq_tol", "least-squares")])
     def test_nan_tolerance_in_config_exits_2(self, comp_csv, tmp_path, capsys, key, name):
         cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
                key: float("nan"), "out": str(tmp_path / "m.json")}
@@ -231,6 +241,37 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert f"{name} rel_tol must be finite" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_removed_nullspace_tol_key_exits_2(self, comp_csv, tmp_path, capsys):
+        cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
+               "nullspace_tol": float("nan"), "out": str(tmp_path / "m.json")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "unknown config keys nullspace_tol " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_config_keys_are_the_train_options(self):
+        # a removed option cannot survive in only one of the two places
+        train = build_parser()._subparsers._group_actions[0].choices["train"]
+        dests = {action.dest for action in train._actions if action.option_strings}
+        assert set(_CONFIG_TYPES) == dests - {"help", "config"}
+
+    def test_count_disagreeing_with_the_svd_exits_3(self, comp_csv, tmp_path, capsys,
+                                                    monkeypatch):
+        counted = solver.degree_kernel_dims
+
+        def one_more(group, lag, order):
+            dims = counted(group, lag, order).copy()
+            dims[1] += 1
+            return dims
+
+        monkeypatch.setattr(solver, "degree_kernel_dims", one_more)
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1",
+                     "--p", "2", "--train-count", "31", "--out", str(out)]) == 3
+        assert "not the character count 22" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_lstsq_tol_trains(self, comp_csv, tmp_path):
         out = tmp_path / "m.json"
@@ -391,6 +432,28 @@ class TestVerify:
         bad = tmp_path / "binary.json"
         bad.write_bytes(UNDECODABLE)
         assert main(["verify", "--model", str(bad)]) == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_bad_threshold_exits_2(self, z5_model_path, capsys, threshold):
+        assert main(["verify", "--model", str(z5_model_path), "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert "--threshold must be finite and >= 0" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    @pytest.mark.parametrize("kept", [3, 0], ids=["truncated", "empty"])
+    def test_wrong_coefficient_count_exits_3(self, comp_csv, z5_model_path, tmp_path, capsys,
+                                             kept):
+        payload = json.loads(z5_model_path.read_text())
+        assert len(payload["fit"]["coefficients"]) == 21
+        payload["fit"]["coefficients"] = payload["fit"]["coefficients"][:kept]
+        bad = tmp_path / "cut.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["verify", "--model", str(bad)]) == 3
+        assert "expected (21,)" in capsys.readouterr().err
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(bad), "--data", str(comp_csv),
+                     "--train-count", "31", "--horizon", "3", "--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("generators", [
         [SWAP, SWAP, FLIP],                          # a repeated generator

@@ -155,6 +155,20 @@ class TestReducedAction:
             assert np.array_equal(reduced_action(g, lag, plan),
                                   reduced_action_by_class(g, lag, plan))
 
+    @pytest.mark.parametrize("name,lag,order", [("k4", 5, 4), ("k4", 2, 4), ("z5", 1, 3),
+                                                ("c3", 2, 4)])
+    def test_lower_order_plan_is_the_full_action_restricted(self, name, lag, order):
+        # degrees 1..top of the order-top action, and its constant, are bitwise
+        # those of the whole action
+        rep = named_rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        for top in range(1, order):
+            lower = compression_plan(plan.dim_in, top)
+            keep = np.append(np.arange(lower.reduced_dim - 1), plan.reduced_dim - 1)
+            for g in rep.elements:
+                assert np.array_equal(reduced_action(g, lag, lower),
+                                      reduced_action(g, lag, plan)[np.ix_(keep, keep)])
+
     def test_dense_orthogonal_bitwise_equal_to_class_loop(self):
         g = random_orthogonal(3, 50)
         plan = compression_plan(3, 4)

@@ -9,7 +9,7 @@ from earc.errors import (CorruptModelError, InsufficientDataError,
                          ModelFormatError, ShapeError, ValidationError)
 from earc.groups import close_group, window_action
 from earc.model import DIVERGENCE_CAP, EarcModel, estimate_lag, load, rollout, save, train
-from earc.solver import FitReport
+from earc.solver import FitReport, degree_kernel_dims
 from earc.systems import (CompetitionConfig, builtin_rep, competition_generate,
                           planted_linear)
 
@@ -21,10 +21,13 @@ def linear_series(a, x0, steps):
 
 
 def manual_model(coupling, group, lag, order, residual=0.0):
+    """A model with the given coupling and as many (zero) coefficients as the
+    symmetry's basis has elements, which ``load`` requires."""
     coupling = np.asarray(coupling, dtype=np.float64)
     plan = compression_plan(group.n * lag, order)
-    fit = FitReport(coefficients=np.zeros(1), train_residual=0.0,
-                    equivariance_residual=residual, basis_dim=1,
+    size = lag * int(degree_kernel_dims(group, lag, order).sum())
+    fit = FitReport(coefficients=np.zeros(size), train_residual=0.0,
+                    equivariance_residual=residual, basis_dim=size,
                     rank=None, rel_tol=None, sparsify=None)
     return EarcModel(n=group.n, lag=lag, order=order, group=group, plan=plan,
                      coupling=coupling, fit=fit, metadata={})
@@ -297,6 +300,17 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptModelError):
             load(path)
+
+    @pytest.mark.parametrize("kept", [3, 0], ids=["truncated", "empty"])
+    def test_coefficient_count_must_match_the_basis(self, z5_model, tmp_path, kept):
+        path = tmp_path / "m.json"
+        save(z5_model, path)
+        payload = json.loads(path.read_text())
+        payload["fit"]["coefficients"] = payload["fit"]["coefficients"][:kept]
+        path.write_text(json.dumps(payload))
+        for check in (True, False):
+            with pytest.raises(CorruptModelError, match=r"expected \(21,\)"):
+                load(path, check_equivariance=check)
 
     def test_refuses_to_persist_non_equivariant_model(self, tmp_path):
         rep = builtin_rep("z5")

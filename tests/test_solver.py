@@ -16,8 +16,9 @@ from tests import test_groups
 from tests.test_groups import named_rep, rotation
 from tests.test_model import manual_model
 
-from oracles import (dense_fit, dense_matrices, svd_rank, unconstrained_fit,
-                     unreduced_fit, whole_equivariant_basis, window_equivariant_basis)
+from oracles import (cutoff_equivariant_basis, dense_fit, dense_matrices, null_space,
+                     svd_rank, unconstrained_fit, unreduced_fit, whole_equivariant_basis,
+                     window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -94,7 +95,7 @@ class TestEquivariantBasis:
         # stacked-SVD kernel == ker(sum K^T K), compared as projectors
         plan = compression_plan(2, 1)
         ks = [constraint_matrix(g, 1, plan) for g in SIGN_GROUP.generators]
-        stacked_kernel = tensorops.null_space(np.vstack(ks), 1e-10)
+        stacked_kernel = null_space(np.vstack(ks), 1e-10)
         p1 = stacked_kernel @ stacked_kernel.T
         normal = sum(k.T @ k for k in ks)
         eigvals, eigvecs = np.linalg.eigh(normal)
@@ -156,10 +157,10 @@ def _stacked(rep, lag, plan, features):
 
 
 def _kernel_dim(a):
-    """Right singular vectors of ``a`` that ``tensorops.null_space`` keeps,
-    counted from the singular values alone."""
+    """Right singular vectors of ``a`` whose singular value is at most
+    ``solver.KERNEL_RTOL`` of the largest, counted from the singular values alone."""
     s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s <= tensorops.NULLSPACE_RTOL * s[0])) + a.shape[1] - s.size
+    return int(np.count_nonzero(s <= solver.KERNEL_RTOL * s[0])) + a.shape[1] - s.size
 
 
 def _projector(basis):
@@ -192,7 +193,8 @@ class TestDegreeBlocks:
                              ids=["z5-1", "z5-2", "c3-1", "c3-2"])
     def test_no_empty_block_is_bitwise_the_whole_matrix(self, rep, lag):
         plan = compression_plan(rep.n * lag, 2)
-        assert np.array_equal(basis_features(rep, lag, plan), np.arange(plan.reduced_dim))
+        assert np.array_equal(basis_features(degree_kernel_dims(rep, lag, 2), plan),
+                              np.arange(plan.reduced_dim))
         basis = equivariant_basis(rep, lag, plan)
         oracle = whole_equivariant_basis(rep, lag, plan)
         assert basis.slot_matrices.flags.c_contiguous
@@ -225,14 +227,15 @@ class TestDegreeBlocks:
     def test_k4_skips_the_constant_and_even_degrees(self):
         rep = builtin_rep("k4")
         plan = compression_plan(10, 4)
-        assert degree_kernel_dims(rep, 5, 4).tolist() == [0, 10, 0, 220, 0]
+        dims = degree_kernel_dims(rep, 5, 4)
+        assert dims.tolist() == [0, 10, 0, 220, 0]
         lo, hi = plan.degree_class_range(3)
-        assert np.array_equal(basis_features(rep, 5, plan),
+        assert np.array_equal(basis_features(dims, plan),
                               np.concatenate([np.arange(10), np.arange(lo, hi)]))
         basis = equivariant_basis(rep, 5, plan)
         assert basis.size == 230 * 5
         kept = np.zeros(plan.reduced_dim, dtype=bool)
-        kept[basis_features(rep, 5, plan)] = True
+        kept[basis_features(dims, plan)] = True
         assert not np.any(basis.slot_matrices[:, :, ~kept])
 
     @pytest.mark.parametrize("name,lag,order", COUNT_CASES)
@@ -261,16 +264,57 @@ class TestDegreeBlocks:
     @pytest.mark.parametrize("name,lag,order", MARGIN_CASES)
     def test_null_space_cutoff_has_margin(self, name, lag, order):
         # every singular value of the restricted stack sits far from the
-        # NULLSPACE_RTOL cutoff; measured: dropped <= 1.2e-15, kept 1.000 on k4
-        # and >= 0.618 on z5
+        # KERNEL_RTOL bound of the count check; measured: dropped <= 1.2e-15,
+        # kept 1.000 on k4 and >= 0.618 on z5
         rep = _rep(name)
         plan = compression_plan(rep.n * lag, order)
-        stacked = _stacked(rep, lag, plan, basis_features(rep, lag, plan))
+        dims = degree_kernel_dims(rep, lag, order)
+        stacked = _stacked(rep, lag, plan, basis_features(dims, plan))
         ratio = np.linalg.svd(stacked, compute_uv=False)
         ratio /= ratio[0]
         assert np.all((ratio <= 1e-14) | (ratio >= 0.5))
-        assert 1e-14 < tensorops.NULLSPACE_RTOL < 0.5
-        assert _kernel_dim(stacked) == sum(degree_kernel_dims(rep, lag, order))
+        assert 1e-14 < solver.KERNEL_RTOL < 0.5
+        assert _kernel_dim(stacked) == sum(dims)
+
+    @pytest.mark.parametrize("name,lag,order", COUNT_CASES)
+    def test_count_selects_the_cutoff_oracles_basis(self, name, lag, order):
+        rep = _rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        basis = equivariant_basis(rep, lag, plan)
+        oracle = cutoff_equivariant_basis(rep, lag, plan)
+        assert basis.slot_matrices.flags.c_contiguous
+        assert np.array_equal(basis.slot_matrices, oracle.slot_matrices)
+
+    @pytest.mark.parametrize("name,block", [("z5", 1), ("z5", 2), ("k4", 1), ("k4", 0),
+                                            ("k4", 2)])
+    def test_count_disagreeing_with_the_svd_raises(self, name, block, monkeypatch):
+        # one more than the SVD holds, on a block with a kernel or (k4's
+        # constant and degree 2) on one the count left out
+        counted = solver.degree_kernel_dims
+
+        def one_more(group, lag, order):
+            dims = counted(group, lag, order).copy()
+            dims[block] += 1
+            return dims
+
+        rep = builtin_rep(name)
+        plan = compression_plan(rep.n * 2, 3)
+        monkeypatch.setattr(solver, "degree_kernel_dims", one_more)
+        with pytest.raises(NumericalError, match="not the character count"):
+            equivariant_basis(rep, 2, plan)
+
+    def test_action_stops_at_the_highest_kept_degree(self, monkeypatch):
+        # k4 at p=4 keeps degrees 1 and 3: no Ghat_g of the order-4 plan is built
+        built = []
+
+        def recorded(g, lag, plan):
+            built.append(plan.order)
+            return reduced_action(g, lag, plan)
+
+        monkeypatch.setattr(solver, "reduced_action", recorded)
+        basis = equivariant_basis(builtin_rep("k4"), 5, compression_plan(10, 4))
+        assert built == [3, 3]
+        assert basis.size == 230 * 5
 
     def test_entry_cap_counts_the_restricted_matrix(self, monkeypatch):
         rep = builtin_rep("k4")
