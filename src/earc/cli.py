@@ -9,6 +9,7 @@ outputs.
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,19 @@ def write_series(path, values):
         _write_rows(fh, np.arange(values.shape[0]), values)
 
 
-def read_series(path):
-    """Read a series CSV written by :func:`write_series` (or any t,ch... file)."""
+def read_series(path, max_rows=None):
+    """Read a series CSV written by :func:`write_series` (or any t,ch... file).
+
+    ``max_rows`` stops the parse after that many data rows; comment and blank
+    lines do not count, and rows after the last one read are not checked.
+    """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments="#")
+        with warnings.catch_warnings():
+            # numpy warns when a comment or blank line is not counted in max_rows
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments="#",
+                              max_rows=max_rows)
     except OSError:
         raise FileNotFoundError(f"cannot read series file {path}")
     except ValueError as exc:
@@ -95,6 +105,12 @@ def prefix_length(total, count=None, fraction=None):
     if count > total:
         raise ValidationError(f"training prefix {count} exceeds series length {total}")
     return count
+
+
+def _prefix_rows(count, fraction):
+    """Rows to parse for a prefix of ``count`` samples: every row (None) when
+    the count depends on the series length or is not positive."""
+    return count if fraction is None and count is not None and count >= 1 else None
 
 
 @dataclass(frozen=True)
@@ -265,7 +281,7 @@ def cmd_train(args):
     )
     if cfg.data is None:
         raise ValidationError("--data is required")
-    series = read_series(cfg.data)
+    series = read_series(cfg.data, _prefix_rows(cfg.train_count, cfg.train_fraction))
     count = cfg.training_prefix(series.shape[0])
     prefix = series[:count]
     if cfg.lag == "auto":
@@ -299,7 +315,7 @@ def _seed_window(args, m):
         return tail.T.ravel(), None
     if args.data is None:
         raise ValidationError("either --seed-csv or --data is required")
-    series = read_series(args.data)
+    series = read_series(args.data, _prefix_rows(args.train_count, args.train_fraction))
     count = prefix_length(series.shape[0], args.train_count, args.train_fraction)
     if count < lag:
         raise ValidationError(f"training prefix {count} is shorter than lag {lag}")
@@ -320,8 +336,12 @@ def cmd_forecast(args):
     fc = model_mod.rollout(m, seed, args.horizon, mode=args.mode)
     reference = None
     if args.reference is not None:
-        ref = read_series(args.reference)
         start = offset if offset is not None else 0
+        ref = read_series(args.reference, max(start + fc.steps, 1))
+        if ref.shape[1] != m.n:
+            raise ShapeError(
+                f"reference has {ref.shape[1]} channels, the model has {m.n}"
+            )
         if ref.shape[0] >= start + fc.steps:
             reference = ref[start:start + fc.steps]
         elif ref.shape[0] >= fc.steps:

@@ -237,7 +237,10 @@ def load(path, check_equivariance=True):
         raise CorruptModelError(f"unsupported model version {version}")
     if n < 1 or lag < 1 or order < 1:
         raise CorruptModelError(f"invalid dimensions n={n}, L={lag}, p={order}")
-    group = close_group(generators)
+    try:
+        group = close_group(generators)
+    except ValidationError as exc:
+        raise CorruptModelError(f"model file {path} has invalid generators: {exc}") from exc
     plan = compression_plan(n * lag, order)
     if rep_index != [int(i) for i in plan.rep_index]:
         raise CorruptModelError("stored monomial representatives do not match the plan")

@@ -10,7 +10,7 @@ from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, 
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError
 from earc.groups import close_group, reduced_action
-from earc.model import autocorrelation, load, rollout, save
+from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
 from tests.test_model import manual_model
@@ -360,13 +360,18 @@ class TestForecast:
         mapped_vals = read_series(mapped)
         assert np.max(np.abs(mapped_vals - base_vals @ g.T)) <= 1e-8
 
-    def test_divergence_exits_4(self, tmp_path):
+    @staticmethod
+    def _exploding_model(tmp_path):
         group = builtin_rep("z5")
         # spectral radius 2 shift blows past the cap quickly but stays equivariant
         m = manual_model(np.hstack([2.0 * np.asarray(group.generators[0]),
                                     np.zeros((5, 16))]), group, 1, 2)
         model_path = tmp_path / "explode.json"
         save(m, model_path)
+        return model_path
+
+    def test_divergence_exits_4(self, tmp_path):
+        model_path = self._exploding_model(tmp_path)
         seed_path = tmp_path / "seed.csv"
         write_series(seed_path, np.full((1, 5), 0.9))
         out = tmp_path / "fc.csv"
@@ -374,6 +379,16 @@ class TestForecast:
                      str(seed_path), "--horizon", "100", "--out", str(out)])
         assert code == 4
         assert "# diverged after" in out.read_text()
+
+    def test_divergence_at_the_first_step_with_reference_exits_4(self, comp_csv, tmp_path):
+        model_path = self._exploding_model(tmp_path)
+        seed_path = tmp_path / "seed.csv"
+        write_series(seed_path, np.full((1, 5), 0.9 * DIVERGENCE_CAP))
+        out = tmp_path / "fc.csv"
+        code = main(["forecast", "--model", str(model_path), "--seed-csv", str(seed_path),
+                     "--horizon", "5", "--reference", str(comp_csv), "--out", str(out)])
+        assert code == 4
+        assert out.read_text().splitlines()[1] == "# diverged after 0 of 5 steps"
 
     def test_missing_seed_source_exits_2(self, z5_model_path):
         assert main(["forecast", "--model", str(z5_model_path),
@@ -386,6 +401,150 @@ class TestForecast:
         assert main(["forecast", "--model", str(bad), "--data", str(comp_csv),
                      "--horizon", "5", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_reference_with_wrong_channel_count_exits_2(self, comp_csv, z5_model_path,
+                                                        tmp_path, capsys, channels):
+        reference = tmp_path / "ref.csv"
+        write_series(reference, read_series(comp_csv)[:, :channels])
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
+                     "--train-count", "31", "--horizon", "10", "--reference", str(reference),
+                     "--out", str(out)]) == 2
+        assert f"reference has {channels} channels, the model has 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_reference_compared_from_its_first_row(self, comp_csv, z5_model_path,
+                                                         tmp_path, capsys):
+        series = read_series(comp_csv)
+        reference = tmp_path / "ref.csv"
+        write_series(reference, series[:60])  # fewer than the 31 + 50 rows of the window
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
+                     "--train-count", "31", "--horizon", "50", "--reference", str(reference),
+                     "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 6:], np.abs(table[:, 1:6] - series[:50]))
+        write_series(reference, series[:40])
+        assert main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
+                     "--train-count", "31", "--horizon", "50", "--reference", str(reference),
+                     "--out", str(out)]) == 2
+        assert "reference has 40 rows, fewer than the 50 forecast steps" in capsys.readouterr().err
+
+
+def _series_copies(src, keep, tmp_path):
+    """The series file ``src``, a copy cut after its first ``keep`` data rows,
+    and a copy whose later rows are each replaced by the malformed line x,y."""
+    lines = src.read_text().splitlines(keepends=True)
+    head = "".join(lines[:1 + keep])
+    cut = tmp_path / f"cut{keep}.csv"
+    cut.write_text(head)
+    garbage = tmp_path / f"garbage{keep}.csv"
+    garbage.write_text(head + "x,y\n" * (len(lines) - 1 - keep))
+    return src, cut, garbage
+
+
+def _train_argv(data, out, *prefix):
+    return ["train", "--data", str(data), "--group", "z5", "--L", "1", "--p", "2",
+            *prefix, "--out", str(out)]
+
+
+def _forecast_argv(model, data, out, *prefix, reference=False):
+    argv = ["forecast", "--model", str(model), "--data", str(data), *prefix,
+            "--horizon", "50", "--out", str(out)]
+    return argv + ["--reference", str(data)] if reference else argv
+
+
+class TestRowsRead:
+    """train and forecast parse a series only up to the last row they use."""
+
+    @staticmethod
+    def _outputs(argvs, out, capsys):
+        """(exit code, output file bytes, stdout, stderr) of each run in turn."""
+        results = []
+        for argv in argvs:
+            code = main(argv)
+            results.append((code, out.read_bytes(), *capsys.readouterr()))
+            out.unlink()
+        return results
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_train_ignores_rows_after_the_prefix(self, comp_csv, tmp_path, capsys, source):
+        out = tmp_path / "m.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train_count": 31}))
+        prefix = (["--train-count", "31"] if source == "flag"
+                  else ["--config", str(config)])
+        runs = self._outputs([_train_argv(path, out, *prefix)
+                              for path in _series_copies(comp_csv, 31, tmp_path)], out, capsys)
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_forecast_ignores_rows_after_the_window(self, comp_csv, z5_model_path, tmp_path,
+                                                    capsys, reference):
+        out = tmp_path / "fc.csv"
+        keep = 31 + 50 if reference else 31
+        runs = self._outputs([_forecast_argv(z5_model_path, path, out, "--train-count", "31",
+                                             reference=reference)
+                              for path in _series_copies(comp_csv, keep, tmp_path)],
+                             out, capsys)
+        assert runs[0][0] == 0
+        assert ("rmse overall" in runs[0][2]) == reference
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("prefix", [["--train-fraction", "0.1"], []],
+                             ids=["fraction", "whole-series"])
+    def test_row_total_needed_reads_every_row(self, comp_csv, z5_model_path, tmp_path, capsys,
+                                              prefix):
+        garbage = _series_copies(comp_csv, 31, tmp_path)[2]
+        out = tmp_path / "out"
+        argvs = [_forecast_argv(z5_model_path, garbage, out, *prefix)]
+        if prefix:
+            argvs.append(_train_argv(garbage, out, *prefix))
+        for argv in argvs:
+            assert main(argv) == 2
+            assert "malformed series CSV" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("count,train_error,forecast_error", [
+        (1000, "training prefix 1000 exceeds series length 426",
+         "training prefix 1000 exceeds series length 426"),
+        (0, "training prefix of 0 samples is too short", "training prefix 0 is shorter than lag 1"),
+        (1, "training prefix of 1 samples is too short", None),
+        (-1, "training prefix of -1 samples is too short",
+         "training prefix -1 is shorter than lag 1"),
+    ])
+    def test_prefix_count_edge_cases(self, comp_csv, z5_model_path, tmp_path, capsys, count,
+                                     train_error, forecast_error):
+        out = tmp_path / "out"
+        assert main(_train_argv(comp_csv, out, "--train-count", str(count))) == 2
+        assert f"error: {train_error}\n" == capsys.readouterr().err
+        code = main(_forecast_argv(z5_model_path, comp_csv, out, "--train-count", str(count)))
+        if forecast_error is None:
+            assert code == 0
+            row = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)[0]
+            expected = predict_step(load(z5_model_path), read_series(comp_csv)[0])
+            assert row[0] == 1 and np.max(np.abs(row[1:] - expected)) <= 1e-15
+        else:
+            assert code == 2
+            assert f"error: {forecast_error}\n" == capsys.readouterr().err
+
+    def test_comment_and_blank_lines_do_not_count_as_rows(self, comp_csv, z5_model_path,
+                                                          tmp_path, capsys):
+        lines = comp_csv.read_text().splitlines(keepends=True)
+        # inside the 31-row prefix, and a malformed row right after it
+        commented = tmp_path / "commented.csv"
+        commented.write_text("".join(lines[:11] + ["# a comment\n"] + lines[11:21] + ["\n"]
+                                     + lines[21:32] + ["x,y\n"]))
+        out = tmp_path / "out"
+        for argv_for in (lambda data: _train_argv(data, out, "--train-count", "31"),
+                         lambda data: _forecast_argv(z5_model_path, data, out,
+                                                     "--train-count", "31")):
+            runs = self._outputs([argv_for(comp_csv), argv_for(commented)], out, capsys)
+            assert runs[0][0] == 0 and runs[0][3] == ""
+            assert runs[1] == runs[0]
 
 
 class TestVerify:
@@ -427,6 +586,27 @@ class TestVerify:
         assert main(["verify", "--model", str(bad)]) == 3
         err = capsys.readouterr().err
         assert "must be an integer" in err and "PASS" not in err
+
+    @pytest.mark.parametrize("tamper", ["empty", "non-orthogonal", "nan"])
+    def test_invalid_generators_exit_3(self, z5_model_path, tmp_path, capsys, tamper):
+        payload = json.loads(z5_model_path.read_text())
+        if tamper == "empty":
+            payload["generators"] = []
+        else:
+            payload["generators"][0][0] = 2.0 if tamper == "non-orthogonal" else float("nan")
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["verify", "--model", str(bad)]) == 3
+        assert "invalid generators" in capsys.readouterr().err
+
+    def test_non_orthogonal_group_file_exits_2(self, comp_csv, tmp_path, capsys):
+        generator = builtin_rep("z5").generators[0].ravel().tolist()
+        generator[0] = 2.0
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"n": 5, "generators": [generator]}))
+        assert main(["train", "--data", str(comp_csv), "--group-file", str(group), "--L", "1",
+                     "--p", "2", "--train-count", "31", "--out", str(tmp_path / "m.json")]) == 2
+        assert "not orthogonal" in capsys.readouterr().err
 
     def test_undecodable_file_exits_2(self, tmp_path):
         bad = tmp_path / "binary.json"
