@@ -10,16 +10,14 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
-from . import solver, systems, tensorops
+from . import solver, systems
 from .errors import (CorruptModelError, DimensionOverflowError, DivergenceError,
-                     InsufficientDataError, ModelFormatError, NoFeasibleModelError,
-                     NonFiniteGroupError, NumericalError, ShapeError,
-                     UnknownNameError, ValidationError)
+                     InsufficientDataError, ModelFormatError, NonFiniteGroupError,
+                     NumericalError, ShapeError, UnknownNameError, ValidationError)
 from .groups import load_group, window_action
 
 EXIT_OK = 0
@@ -31,8 +29,7 @@ EXIT_DIVERGED = 4
 _VALIDATION_ERRORS = (ValidationError, ShapeError, InsufficientDataError,
                       UnknownNameError, ModelFormatError, DimensionOverflowError,
                       FileNotFoundError, IsADirectoryError, PermissionError)
-_NUMERICAL_ERRORS = (NumericalError, NoFeasibleModelError, NonFiniteGroupError,
-                     CorruptModelError)
+_NUMERICAL_ERRORS = (NumericalError, NonFiniteGroupError, CorruptModelError)
 
 
 def _fmt(v):
@@ -91,60 +88,28 @@ def read_series(path, max_rows=None):
     return data[:, 1:]
 
 
-def prefix_length(total, count=None, fraction=None):
-    """Samples in the training prefix of a ``total``-sample series: ``count``,
-    or ``fraction`` of ``total`` rounded, or all of them when neither is set."""
+def read_prefix(path, count=None, fraction=None):
+    """The training prefix of the series at ``path`` and its sample count:
+    ``count`` samples, or ``fraction`` of the series rounded, or all of it.
+
+    Only the first ``count`` rows are parsed when the count is given and
+    positive.  The options are checked after the read, so a file error is
+    reported first; a count below 1 is returned for the caller to reject.
+    """
+    rows = count if fraction is None and count is not None and count >= 1 else None
+    series = read_series(path, rows)
+    total = series.shape[0]
     if count is not None and fraction is not None:
         raise ValidationError("--train-count and --train-fraction are mutually exclusive")
     if fraction is not None:
         if not 0.0 < fraction <= 1.0:
             raise ValidationError(f"train fraction must be in (0, 1], got {fraction}")
         count = int(round(fraction * total))
-    if count is None:
-        return total
-    if count > total:
+    elif count is None:
+        count = total
+    elif count > total:
         raise ValidationError(f"training prefix {count} exceeds series length {total}")
-    return count
-
-
-def _prefix_rows(count, fraction):
-    """Rows to parse for a prefix of ``count`` samples: every row (None) when
-    the count depends on the series length or is not positive."""
-    return count if fraction is None and count is not None and count >= 1 else None
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Merged, validated options of a training run."""
-
-    data: str
-    group: str | None
-    group_file: str | None
-    lag: int | str  # an integer or "auto"
-    order: int
-    train_count: int | None
-    train_fraction: float | None
-    lstsq_tol: float
-    sparsify: int | None
-    max_lag: int
-    out: str
-
-    def __post_init__(self):
-        if self.train_count is None and self.train_fraction is None:
-            raise ValidationError("one of --train-count / --train-fraction is required")
-        if self.group is None and self.group_file is None:
-            raise ValidationError("one of --group / --group-file is required")
-
-    def training_prefix(self, total):
-        count = prefix_length(total, self.train_count, self.train_fraction)
-        if count < 2:
-            raise ValidationError(f"training prefix of {count} samples is too short")
-        return count
-
-    def load_rep(self):
-        if self.group_file is not None:
-            return load_group(self.group_file)
-        return systems.builtin_rep(self.group)
+    return series[:max(count, 0)], count
 
 
 def _load_config(path):
@@ -164,15 +129,6 @@ def _load_config(path):
     if not isinstance(data, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
     return data
-
-
-def _pick(flag_value, config, key, default):
-    """Merge precedence: explicit flag, then config file, then default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
 
 
 def _parse_matrix(spec):
@@ -225,10 +181,15 @@ def cmd_generate(args):
 
 
 _CONFIG_TYPES = {"data": str, "group": str, "group_file": str, "L": int, "p": int,
-                 "train_count": int, "train_fraction": float, "lstsq_tol": float,
-                 "sparsify": int, "max_lag": int, "out": str}
+                 "train_count": int, "train_fraction": float, "sparsify": int,
+                 "max_lag": int, "out": str}
 """Keys a ``train --config`` file may set and the type of each value (``L`` may
-also be "auto", and null leaves a key unset); any other key or type is rejected."""
+also be "auto", and null leaves a key unset); any other key or type is rejected.
+Each key is the destination of the ``train`` flag of the same name."""
+
+_TRAIN_DEFAULTS = {"L": "auto", "p": 2, "max_lag": 50, "out": "model.json"}
+"""``train`` options that neither a flag nor the config file set; the others
+stay None."""
 
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
@@ -264,42 +225,36 @@ def cmd_train(args):
             f"unknown config keys {', '.join(unknown)} in {args.config}; "
             f"expected a subset of {', '.join(_CONFIG_TYPES)}"
         )
+    # every value is checked, also one that a flag overrides
     config = {key: _config_value(key, value, args.config)
               for key, value in config.items() if value is not None}
-    cfg = ExperimentConfig(
-        data=_pick(args.data, config, "data", None),
-        group=_pick(args.group, config, "group", None),
-        group_file=_pick(args.group_file, config, "group_file", None),
-        lag=_pick(args.L, config, "L", "auto"),
-        order=_pick(args.p, config, "p", 2),
-        train_count=_pick(args.train_count, config, "train_count", None),
-        train_fraction=_pick(args.train_fraction, config, "train_fraction", None),
-        lstsq_tol=_pick(args.lstsq_tol, config, "lstsq_tol", tensorops.LSTSQ_RTOL),
-        sparsify=_pick(args.sparsify, config, "sparsify", None),
-        max_lag=_pick(args.max_lag, config, "max_lag", 50),
-        out=_pick(args.out, config, "out", "model.json"),
-    )
-    if cfg.data is None:
+    for key in _CONFIG_TYPES:  # explicit flag, then config file, then default
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, _TRAIN_DEFAULTS.get(key)))
+    if args.train_count is None and args.train_fraction is None:
+        raise ValidationError("one of --train-count / --train-fraction is required")
+    if args.group is None and args.group_file is None:
+        raise ValidationError("one of --group / --group-file is required")
+    if args.data is None:
         raise ValidationError("--data is required")
-    series = read_series(cfg.data, _prefix_rows(cfg.train_count, cfg.train_fraction))
-    count = cfg.training_prefix(series.shape[0])
-    prefix = series[:count]
-    if cfg.lag == "auto":
-        max_lag = max(1, min(cfg.max_lag, (count - 1) // 3))
+    prefix, count = read_prefix(args.data, args.train_count, args.train_fraction)
+    if count < 2:
+        raise ValidationError(f"training prefix of {count} samples is too short")
+    lag = args.L
+    if lag == "auto":
+        max_lag = max(1, min(args.max_lag, (count - 1) // 3))
         lag = model_mod.estimate_lag(prefix, max_lag)
         print(f"estimated lag L={lag} (max considered {max_lag})")
-    else:
-        lag = cfg.lag
-    rep = cfg.load_rep()
-    trained = model_mod.train(prefix, rep, lag, cfg.order, lstsq_tol=cfg.lstsq_tol,
-                              sparsify=cfg.sparsify)
-    model_mod.save(trained, cfg.out)
-    print(f"trained on {count} samples (L={lag}, p={cfg.order}, group order "
+    rep = (load_group(args.group_file) if args.group_file is not None
+           else systems.builtin_rep(args.group))
+    trained = model_mod.train(prefix, rep, lag, args.p, sparsify=args.sparsify)
+    model_mod.save(trained, args.out)
+    print(f"trained on {count} samples (L={lag}, p={args.p}, group order "
           f"{rep.order})")
     print(f"basis size: {trained.fit.basis_dim}")
     print(f"train residual: {_fmt(trained.fit.train_residual)}")
     print(f"equivariance residual: {_fmt(trained.fit.equivariance_residual)}")
-    print(f"model written to {cfg.out}")
+    print(f"model written to {args.out}")
     return EXIT_OK
 
 
@@ -315,12 +270,10 @@ def _seed_window(args, m):
         return tail.T.ravel(), None
     if args.data is None:
         raise ValidationError("either --seed-csv or --data is required")
-    series = read_series(args.data, _prefix_rows(args.train_count, args.train_fraction))
-    count = prefix_length(series.shape[0], args.train_count, args.train_fraction)
+    prefix, count = read_prefix(args.data, args.train_count, args.train_fraction)
     if count < lag:
         raise ValidationError(f"training prefix {count} is shorter than lag {lag}")
-    tail = series[count - lag:count]
-    return tail.T.ravel(), count
+    return prefix[-lag:].T.ravel(), count
 
 
 def cmd_forecast(args):
@@ -447,7 +400,6 @@ def build_parser():
     tr.add_argument("--p", type=int, help="embedding order")
     tr.add_argument("--train-count", type=int)
     tr.add_argument("--train-fraction", type=float)
-    tr.add_argument("--lstsq-tol", type=float)
     tr.add_argument("--sparsify", type=int)
     tr.add_argument("--max-lag", type=int)
     tr.add_argument("--out")
@@ -470,7 +422,8 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="check the equivariance of a saved model")
     ver.add_argument("--model", required=True)
-    ver.add_argument("--threshold", type=float, default=1e-8)
+    ver.add_argument("--threshold", type=float,
+                     default=model_mod.PERSISTED_RESIDUAL_BOUND)
     ver.set_defaults(func=cmd_verify)
 
     acf = sub.add_parser("acf", help="autocorrelation table and lag recommendation")

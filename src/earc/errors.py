@@ -29,10 +29,6 @@ class NonFiniteGroupError(EarcError, ValueError):
     """Generator closure exceeded the maximum allowed group order."""
 
 
-class NoFeasibleModelError(EarcError, RuntimeError):
-    """The equivariant constraint space is empty; nothing can be fitted."""
-
-
 class DivergenceError(EarcError, RuntimeError):
     """A simulated or forecast trajectory left the admissible range."""
 

@@ -114,14 +114,18 @@ def reduced_action(g, lag, plan):
     return out
 
 
+def json_integer(value, name):
+    """A JSON integer; bool is an int subclass, and int() would truncate a float."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data):
     """Rebuild a group from its JSON encoding; the closure is recomputed."""
     try:
-        n = data["n"]
-        flat = data["generators"]
-        # bool is an int subclass, and int() would truncate a float
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"n must be an integer, got {n!r}")
+        n, flat = data["n"], data["generators"]
+        n = json_integer(n, "n")
         gens = [np.asarray(g, dtype=np.float64).reshape(n, n) for g in flat]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed group encoding: {exc}") from exc

@@ -23,7 +23,7 @@ from . import _kernels, solver, tensorops
 from .embedding import as_series, build_data_matrices, compression_plan
 from .errors import (CorruptModelError, InsufficientDataError, ModelFormatError,
                      ShapeError, ValidationError)
-from .groups import close_group
+from .groups import close_group, json_integer
 from .solver import FitReport
 
 MODEL_FORMAT_VERSION = 1
@@ -69,8 +69,7 @@ class Forecast:
         return self.values.shape[0]
 
 
-def train(values, group, lag, order, *, lstsq_tol=tensorops.LSTSQ_RTOL, sparsify=None,
-          metadata=None):
+def train(values, group, lag, order, *, sparsify=None):
     """Fit an equivariant one-step predictor to a (T, n) series."""
     values = as_series(values)
     n = values.shape[1]
@@ -85,21 +84,13 @@ def train(values, group, lag, order, *, lstsq_tol=tensorops.LSTSQ_RTOL, sparsify
     plan = compression_plan(n * lag, order)
     h0r, h1 = build_data_matrices(values, lag, order, plan)
     basis = solver.equivariant_basis(group, lag, plan)
-    fit = solver.fit_coefficients(basis, h0r, h1, rel_tol=lstsq_tol,
-                                  sparsify=sparsify)
+    fit = solver.fit_coefficients(basis, h0r, h1, sparsify=sparsify)
     coupling = solver.assemble(basis, fit)
     coupling.setflags(write=False)
     fit = replace(fit, equivariance_residual=solver.equivariance_residual(
         coupling, group, lag, plan))
-    record = {
-        "training_samples": int(values.shape[0]),
-        "lstsq_tol": lstsq_tol,
-        "sparsify": sparsify,
-    }
-    if metadata:
-        record.update(metadata)
-    return EarcModel(n=n, lag=lag, order=order, group=group, plan=plan,
-                     coupling=coupling, fit=fit, metadata=record)
+    return EarcModel(n=n, lag=lag, order=order, group=group, plan=plan, coupling=coupling,
+                     fit=fit, metadata={"training_samples": int(values.shape[0])})
 
 
 def rollout(model, seed, horizon, mode="consistent"):
@@ -196,13 +187,6 @@ def save(model, path):
         fh.write(text + "\n")
 
 
-def _integer(value, name):
-    """A JSON integer; bool is an int subclass, and int() would truncate a float."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def load(path, check_equivariance=True):
     """Load a persisted model, revalidating every invariant.
 
@@ -221,11 +205,11 @@ def load(path, check_equivariance=True):
                 f"cannot parse {path}: not UTF-8 text ({exc.reason})"
             ) from exc
     try:
-        version, n, lag, order = (_integer(payload[key], key)
+        version, n, lag, order = (json_integer(payload[key], key)
                                   for key in ("version", "n", "L", "p"))
         generators = [np.asarray(g, dtype=np.float64).reshape(n, n)
                       for g in payload["generators"]]
-        rep_index = [_integer(i, "rep_index entry") for i in payload["rep_index"]]
+        rep_index = [json_integer(i, "rep_index entry") for i in payload["rep_index"]]
         flat_w = np.asarray(payload["W"], dtype=np.float64)
         fit_data = payload["fit"]
         coefficients = np.asarray(fit_data["coefficients"], dtype=np.float64)
@@ -264,7 +248,6 @@ def load(path, check_equivariance=True):
             )
     fit = FitReport(coefficients=coefficients, train_residual=train_residual,
                     equivariance_residual=stored_residual,
-                    basis_dim=coefficients.shape[0], rank=None, rel_tol=None,
-                    sparsify=None)
+                    basis_dim=coefficients.shape[0], rank=None, sparsify=None)
     return EarcModel(n=n, lag=lag, order=order, group=group, plan=plan,
                      coupling=coupling, fit=fit, metadata={"source": str(path)})

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensorops
 from .embedding import compression_plan
-from .errors import NoFeasibleModelError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 from .groups import reduced_action, window_action
 
 NORMAL_EQ_THRESHOLD = 2000
@@ -69,8 +69,8 @@ class FitReport:
     """Outcome of a coefficient fit.
 
     train_residual is ||W @ H0r - H1||_F / ||H1||_F; equivariance_residual is
-    filled in by the training pipeline (nan until then).  rank, rel_tol and
-    sparsify are None on models restored from disk.
+    filled in by the training pipeline (nan until then).  rank and sparsify
+    are None on models restored from disk.
     """
 
     coefficients: np.ndarray
@@ -78,7 +78,6 @@ class FitReport:
     equivariance_residual: float
     basis_dim: int
     rank: int | None
-    rel_tol: float | None
     sparsify: int | None
 
 
@@ -177,7 +176,7 @@ def equivariant_basis(group, lag, plan):
                             slot_matrices=slots)
 
 
-def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
+def fit_coefficients(basis, h0r, h1, sparsify=None):
     """Least-squares coefficients c with sum_j c_j X_j @ h0r ~ h1.
 
     Basis element j*lag + t acts on lag slot t only, so up to a fixed row and
@@ -185,7 +184,8 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     A = [vec(K_j @ h0r)] over the k one-slot matrices K_j.  One truncated SVD
     of the (n*T, k) matrix A, solved against the lag slots' targets, has the
     design's singular values (each repeated lag times), cutoff and solution,
-    and rank lag * rank(A).  ``sparsify`` runs orthogonal matching pursuit on
+    and rank lag * rank(A).  The cutoff is ``tensorops.LSTSQ_RTOL`` of the
+    largest singular value.  ``sparsify`` runs orthogonal matching pursuit on
     the whole design A (x) I_lag instead, and the rank is the nonzero count.
 
     When the data has T >= 2 (q + n*lag) columns, A is built from the R factor
@@ -205,16 +205,11 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     """
     h0r = tensorops._as_matrix(h0r, "h0r")
     h1 = tensorops._as_matrix(h1, "h1")
-    if not 0 <= rel_tol < np.inf:
-        raise ShapeError(f"least-squares rel_tol must be finite and >= 0, got {rel_tol}")
-    if basis.size == 0:
-        raise NoFeasibleModelError(
-            "equivariant basis is empty: the symmetry admits no coupling matrix"
-        )
-    if h0r.shape[0] != basis.reduced_dim or h1.shape[0] != basis.state_dim:
+    # equivariant_basis never returns an empty basis: its degree-1 count is >= 1
+    if basis.size == 0 or h0r.shape[0] != basis.reduced_dim or h1.shape[0] != basis.state_dim:
         raise ShapeError(
             f"data matrices {h0r.shape}, {h1.shape} do not conform to basis "
-            f"({basis.state_dim} x {basis.reduced_dim})"
+            f"({basis.state_dim} x {basis.reduced_dim}, {basis.size} elements)"
         )
     if h0r.shape[1] != h1.shape[1]:
         raise ShapeError(
@@ -233,20 +228,20 @@ def fit_coefficients(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None
     tensorops._check_entries(n * h0_fit.shape[1] * k * held, tensorops.ENTRY_CAP)
     a, rhs = _slot_system(slots, h0_fit, h1_fit)
     if sparsify is None:
-        coeffs, rank = tensorops._truncated_solve(a, rhs, rel_tol)
+        coeffs, rank = tensorops._truncated_solve(a, rhs, tensorops.LSTSQ_RTOL)
         coeffs = coeffs.ravel()
         rank *= lag
     else:
         # A (x) I_lag is the whole design in vec(h1) row order
-        coeffs = tensorops.lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(), rel_tol,
-                                 sparsify)
+        coeffs = tensorops.lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(),
+                                 sparsify=sparsify)
         rank = int(np.count_nonzero(coeffs))
     w = _combine(basis, coeffs)
     h1norm = np.linalg.norm(h1)
     residual = np.linalg.norm(w @ h0r - h1) / (h1norm if h1norm > 0 else 1.0)
     return FitReport(coefficients=coeffs, train_residual=float(residual),
                      equivariance_residual=float("nan"), basis_dim=basis.size,
-                     rank=rank, rel_tol=rel_tol, sparsify=sparsify)
+                     rank=rank, sparsify=sparsify)
 
 
 def _slot_system(slots, h0r, h1):

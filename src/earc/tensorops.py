@@ -12,7 +12,8 @@ ENTRY_CAP = 2**31
 """Hard ceiling on the entry count of any produced array."""
 
 LSTSQ_RTOL = 1e-12
-"""Default relative truncation threshold for least-squares solves."""
+"""Relative truncation threshold of least-squares solves: the cutoff of
+``solver.fit_coefficients``, which no option changes, and the default here."""
 
 
 def _as_matrix(a, name="matrix"):

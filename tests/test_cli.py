@@ -15,7 +15,7 @@ from earc.solver import equivariance_residual, equivariant_basis, generator_resi
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
 from tests.test_model import manual_model
 
-from oracles import (hamiltonian_generate_by_array, predict_step, unreduced_fit,
+from oracles import (hamiltonian_generate_by_array, predict_step, save_group, unreduced_fit,
                      write_rows_by_value)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -155,7 +155,7 @@ class TestTrain:
 
     def test_misspelt_config_key_exits_2(self, comp_csv, tmp_path, capsys):
         cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2,
-               "train_count": 31, "lstsq_tol": 1e-8, "nullspce_tol": 5,
+               "train_count": 31, "nullspce_tol": 5,
                "out": str(tmp_path / "m.json")}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -165,8 +165,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("key,value", [
         ("train_count", "31"), ("train_count", 31.5), ("train_count", True),
-        ("sparsify", "3"), ("train_fraction", "0.5"), ("lstsq_tol", "abc"),
-        ("L", 1.7), ("p", 2.9)])
+        ("sparsify", "3"), ("train_fraction", "0.5"), ("L", 1.7), ("p", 2.9)])
     def test_mistyped_config_value_exits_2(self, comp_csv, tmp_path, capsys, key, value):
         cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2,
                "train_count": 31, "out": str(tmp_path / "m.json")}
@@ -209,53 +208,82 @@ class TestTrain:
                   "--p", "2", "--train-count", "31", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
-
-    @pytest.mark.parametrize("flag,value,name", [
-        ("--lstsq-tol", "nan", "least-squares"), ("--lstsq-tol", "inf", "least-squares"),
-        ("--lstsq-tol", "-1e-12", "least-squares")])
-    def test_bad_tolerance_flag_exits_2(self, comp_csv, tmp_path, capsys, flag, value, name):
-        out = tmp_path / "m.json"
-        assert main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1",
-                     "--p", "2", "--train-count", "31", f"{flag}={value}", "--out", str(out)]) == 2
-        assert f"{name} rel_tol must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_removed_nullspace_tol_flag_exits_2(self, comp_csv, tmp_path, capsys, value):
-        # the basis size is the character count: no cutoff is settable
+        # the basis size is the character count and the fit's cutoff is
+        # tensorops.LSTSQ_RTOL: no cutoff is settable
         out = tmp_path / "m.json"
-        with pytest.raises(SystemExit) as info:
-            main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1", "--p", "2",
-                  "--train-count", "31", f"--nullspace-tol={value}", "--out", str(out)])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --nullspace-tol" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key,name", [("lstsq_tol", "least-squares")])
-    def test_nan_tolerance_in_config_exits_2(self, comp_csv, tmp_path, capsys, key, name):
-        cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
-               key: float("nan"), "out": str(tmp_path / "m.json")}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert f'"{key}": NaN' in cfg_path.read_text()  # json.load accepts the literal
-        assert main(["train", "--config", str(cfg_path)]) == 2
-        assert f"{name} rel_tol must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
+        for flag in ("--nullspace-tol", "--lstsq-tol"):
+            with pytest.raises(SystemExit) as info:
+                main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1", "--p", "2",
+                      "--train-count", "31", f"{flag}={value}", "--out", str(out)])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_removed_nullspace_tol_key_exits_2(self, comp_csv, tmp_path, capsys):
-        cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
-               "nullspace_tol": float("nan"), "out": str(tmp_path / "m.json")}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(cfg_path)]) == 2
-        assert "unknown config keys nullspace_tol " in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
+        for key in ("nullspace_tol", "lstsq_tol"):
+            cfg = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
+                   key: float("nan"), "out": str(tmp_path / "m.json")}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["train", "--config", str(cfg_path)]) == 2
+            assert f"unknown config keys {key} " in capsys.readouterr().err
+            assert not (tmp_path / "m.json").exists()
 
     def test_config_keys_are_the_train_options(self):
         # a removed option cannot survive in only one of the two places
         train = build_parser()._subparsers._group_actions[0].choices["train"]
         dests = {action.dest for action in train._actions if action.option_strings}
         assert set(_CONFIG_TYPES) == dests - {"help", "config"}
+
+    @staticmethod
+    def _options(comp_csv, tmp_path, key):
+        """Options of a z5 run in which train option ``key`` has a value other
+        than its default."""
+        group_file = tmp_path / "z5.json"
+        save_group(builtin_rep("z5"), group_file)
+        options = {"data": str(comp_csv), "group": "z5", "L": 1, "p": 2, "train_count": 31,
+                   "out": str(tmp_path / "m.json")}
+        other = {"group_file": str(group_file), "L": 2, "p": 3, "train_count": 40,
+                 "train_fraction": 0.1, "sparsify": 5, "max_lag": 2}
+        if key == "group_file":
+            del options["group"]
+        if key == "train_fraction":
+            del options["train_count"]
+        if key == "max_lag":
+            del options["L"]  # the lag is estimated
+        options[key] = other.get(key, options.get(key))
+        return options
+
+    @staticmethod
+    def _flags(options):
+        return [item for key, value in options.items()
+                for item in (f"--{key.replace('_', '-')}", str(value))]
+
+    @pytest.mark.parametrize("key", list(_CONFIG_TYPES))
+    def test_config_only_and_flags_only_runs_agree(self, comp_csv, tmp_path, capsys, key):
+        options = self._options(comp_csv, tmp_path, key)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(options))
+        out = tmp_path / "m.json"
+        runs = []
+        for argv in (["--config", str(cfg_path)], self._flags(options)):
+            assert main(["train", *argv]) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out))
+            out.unlink()
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("key", list(_CONFIG_TYPES))
+    def test_mistyped_config_value_exits_2_under_its_flag(self, comp_csv, tmp_path, capsys,
+                                                          key):
+        options = self._options(comp_csv, tmp_path, key)
+        mistyped = {str: 5, int: "1", float: "0.5"}[_CONFIG_TYPES[key]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: mistyped}))
+        assert main(["train", *self._flags(options), "--config", str(cfg_path)]) == 2
+        assert f"config key {key} " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_count_disagreeing_with_the_svd_exits_3(self, comp_csv, tmp_path, capsys,
                                                     monkeypatch):
@@ -272,13 +300,6 @@ class TestTrain:
                      "--p", "2", "--train-count", "31", "--out", str(out)]) == 3
         assert "not the character count 22" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_zero_lstsq_tol_trains(self, comp_csv, tmp_path):
-        out = tmp_path / "m.json"
-        assert main(["train", "--data", str(comp_csv), "--group", "z5", "--L", "1",
-                     "--p", "2", "--train-count", "31", "--lstsq-tol", "0",
-                     "--out", str(out)]) == 0
-        assert load(out).fit.equivariance_residual <= 1e-10
 
     @pytest.mark.parametrize("n", [5.9, True])
     def test_non_integer_group_n_exits_2(self, comp_csv, tmp_path, capsys, n):

@@ -3,8 +3,7 @@ import pytest
 
 from earc import solver, tensorops
 from earc.embedding import build_data_matrices, compression_plan, delay_windows
-from earc.errors import (DimensionOverflowError, NoFeasibleModelError, NumericalError,
-                         ShapeError)
+from earc.errors import DimensionOverflowError, NumericalError, ShapeError
 from earc.groups import GroupRep, close_group, reduced_action
 from earc.solver import (EquivariantBasis, assemble, basis_features, constraint_matrix,
                          degree_kernel_dims, equivariance_residual, equivariant_basis,
@@ -365,13 +364,13 @@ class TestFitCoefficients:
         m = train(series, builtin_rep("z5"), 1, 2)
         basis = equivariant_basis(m.group, 1, m.plan)
         h0r, _ = build_data_matrices(series, 1, 2, m.plan)
-        assert m.fit.rank == svd_rank(_design(basis, h0r), m.fit.rel_tol)
+        assert m.fit.rank == svd_rank(_design(basis, h0r), tensorops.LSTSQ_RTOL)
 
     def test_rank_of_k4_model_matches_separate_svd(self, k4_model, ham_series):
         m, _ = k4_model
         basis = equivariant_basis(m.group, 5, m.plan)
         h0r, _ = build_data_matrices(ham_series[:90], 5, 3, m.plan)
-        assert m.fit.rank == svd_rank(_design(basis, h0r), m.fit.rel_tol)
+        assert m.fit.rank == svd_rank(_design(basis, h0r), tensorops.LSTSQ_RTOL)
 
     def test_sparsify_rank_is_nonzero_count_on_both_paths(self, z5_setup):
         # 10 columns are fitted directly, 60 >= 2 (q + n*lag) on the R factor
@@ -386,7 +385,7 @@ class TestFitCoefficients:
     def test_empty_basis_rejected(self):
         empty = EquivariantBasis(state_dim=2, reduced_dim=3, lag=1,
                                  slot_matrices=np.zeros((0, 2, 3)))
-        with pytest.raises(NoFeasibleModelError):
+        with pytest.raises(ShapeError, match="0 elements"):
             fit_coefficients(empty, np.ones((3, 1)), np.ones((2, 1)))
 
     def test_memory_cap(self, z5_setup, monkeypatch):
@@ -400,15 +399,6 @@ class TestFitCoefficients:
         _, _, basis = z5_setup
         with pytest.raises(ShapeError):
             fit_coefficients(basis, np.ones((4, 3)), np.ones((5, 3)))
-
-    @pytest.mark.parametrize("sparsify", [None, 2])
-    @pytest.mark.parametrize("rel_tol", [-1e-12, np.nan, np.inf])
-    def test_cutoff_must_be_finite_and_non_negative(self, z5_setup, rel_tol, sparsify):
-        _, _, basis = z5_setup
-        h0r = np.ones((basis.reduced_dim, 4))
-        with pytest.raises(ShapeError, match="least-squares rel_tol"):
-            fit_coefficients(basis, h0r, np.ones((basis.state_dim, 4)), rel_tol, sparsify)
-
 
 
 class TestSlotFactoredFit:
@@ -465,7 +455,7 @@ class TestSlotFactoredFit:
         assert entries < cap < entries * basis.lag ** 2
         monkeypatch.setattr(tensorops, "ENTRY_CAP", cap)
         fit = fit_coefficients(basis, h0r, h1)
-        assert fit.rank == svd_rank(_slot_design(basis, h0r), fit.rel_tol) * basis.lag
+        assert fit.rank == svd_rank(_slot_design(basis, h0r), tensorops.LSTSQ_RTOL) * basis.lag
         monkeypatch.setattr(tensorops, "ENTRY_CAP", entries - 1)
         with pytest.raises(DimensionOverflowError):
             fit_coefficients(basis, h0r, h1)
