@@ -8,6 +8,7 @@ outputs.
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -66,18 +67,47 @@ def write_series(path, values):
         _write_rows(fh, np.arange(values.shape[0]), values)
 
 
-def read_series(path, max_rows=None):
-    """Read a series CSV written by :func:`write_series` (or any t,ch... file).
+SCAN_BLOCK_CHARS = 1 << 16
+"""Most characters read at a time while :func:`read_series` looks for its first
+row.  The first block holds 1/16 of this, and each next one twice the last, so
+that a row near the start of the file costs little."""
 
-    ``max_rows`` stops the parse after that many data rows; comment and blank
-    lines do not count, and rows after the last one read are not checked.
+
+def _line_of_row(path, row):
+    """Index of the raw line that holds data row ``row`` (row 0 follows the
+    header) of the series CSV at ``path``, or None when the file ends first.
+
+    Lines are counted as ``np.loadtxt`` counts ``skiprows``: the file is opened
+    by numpy's own opener in text mode, so CRLF and a lone CR also end a line,
+    and a line is a data row unless it is empty or starts with "#".  The file
+    is read in blocks of growing size, and only up to the row.
     """
+    with np.lib._datasource.open(os.fspath(path), "rt") as fh:
+        fh.readline()  # the header
+        # line: newlines before `last`, the character before the block
+        line, last, size = 0, "\n", max(SCAN_BLOCK_CHARS // 16, 1)
+        while block := fh.read(size):
+            # "\n" and "#" are one byte in UTF-8 and never part of another character
+            chunk = np.frombuffer((last + block).encode(), dtype=np.uint8)
+            ends = np.flatnonzero(chunk[:-1] == ord("\n"))
+            first = chunk[ends + 1]  # the first character of the line after each end
+            data = np.flatnonzero((first != ord("\n")) & (first != ord("#")))
+            if row < data.size:
+                return line + int(data[row]) + 1
+            row -= data.size
+            line += ends.size
+            last = block[-1]
+            size = min(2 * size, SCAN_BLOCK_CHARS)
+    return None
+
+
+def _parse_series(path, skiprows, max_rows):
     try:
         with warnings.catch_warnings():
             # numpy warns when a comment or blank line is not counted in max_rows
             warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
                                     UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments="#",
+            data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2, comments="#",
                               max_rows=max_rows)
     except OSError:
         raise FileNotFoundError(f"cannot read series file {path}")
@@ -86,6 +116,27 @@ def read_series(path, max_rows=None):
     if data.shape[1] < 2:
         raise ValidationError(f"series CSV {path} has no channel columns")
     return data[:, 1:]
+
+
+def read_series(path, max_rows=None, first_row=0):
+    """Read a series CSV written by :func:`write_series` (or any t,ch... file).
+
+    Returns data rows ``first_row`` onward, at most ``max_rows`` of them;
+    comment and blank lines are not rows.  Only those rows are parsed: the
+    lines before them are found by a scan and skipped unparsed, and rows after
+    them are not read, so neither is checked.  When the file has no row
+    ``first_row``, or the rows read do not parse, the file is parsed from row 0
+    instead, so the result or the error is that of a read from row 0.
+    """
+    if first_row > 0:
+        try:
+            line = _line_of_row(path, first_row)
+            if line is not None:
+                return _parse_series(path, line, max_rows)
+        except (OSError, ValueError):
+            pass  # the read from row 0 reports it
+    stop = None if max_rows is None else first_row + max_rows
+    return _parse_series(path, 1, stop)[first_row:]
 
 
 def read_prefix(path, count=None, fraction=None):
@@ -235,6 +286,8 @@ def cmd_train(args):
         raise ValidationError("one of --train-count / --train-fraction is required")
     if args.group is None and args.group_file is None:
         raise ValidationError("one of --group / --group-file is required")
+    if args.group is not None and args.group_file is not None:
+        raise ValidationError("--group and --group-file are mutually exclusive")
     if args.data is None:
         raise ValidationError("--data is required")
     prefix, count = read_prefix(args.data, args.train_count, args.train_fraction)
@@ -261,6 +314,10 @@ def cmd_train(args):
 def _seed_window(args, m):
     lag = m.lag
     if args.seed_csv is not None:
+        for flag, value in (("--data", args.data), ("--train-count", args.train_count),
+                            ("--train-fraction", args.train_fraction)):
+            if value is not None:
+                raise ValidationError(f"--seed-csv and {flag} are mutually exclusive")
         series = read_series(args.seed_csv)
         if series.shape[0] < lag:
             raise InsufficientDataError(
@@ -270,6 +327,12 @@ def _seed_window(args, m):
         return tail.T.ravel(), None
     if args.data is None:
         raise ValidationError("either --seed-csv or --data is required")
+    count = args.train_count
+    if args.train_fraction is None and count is not None and count >= lag:
+        window = read_series(args.data, lag, first_row=count - lag)
+        if window.shape[0] == lag:
+            return window.T.ravel(), count
+    # every other case, and a series shorter than the count, reads the prefix
     prefix, count = read_prefix(args.data, args.train_count, args.train_fraction)
     if count < lag:
         raise ValidationError(f"training prefix {count} is shorter than lag {lag}")
@@ -290,20 +353,21 @@ def cmd_forecast(args):
     reference = None
     if args.reference is not None:
         start = offset if offset is not None else 0
-        ref = read_series(args.reference, max(start + fc.steps, 1))
+        # at least one row, for the channel count of a forecast that diverged at once
+        ref = read_series(args.reference, max(fc.steps, 1), first_row=start)
+        if ref.shape[0] < fc.steps:
+            # too short for rows start onward: compared from its first rows
+            ref = read_series(args.reference, start + fc.steps)
         if ref.shape[1] != m.n:
             raise ShapeError(
                 f"reference has {ref.shape[1]} channels, the model has {m.n}"
             )
-        if ref.shape[0] >= start + fc.steps:
-            reference = ref[start:start + fc.steps]
-        elif ref.shape[0] >= fc.steps:
-            reference = ref[:fc.steps]
-        else:
+        if ref.shape[0] < fc.steps:
             raise ValidationError(
                 f"reference has {ref.shape[0]} rows, fewer than the {fc.steps} "
                 "forecast steps"
             )
+        reference = ref[:fc.steps]
     n = m.n
     header = ["t"] + [f"ch{j + 1}" for j in range(n)]
     columns = fc.values

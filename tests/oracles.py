@@ -1,13 +1,15 @@
 """Reference implementations that the library's optimised code replaced,
 and constructions that only tests need: the full embedding and its
 selection and expansion maps, dense group actions, single prediction steps,
-the Hamiltonian field and energy, one competition step and group files.
+the Hamiltonian field and energy, one competition step, group files and
+a series read that parses every row from row 0.
 
 They are kept only as test oracles: the library must reproduce them bit for
 bit, or, where the arithmetic changed, within the tolerance a test states.
 """
 
 import json
+import warnings
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from earc import tensorops
 from earc.embedding import compressed_features, compression_plan, embed_dim
-from earc.errors import DivergenceError, ShapeError
+from earc.errors import DivergenceError, ShapeError, ValidationError
 from earc.groups import reduced_action, window_action
 from earc.solver import (EquivariantBasis, basis_features, constraint_matrix,
                          degree_kernel_dims)
@@ -270,6 +272,25 @@ def write_rows_by_value(fh, index, values):
     """CSV rows formatted one value at a time: the index, then ``format(v, ".17g")``."""
     for i, row in zip(index, values):
         fh.write(str(int(i)) + "," + ",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
+def read_series_from_row_0(path, max_rows=None, first_row=0):
+    """``cli.read_series`` as a parse from row 0 up to its last row, then a
+    slice: the rows before ``first_row`` are parsed and checked too."""
+    stop = None if max_rows is None else first_row + max_rows
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments="#",
+                              max_rows=stop)
+    except OSError:
+        raise FileNotFoundError(f"cannot read series file {path}")
+    except ValueError as exc:
+        raise ValidationError(f"malformed series CSV {path}: {exc}") from exc
+    if data.shape[1] < 2:
+        raise ValidationError(f"series CSV {path} has no channel columns")
+    return data[first_row:, 1:]
 
 
 def class_tuple(plan, c):

@@ -1,22 +1,23 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from earc import solver
+from earc import cli, solver
 from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, main,
                       read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
-from earc.errors import DivergenceError
+from earc.errors import DivergenceError, ValidationError
 from earc.groups import close_group, reduced_action
 from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
 from tests.test_model import manual_model
 
-from oracles import (hamiltonian_generate_by_array, predict_step, save_group, unreduced_fit,
-                     write_rows_by_value)
+from oracles import (hamiltonian_generate_by_array, predict_step, read_series_from_row_0,
+                     save_group, unreduced_fit, write_rows_by_value)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)
@@ -301,6 +302,22 @@ class TestTrain:
         assert "not the character count 22" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flags", "config", "flag-and-key"])
+    def test_group_and_group_file_exit_2(self, comp_csv, tmp_path, capsys, source):
+        group_file = tmp_path / "k4.json"
+        save_group(builtin_rep("k4"), group_file)
+        options = {"group": "z5", "group_file": str(group_file)}
+        config = {key: value for key, value in options.items()
+                  if source == "config" or (source == "flag-and-key" and key == "group_file")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        flags = self._flags({key: value for key, value in options.items() if key not in config})
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(comp_csv), "--L", "1", "--p", "2", "--train-count",
+                     "31", *flags, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "--group and --group-file are mutually exclusive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [5.9, True])
     def test_non_integer_group_n_exits_2(self, comp_csv, tmp_path, capsys, n):
         # int() would read 5.9 as the z5 channel count and true as one channel
@@ -411,6 +428,17 @@ class TestForecast:
         assert code == 4
         assert out.read_text().splitlines()[1] == "# diverged after 0 of 5 steps"
 
+    @pytest.mark.parametrize("flag", ["--data", "--train-count", "--train-fraction"])
+    def test_seed_csv_with_a_prefix_option_exits_2(self, comp_csv, z5_model_path, tmp_path,
+                                                    capsys, flag):
+        value = {"--data": str(comp_csv), "--train-count": "31", "--train-fraction": "0.5"}[flag]
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(z5_model_path), "--seed-csv", str(comp_csv),
+                     flag, value, "--horizon", "5", "--reference", str(comp_csv),
+                     "--out", str(out)]) == 2
+        assert f"--seed-csv and {flag} are mutually exclusive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_source_exits_2(self, z5_model_path):
         assert main(["forecast", "--model", str(z5_model_path),
                      "--horizon", "5", "--out", "/tmp/ignored.csv"]) == 2
@@ -514,6 +542,42 @@ class TestRowsRead:
         assert runs[0][0] == 0
         assert ("rmse overall" in runs[0][2]) == reference
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_forecast_ignores_rows_before_the_window(self, comp_csv, z5_model_path, tmp_path,
+                                                     capsys, reference):
+        # the seed window is row 30, and the reference is compared from row 31
+        lines = comp_csv.read_text().splitlines(keepends=True)
+        garbage = tmp_path / "garbage.csv"
+        garbage.write_text(lines[0] + "x,y\n" * 30 + "".join(lines[31:]))
+        with pytest.raises(ValidationError, match="could not convert string 'x'"):
+            read_series_from_row_0(garbage)
+        out = tmp_path / "fc.csv"
+        runs = self._outputs([_forecast_argv(z5_model_path, path, out, "--train-count", "31",
+                                             reference=reference)
+                              for path in (comp_csv, garbage)], out, capsys)
+        assert runs[0][0] == 0
+        assert ("rmse overall" in runs[0][2]) == reference
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("row", [30, 45], ids=["seed-window", "reference-window"])
+    def test_malformed_row_in_the_window_exits_2(self, comp_csv, z5_model_path, tmp_path,
+                                                 capsys, monkeypatch, row):
+        lines = comp_csv.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines[:1 + row] + ["x,y\n"] + lines[2 + row:]))
+        out = tmp_path / "fc.csv"
+        argv = _forecast_argv(z5_model_path, bad, out, "--train-count", "31", reference=True)
+        errors = []
+        for reader in (read_series, read_series_from_row_0):
+            monkeypatch.setattr(cli, "read_series", reader)
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        # the message of a read from row 0, which counts rows from the first data row
+        assert f"malformed series CSV {bad}: the number of columns changed from 6 to 2 " \
+            f"at row {row + 1};" in errors[0]
+        assert errors[1] == errors[0]
 
     @pytest.mark.parametrize("prefix", [["--train-fraction", "0.1"], []],
                              ids=["fraction", "whole-series"])
@@ -804,3 +868,178 @@ class TestCsvRows:
         table = autocorrelation(read_series(special_csv), 10)
         header = "lag," + ",".join(f"ch{j}" for j in range(1, 6))
         assert out.read_text() == _oracle_csv(header, range(1, 11), table)
+
+
+@pytest.fixture(scope="module")
+def k4_long(tmp_path_factory):
+    """The k4-long benchmark's series (21,001 rows) and its L=3, p=3 model
+    trained on the first 20,000 rows."""
+    root = tmp_path_factory.mktemp("k4long")
+    data, model = root / "ham.csv", root / "k4.json"
+    assert main(["generate", "--system", "hamiltonian", "--steps", "21000",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--group", "k4", "--L", "3", "--p", "3",
+                 "--train-count", "20000", "--out", str(model)]) == 0
+    return data, model
+
+
+NON_DATA_LINES = ["", "#", "# a comment", "#1,2,3", "#x,y,z", "# , ,"]
+"""Lines that ``np.loadtxt`` does not count as rows."""
+
+
+def _outcome(read, *args):
+    """Shape and bytes of ``read(*args)``, or the type and message of its error."""
+    try:
+        data = read(*args)
+    except (ValidationError, FileNotFoundError) as exc:
+        return type(exc), str(exc)
+    return data.shape, data.dtype, data.tobytes()
+
+
+def _data_line(rng, i):
+    values = rng.standard_normal(2) * 10.0 ** rng.integers(-8, 8, 2)
+    if rng.random() < 0.05:
+        values[rng.integers(2)] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 5e-324])
+    return f"{i}," + ",".join(format(v, ".17g") for v in values)
+
+
+def _write_lines(path, lines, rng, ending):
+    """``lines`` joined by ``ending`` ("mixed": a random one per line), with or
+    without a final line ending."""
+    endings = ["\n", "\r\n", "\r"]
+    text = "".join(line + (rng.choice(endings) if ending == "mixed" else ending)
+                   for line in lines)
+    if rng.random() < 0.5:
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode())
+
+
+# numpy warns on a read of max_rows=0 ("." stands for the ":" the filter syntax reserves)
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+class TestSeekRead:
+    """``read_series`` with a first row skips the lines before it unparsed, and
+    returns what a read from row 0 followed by a slice returns."""
+
+    @staticmethod
+    def _assert_reads_agree(path, rows, max_rows_each=(None, 0, 1, 3)):
+        for first_row in sorted({0, 1, rows // 2, rows - 1, rows, rows + 3}):
+            for max_rows in max_rows_each:
+                expected = _outcome(read_series_from_row_0, path, max_rows, first_row)
+                assert _outcome(read_series, path, max_rows, first_row) == expected, \
+                    (first_row, max_rows)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_files_match_a_read_from_row_0(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(cli, "SCAN_BLOCK_CHARS",
+                            int(rng.choice([2, 3, 5, 16, 64, cli.SCAN_BLOCK_CHARS])))
+        rows = int(rng.integers(1, 60))
+        lines = ["t,ch1,ch2"]
+        for i in range(rows):
+            while rng.random() < 0.25:
+                lines.append(rng.choice(NON_DATA_LINES))
+            lines.append(_data_line(rng, i))
+        while rng.random() < 0.25:
+            lines.append(rng.choice(NON_DATA_LINES))
+        path = tmp_path / "series.csv"
+        _write_lines(path, lines, rng, rng.choice(["\n", "\r\n", "\r", "mixed"]))
+        self._assert_reads_agree(path, rows)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_every_block_boundary_around_the_first_row(self, tmp_path, monkeypatch, ending):
+        # non-data lines just before the rows read, so that across the block
+        # sizes every line straddles a boundary and one falls at every line start
+        rng = np.random.default_rng(7)
+        lines = ["t,ch1,ch2", "0,1,2", "", "#", "1,3,4", "# c", "", "2,5,6", "3,7,8",
+                 "#4,9,9", "4,10,11", "", "", "5,12,13"]
+        path = tmp_path / "series.csv"
+        _write_lines(path, lines, rng, ending)
+        size = len(path.read_bytes())
+        for block in range(1, size + 2):
+            monkeypatch.setattr(cli, "SCAN_BLOCK_CHARS", block)
+            self._assert_reads_agree(path, 6, (None, 1))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_lines_at_the_scan_blocks_of_a_long_file(self, tmp_path, ending):
+        """A comment straddles the end of the first scan block and an empty
+        line starts at the end of a later, full-size one; the rows after them
+        are read first."""
+        # where the scan's blocks end, counted from the line after the header
+        ends, size = [], cli.SCAN_BLOCK_CHARS // 16
+        while len(ends) < 6:
+            ends.append(sum(ends[-1:]) + size)
+            size = min(2 * size, cli.SCAN_BLOCK_CHARS)
+        rng = np.random.default_rng(11)
+        lines, offset, rows, targets = ["t,ch1,ch2"], 0, 0, []
+        for boundary in (ends[0], ends[5]):
+            while offset + len(_data_line(rng, rows)) + 1 < boundary - 40:
+                lines.append(_data_line(rng, rows))
+                offset += len(lines[-1]) + 1  # a line ending reads as one "\n"
+                rows += 1
+            if boundary == ends[0]:
+                extra = ["#" + "-" * 80]
+            else:
+                extra = ["#" + "-" * (boundary - offset - 2), ""]
+            lines += extra
+            offset += sum(len(line) + 1 for line in extra)
+            assert offset > boundary if boundary == ends[0] else offset == boundary + 1
+            targets.append(rows)
+        lines += [_data_line(rng, rows + i) for i in range(5)]
+        path = tmp_path / "series.csv"
+        _write_lines(path, lines, rng, ending)
+        for first_row in targets + [targets[0] - 1, targets[1] - 1, rows + 4, rows + 5]:
+            for max_rows in (None, 1, 2):
+                assert _outcome(read_series, path, max_rows, first_row) == \
+                    _outcome(read_series_from_row_0, path, max_rows, first_row)
+
+    @pytest.mark.parametrize("bad", ["x,y,z", "   ", " # indented", "1,2"])
+    def test_rows_before_the_first_row_are_not_parsed(self, tmp_path, bad):
+        # a line that starts with whitespace is a row to numpy, and fails to parse
+        good = ["t,ch1,ch2"] + [f"{i},{i},{-i}" for i in range(8)]
+        paths = tmp_path / "good.csv", tmp_path / "bad.csv"
+        paths[0].write_text("\n".join(good) + "\n")
+        paths[1].write_text("\n".join(good[:3] + [bad] + good[4:]) + "\n")
+        with pytest.raises(ValidationError):
+            read_series_from_row_0(paths[1])
+        assert np.array_equal(read_series(paths[1], 2, first_row=3),
+                              read_series_from_row_0(paths[0], 2, first_row=3))
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
+    def test_k4_long_forecast_matches_a_read_from_row_0(self, k4_long, tmp_path, capsys,
+                                                        monkeypatch, mode):
+        data, model = k4_long
+        scanned, scan = [], cli._line_of_row
+
+        def line_of_row(path, row):
+            scanned.append(scan(path, row))
+            return scanned[-1]
+
+        monkeypatch.setattr(cli, "_line_of_row", line_of_row)
+        out = tmp_path / "fc.csv"
+        argv = ["forecast", "--model", str(model), "--data", str(data), "--train-count", "20000",
+                "--horizon", "1000", "--reference", str(data), "--apply-group-element", "1",
+                "--mode", mode, "--out", str(out)]
+        runs = []
+        for reader in (read_series, read_series_from_row_0):
+            monkeypatch.setattr(cli, "read_series", reader)
+            runs.append((main(argv), out.read_bytes(), *capsys.readouterr()))
+        # the seed window starts on line 19,998 (row 19,997) and the reference on 20,001
+        assert scanned == [19998, 20001]
+        assert runs[0][0] == 0 and "rmse overall" in runs[0][2]
+        assert runs[1] == runs[0]
+
+    def test_seek_read_memory(self, k4_long):
+        data, _ = k4_long
+        # a few block-sized buffers at once: the block, the text it is joined
+        # to, its UTF-8 bytes and the newline mask, and numpy's own read buffer
+        bound = 10 * cli.SCAN_BLOCK_CHARS
+        assert data.stat().st_size > bound  # holding the whole file exceeds it
+        for max_rows, first_row in ((3, 19997), (1000, 20000)):
+            tracemalloc.start()
+            try:
+                rows = read_series(data, max_rows, first_row)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rows.shape == (max_rows, 2)
+            assert peak < bound, (first_row, peak)

@@ -68,3 +68,14 @@ def test_every_library_definition_is_used_outside_tests():
     assert "embedding.compression_plan" in defined  # the guard reads the library
     assert "solver.NORMAL_EQ_THRESHOLD" in defined  # and its constants
     assert unused == []
+
+
+def test_series_csv_has_one_reader():
+    """``src/`` calls ``np.loadtxt`` once, in the reader behind
+    ``cli.read_series``: a faster way to reach some rows of a series must
+    use that reader, not grow a second one beside it."""
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "loadtxt"]
+    assert len(calls) == 1 and calls[0].startswith("cli.py:"), calls
