@@ -431,15 +431,7 @@ def cmd_acf(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="earc",
-        description="Equivariant autoregressive reservoir computers for "
-                    "identifying symmetric dynamical systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate a synthetic benchmark series")
+def _generate_arguments(gen):
     gen.add_argument("--system", required=True,
                      choices=["hamiltonian", "competition", "linear"])
     gen.add_argument("--steps", type=int)
@@ -454,9 +446,9 @@ def build_parser():
                      help='linear-system matrix: "I<n>" or a JSON 2-D array')
     gen.add_argument("--x0", help="JSON start vector for the linear system")
     gen.add_argument("--out")
-    gen.set_defaults(func=cmd_generate)
 
-    tr = sub.add_parser("train", help="fit an equivariant model to a series CSV")
+
+def _train_arguments(tr):
     tr.add_argument("--data")
     tr.add_argument("--group", choices=["k4", "z5"])
     tr.add_argument("--group-file", help="JSON file with {n, generators}")
@@ -468,9 +460,9 @@ def build_parser():
     tr.add_argument("--max-lag", type=int)
     tr.add_argument("--out")
     tr.add_argument("--config", help="JSON config; explicit flags win")
-    tr.set_defaults(func=cmd_train)
 
-    fc = sub.add_parser("forecast", help="autoregressive rollout of a trained model")
+
+def _forecast_arguments(fc):
     fc.add_argument("--model", required=True)
     fc.add_argument("--horizon", type=int, required=True)
     fc.add_argument("--data", help="series whose training prefix seeds the rollout")
@@ -482,25 +474,56 @@ def build_parser():
     fc.add_argument("--apply-group-element", type=int,
                     help="apply group element j to the seed window")
     fc.add_argument("--out", default="forecast.csv")
-    fc.set_defaults(func=cmd_forecast)
 
-    ver = sub.add_parser("verify", help="check the equivariance of a saved model")
+
+def _verify_arguments(ver):
     ver.add_argument("--model", required=True)
     ver.add_argument("--threshold", type=float,
                      default=model_mod.PERSISTED_RESIDUAL_BOUND)
-    ver.set_defaults(func=cmd_verify)
 
-    acf = sub.add_parser("acf", help="autocorrelation table and lag recommendation")
+
+def _acf_arguments(acf):
     acf.add_argument("--data", required=True)
     acf.add_argument("--max-lag", type=int, default=50)
     acf.add_argument("--out")
-    acf.set_defaults(func=cmd_acf)
 
+
+COMMANDS = {
+    "generate": ("generate a synthetic benchmark series", _generate_arguments, cmd_generate),
+    "train": ("fit an equivariant model to a series CSV", _train_arguments, cmd_train),
+    "forecast": ("autoregressive rollout of a trained model", _forecast_arguments,
+                 cmd_forecast),
+    "verify": ("check the equivariance of a saved model", _verify_arguments, cmd_verify),
+    "acf": ("autocorrelation table and lag recommendation", _acf_arguments, cmd_acf),
+}
+"""Each subcommand's help line, the function that adds its arguments, and the
+function that runs it."""
+
+
+def build_parser(command=None):
+    """The earc argument parser.  Every subcommand is listed, for the top-level
+    help and the choices, but given ``command`` only that one gets its
+    arguments: each argument added builds a help formatter, and adding all of
+    them took more than half of a z5 ``verify``."""
+    parser = argparse.ArgumentParser(
+        prog="earc",
+        description="Equivariant autoregressive reservoir computers for "
+                    "identifying symmetric dynamical systems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in COMMANDS.items():
+        built = command in (None, name)
+        # a subparser that parses nothing needs no -h either
+        cmd = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
+            add_arguments(cmd)
+            cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:

@@ -74,28 +74,27 @@ class CompressionPlan:
     def action_tables(self):
         """Index tables of the degree-k blocks (k = 2..p) of a reduced group action.
 
-        One entry (lo, hi, lead_rows, tail_rows, passes) per degree: the
+        One entry (lo, hi, lead_rows, tail_rows, insert) per degree: the
         feature range, the lead variable and the within-degree-(k-1) parent
-        of each monomial, and per position t of the sorted variable tuples one
-        (cols, vars, rests) triple.  It holds the monomials whose t-th variable
-        differs from the one before it, that variable, and the
-        within-degree-(k-1) index of the tuple without it, so that no monomial
-        occurs twice in a pass.
+        of each monomial, and the (d_{k-1}, dim_in) table whose entry [r, v]
+        is the within-degree-k index of degree-(k-1) monomial r times
+        variable v.  The table is found by sorting every grown tuple and
+        looking up its code.
         """
         m = self.dim_in
         tables = []
         prev_lo = 0
         for k in range(2, self.order + 1):
             lo, hi = self.degree_class_range(k)
-            tups = self.tuples[k - 1]
-            prev_code = _codes(self.tuples[k - 2], m)  # ascending, as the tuples are sorted
-            passes = []
-            for t in range(k):
-                cols = np.arange(hi - lo) if t == 0 else np.flatnonzero(
-                    tups[:, t] != tups[:, t - 1])
-                rests = np.searchsorted(prev_code, _codes(np.delete(tups[cols], t, axis=1), m))
-                passes.append((cols, tups[cols, t], rests))
-            tables.append((lo, hi, self.lead[lo:hi], self.parent[lo:hi] - prev_lo, passes))
+            prev = self.tuples[k - 2]
+            grown = np.empty((prev.shape[0], m, k), dtype=np.int64)
+            grown[:, :, 1:] = prev[:, None, :]
+            grown[:, :, 0] = np.arange(m)
+            grown = np.sort(grown.reshape(-1, k), axis=1)
+            # the codes of the degree-k tuples ascend, as the tuples are sorted
+            insert = np.searchsorted(_codes(self.tuples[k - 1], m), _codes(grown, m))
+            tables.append((lo, hi, self.lead[lo:hi], self.parent[lo:hi] - prev_lo,
+                           insert.reshape(-1, m)))
             prev_lo = lo
         return tables
 

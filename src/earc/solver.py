@@ -104,18 +104,19 @@ def degree_kernel_dims(group, lag, order):
     further than CHARACTER_TOL from an integer raises NumericalError rather
     than decide whether a block is empty.
     """
-    elements = np.array(group.elements)
-    power = elements
-    sums = [lag * np.trace(power, axis1=1, axis2=2)]
-    for _ in range(order - 1):
-        power = power @ elements
-        sums.append(lag * np.trace(power, axis1=1, axis2=2))
-    complete = [np.ones(len(elements))]
+    powers = np.empty((order, group.order, group.n, group.n))
+    powers[0] = group.elements
+    for j in range(1, order):
+        np.matmul(powers[j - 1], powers[0], out=powers[j])
+    traces = powers.trace(axis1=2, axis2=3)  # [j - 1, g] = tr(g^j)
+    sums = lag * traces
+    complete = np.ones((order + 1, group.order))
     for k in range(1, order + 1):
-        complete.append(sum(sums[j - 1] * complete[k - j] for j in range(1, k + 1)) / k)
-    counts = np.array(complete) @ np.trace(elements, axis1=1, axis2=2) / group.order
+        # sum over j = 1..k of p_j h_{k-j}: the rows of h below k, in reverse
+        complete[k] = (sums[:k] * complete[k - 1::-1]).sum(axis=0) / k
+    counts = complete @ traces[0] / group.order
     dims = np.rint(counts)
-    off = float(np.max(np.abs(counts - dims)))
+    off = float(abs(counts - dims).max())
     if off > CHARACTER_TOL:
         raise NumericalError(
             f"character counts {counts.tolist()} are {off:.1e} from integers"

@@ -15,9 +15,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from earc import tensorops
+from earc import solver, tensorops
 from earc.embedding import compressed_features, compression_plan, embed_dim
-from earc.errors import DivergenceError, ShapeError, ValidationError
+from earc.errors import DivergenceError, NumericalError, ShapeError, ValidationError
 from earc.groups import reduced_action, window_action
 from earc.solver import (EquivariantBasis, basis_features, constraint_matrix,
                          degree_kernel_dims)
@@ -335,6 +335,75 @@ def reduced_action_by_class(g, lag, plan):
         prev = block
         prev_lo = lo
     return out
+
+
+def reduced_action_by_passes(g, lag, plan):
+    """Reduced action summed by position: per degree k, one vectorised pass per
+    position t of the sorted variable tuples over the passes of
+    ``action_tables_by_chain``, each adding h[lead rows, v] * A_{k-1}[tail
+    rows, rest] to the monomials whose t-th variable v differs from the one
+    before it.  The passes build each block's transpose."""
+    tables = compression_plan_by_enumeration(plan.dim_in, plan.order).action_tables
+    h = window_action(g, lag)
+    if h.shape[0] != plan.dim_in:
+        raise ShapeError(
+            f"plan dim_in={plan.dim_in} does not match element dimension {h.shape[0]}"
+        )
+    q = plan.reduced_dim
+    out = np.zeros((q, q))
+    out[q - 1, q - 1] = 1.0
+    lo, hi = plan.degree_class_range(1)
+    out[lo:hi, lo:hi] = h
+    prev_t = h.T
+    for lo, hi, lead_rows, tail_rows, passes in tables:
+        lead_t = np.take(h.T, lead_rows, axis=1)
+        tail_t = np.take(prev_t, tail_rows, axis=1)
+        block_t = np.zeros((hi - lo, hi - lo))
+        for cols, variables, rests in passes:
+            block_t[cols] += lead_t[variables] * tail_t[rests]
+        out[lo:hi, lo:hi] = block_t.T
+        prev_t = block_t
+    return out
+
+
+def insert_tables_by_passes(plan):
+    """The (d_{k-1}, dim_in) insert table of each degree k = 2..p of
+    ``CompressionPlan.action_tables``, read off the passes of the enumeration
+    plan's ``action_tables_by_chain``: every (rest, v) pair occurs in exactly
+    one pass, the one at the first position of v in the grown tuple."""
+    oracle = compression_plan_by_enumeration(plan.dim_in, plan.order)
+    out = []
+    for k, (_, _, _, _, passes) in enumerate(oracle.action_tables, 2):
+        insert = np.full((np.count_nonzero(oracle.degree == k - 1), plan.dim_in), -1)
+        for cols, variables, rests in passes:
+            assert np.all(insert[rests, variables] == -1)
+            insert[rests, variables] = cols
+        assert np.all(insert >= 0)
+        out.append(insert)
+    return out
+
+
+def degree_kernel_dims_by_lists(group, lag, order):
+    """``solver.degree_kernel_dims`` with one power and one trace per degree,
+    kept in Python lists, and the Newton recurrence summed by Python's
+    ``sum`` over the list entries."""
+    elements = np.array(group.elements)
+    power = elements
+    sums = [lag * np.trace(power, axis1=1, axis2=2)]
+    for _ in range(order - 1):
+        power = power @ elements
+        sums.append(lag * np.trace(power, axis1=1, axis2=2))
+    complete = [np.ones(len(elements))]
+    for k in range(1, order + 1):
+        complete.append(sum(sums[j - 1] * complete[k - j] for j in range(1, k + 1)) / k)
+    counts = np.array(complete) @ np.trace(elements, axis1=1, axis2=2) / group.order
+    dims = np.rint(counts)
+    off = float(np.max(np.abs(counts - dims)))
+    if off > solver.CHARACTER_TOL:
+        raise NumericalError(
+            f"character counts {counts.tolist()} are {off:.1e} from integers"
+        )
+    return dims.astype(np.int64)
 
 
 def vec(a):

@@ -768,6 +768,41 @@ class TestVerify:
         assert first.endswith(" 0")
 
 
+class TestParser:
+    """``main`` builds only the arguments of the command it runs; what it
+    prints and the exit status must be those of the parser with every
+    command's arguments."""
+
+    CASES = ([["--help"], []] + [[name, "--help"] for name in cli.COMMANDS]
+             # a missing required option; train's are checked after parsing
+             + [[name] for name in cli.COMMANDS if name != "train"]
+             + [["bogus"], ["bogus", "--help"], ["--help", "verify"],
+                ["verify", "--model"], ["train", "--L", "1.5"], ["acf", "--bogus", "x"]])
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "none")
+    def test_output_is_the_full_parsers(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as lazy:
+            main(argv)
+        assert capsys.readouterr() == want
+        assert lazy.value.code == full.value.code
+        assert want.out or want.err
+
+    def test_builds_only_the_command_run(self):
+        parser = build_parser("verify")
+        subparsers = parser._subparsers._group_actions[0].choices
+        assert list(subparsers) == list(cli.COMMANDS)
+        for name, sub in subparsers.items():
+            options = [a.dest for a in sub._actions]
+            assert options == (["help", "model", "threshold"] if name == "verify" else [])
+        args = parser.parse_args(["verify", "--model", "m.json"])
+        assert args.func is cli.cmd_verify
+        assert vars(args) == vars(build_parser().parse_args(["verify", "--model", "m.json"]))
+
+
 class TestAcf:
     def test_sinusoid_recommendation(self, tmp_path, capsys):
         t = np.arange(200)

@@ -12,8 +12,9 @@ from earc.groups import reduced_action, window_action
 from earc.systems import builtin_rep
 
 from oracles import (class_of, class_tuple, compress, compression_plan_by_enumeration,
-                     embed, expand, expansion_matrix, full_dim, kron_power, lifted_action,
-                     monomial_features_by_column, selection_matrix)
+                     embed, expand, expansion_matrix, full_dim, insert_tables_by_passes,
+                     kron_power, lifted_action, monomial_features_by_column,
+                     selection_matrix)
 
 
 ORACLE_SIZES = sorted({(m, p) for m in range(1, 9) for p in range(1, 6)
@@ -126,13 +127,11 @@ class TestCompressionPlan:
             assert np.array_equal(plan.tuples[k - 1],
                                   [class_tuple(oracle, c) for c in range(lo, hi)])
         assert len(plan.action_tables) == len(oracle.action_tables) == p - 1
-        for got, want in zip(plan.action_tables, oracle.action_tables):
+        inserts = insert_tables_by_passes(plan)
+        for got, want, insert in zip(plan.action_tables, oracle.action_tables, inserts):
             assert got[:2] == want[:2]
             assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
-            assert len(got[4]) == len(want[4])
-            for got_pass, want_pass in zip(got[4], want[4]):
-                for a, b in zip(got_pass, want_pass):
-                    assert np.array_equal(a, b)
+            assert np.array_equal(got[4], insert)
 
     @pytest.mark.parametrize("m,p", [(3, 20), (2, 31)])
     def test_overflowing_full_embedding_refused(self, m, p):

@@ -9,9 +9,9 @@ from earc.groups import close_group, from_json_dict, load_group, reduced_action,
 from earc.solver import equivariant_basis
 from earc.systems import builtin_rep
 
-from oracles import (dense_matrices, expansion_matrix, lifted_action,
-                     reduced_action_by_class, save_group, selection_matrix, to_json_dict,
-                     window_equivariant_basis)
+from oracles import (dense_matrices, direct_sum, expansion_matrix, lifted_action,
+                     reduced_action_by_class, reduced_action_by_passes, save_group,
+                     selection_matrix, to_json_dict, window_equivariant_basis)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)
@@ -25,6 +25,17 @@ def rotation(theta):
 def random_orthogonal(n, seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def random_signed_permutation(n, rng):
+    g = np.zeros((n, n))
+    g[np.arange(n), rng.permutation(n)] = rng.choice((-1.0, 1.0), n)
+    return g
+
+
+def bitwise_equal(a, b):
+    """Equal shapes and bits: unlike ``np.array_equal``, -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def named_rep(name):
@@ -146,14 +157,25 @@ class TestReducedAction:
             reduced_action(SWAP, 1, plan)
 
     @pytest.mark.parametrize("name,lag,order", [
-        ("k4", 1, 3), ("k4", 2, 3), ("k4", 3, 3), ("k4", 4, 3), ("k4", 5, 3),
-        ("z5", 1, 2), ("z5", 2, 3), ("c3", 2, 2), ("c3", 4, 3)])
+        ("k4", 1, 3), ("k4", 2, 3), ("k4", 3, 3), ("k4", 4, 3), ("k4", 5, 3), ("k4", 7, 3),
+        ("k4", 6, 4), ("z5", 1, 2), ("z5", 2, 3), ("z5", 3, 3), ("c3", 2, 2), ("c3", 4, 3)])
     def test_bitwise_equal_to_class_loop(self, name, lag, order):
         rep = named_rep(name)
         plan = compression_plan(rep.n * lag, order)
         for g in rep.elements:
-            assert np.array_equal(reduced_action(g, lag, plan),
-                                  reduced_action_by_class(g, lag, plan))
+            got = reduced_action(g, lag, plan)
+            assert bitwise_equal(got, reduced_action_by_class(g, lag, plan))
+            assert bitwise_equal(got, reduced_action_by_passes(g, lag, plan))
+
+    @pytest.mark.parametrize("lag,order", [(1, 3), (2, 3), (3, 2)])
+    def test_negative_zero_entries_bitwise_equal_to_class_loop(self, lag, order):
+        # -0.0 is a zero, so the kernel leaves its terms out; the oracles add them
+        for g in (np.array([[-0.0, 1.0], [1.0, -0.0]]), np.array([[-1.0, -0.0], [0.0, 1.0]])):
+            plan = compression_plan(2 * lag, order)
+            got = reduced_action(g, lag, plan)
+            assert np.any(np.signbit(got) & (got == 0.0))
+            assert bitwise_equal(got, reduced_action_by_class(g, lag, plan))
+            assert bitwise_equal(got, reduced_action_by_passes(g, lag, plan))
 
     @pytest.mark.parametrize("name,lag,order", [("k4", 5, 4), ("k4", 2, 4), ("z5", 1, 3),
                                                 ("c3", 2, 4)])
@@ -175,7 +197,8 @@ class TestReducedAction:
         out = reduced_action(g, 1, plan)
         ranges = [plan.degree_class_range(k) for k in range(1, 5)]
         assert np.count_nonzero(out) == sum((hi - lo) ** 2 for lo, hi in ranges) + 1
-        assert np.array_equal(out, reduced_action_by_class(g, 1, plan))
+        assert bitwise_equal(out, reduced_action_by_class(g, 1, plan))
+        assert bitwise_equal(out, reduced_action_by_passes(g, 1, plan))
 
 
 class TestRandomFiniteGroups:
@@ -225,6 +248,42 @@ class TestRandomFiniteGroups:
         oflat = oracle.reshape(oracle.shape[0], -1)
         assert flat.shape[0] == oflat.shape[0] > 0
         assert np.max(np.abs(flat.T @ flat - oflat.T @ oflat)) <= 1e-12
+
+
+class TestBitwiseOnRandomGroups:
+    """``reduced_action`` against both oracles, bit for bit, on seeded random
+    finite groups: signed permutations of 3 or 4 channels, their conjugates by
+    a random orthogonal matrix (dense elements), and a rotation (+) sign flip,
+    whose rows have two nonzeros or one."""
+
+    @staticmethod
+    def random_group(kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "rotation+flip":
+            return close_group([direct_sum([rotation(2 * np.pi / int(rng.integers(3, 7))),
+                                            -np.eye(1)])])
+        n = int(rng.integers(3, 5))
+        # one generator at n=4 keeps the closure small
+        gens = [random_signed_permutation(n, rng) for _ in range(2 if n == 3 else 1)]
+        if kind == "conjugated":
+            q = random_orthogonal(n, seed + 70)
+            gens = [q @ g @ q.T for g in gens]
+        return close_group(gens)
+
+    @pytest.mark.parametrize("kind", ["signed", "conjugated", "rotation+flip"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_both_oracles(self, kind, seed):
+        rep = self.random_group(kind, seed)
+        rng = np.random.default_rng(seed + 80)
+        picks = rng.choice(rep.order, size=min(rep.order, 3), replace=False)
+        elements = [*rep.generators, *(rep.elements[i] for i in picks)]
+        for lag in range(1, 4):
+            for order in range(1, 4):
+                plan = compression_plan(rep.n * lag, order)
+                for g in elements:
+                    got = reduced_action(g, lag, plan)
+                    assert bitwise_equal(got, reduced_action_by_class(g, lag, plan))
+                    assert bitwise_equal(got, reduced_action_by_passes(g, lag, plan))
 
 
 class TestJsonEncoding:

@@ -15,9 +15,9 @@ from tests import test_groups
 from tests.test_groups import named_rep, rotation
 from tests.test_model import manual_model
 
-from oracles import (cutoff_equivariant_basis, dense_fit, dense_matrices, null_space,
-                     svd_rank, unconstrained_fit, unreduced_fit, whole_equivariant_basis,
-                     window_equivariant_basis)
+from oracles import (cutoff_equivariant_basis, degree_kernel_dims_by_lists, dense_fit,
+                     dense_matrices, null_space, svd_rank, unconstrained_fit, unreduced_fit,
+                     whole_equivariant_basis, window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -251,12 +251,21 @@ class TestDegreeBlocks:
         assert dims.tolist() == svd
         assert dims[1] >= 1
 
+    @pytest.mark.parametrize("name", ["k4", "z5", "c3", "k4Q", "z5Q", "c3Q"])
+    def test_counts_equal_the_list_oracle(self, name):
+        rep = _rep(name)
+        for lag in range(1, 6):
+            for order in range(1, 5):
+                assert np.array_equal(degree_kernel_dims(rep, lag, order),
+                                      degree_kernel_dims_by_lists(rep, lag, order))
+
     def test_count_off_an_integer_raises(self):
         # two rotations by 60 degrees are no group: the degree-1 count is 2.5
         half_closed = GroupRep(n=2, generators=(rotation(np.pi / 3),),
                                elements=(np.eye(2), rotation(np.pi / 3)), order=2)
-        with pytest.raises(NumericalError, match="from integers"):
-            degree_kernel_dims(half_closed, 1, 2)
+        for counts in (degree_kernel_dims, degree_kernel_dims_by_lists):
+            with pytest.raises(NumericalError, match="from integers"):
+                counts(half_closed, 1, 2)
         with pytest.raises(NumericalError):
             equivariant_basis(half_closed, 1, compression_plan(2, 2))
 
