@@ -73,42 +73,50 @@ row.  The first block holds 1/16 of this, and each next one twice the last, so
 that a row near the start of the file costs little."""
 
 
-def _line_of_row(path, row):
+def _line_of_row(fh, row):
     """Index of the raw line that holds data row ``row`` (row 0 follows the
-    header) of the series CSV at ``path``, or None when the file ends first.
+    header) of the series CSV open at the start of text stream ``fh``, or None
+    when the stream ends first.  The stream is left at the start of that line.
 
-    Lines are counted as ``np.loadtxt`` counts ``skiprows``: the file is opened
-    by numpy's own opener in text mode, so CRLF and a lone CR also end a line,
-    and a line is a data row unless it is empty or starts with "#".  The file
-    is read in blocks of growing size, and only up to the row.
+    Lines are counted as ``np.loadtxt`` counts them when ``fh`` comes from
+    numpy's own opener in text mode: CRLF and a lone CR also end a line, and a
+    line is a data row unless it is empty or starts with "#".  The stream is
+    read in blocks of growing size, and only up to the block that holds the
+    row, which is then read again up to the row's line.
     """
-    with np.lib._datasource.open(os.fspath(path), "rt") as fh:
-        fh.readline()  # the header
-        # line: newlines before `last`, the character before the block
-        line, last, size = 0, "\n", max(SCAN_BLOCK_CHARS // 16, 1)
-        while block := fh.read(size):
-            # "\n" and "#" are one byte in UTF-8 and never part of another character
-            chunk = np.frombuffer((last + block).encode(), dtype=np.uint8)
-            ends = np.flatnonzero(chunk[:-1] == ord("\n"))
-            first = chunk[ends + 1]  # the first character of the line after each end
-            data = np.flatnonzero((first != ord("\n")) & (first != ord("#")))
-            if row < data.size:
-                return line + int(data[row]) + 1
-            row -= data.size
-            line += ends.size
-            last = block[-1]
-            size = min(2 * size, SCAN_BLOCK_CHARS)
-    return None
+    fh.readline()  # the header
+    # line: newlines before `last`, the character before the block
+    line, last, size = 0, "\n", max(SCAN_BLOCK_CHARS // 16, 1)
+    while True:
+        start = fh.tell()
+        if not (block := fh.read(size)):
+            return None
+        # "\n" and "#" are one byte in UTF-8 and never part of another character
+        chunk = np.frombuffer((last + block).encode(), dtype=np.uint8)
+        ends = np.flatnonzero(chunk[:-1] == ord("\n"))
+        first = chunk[ends + 1]  # the first character of the line after each end
+        data = np.flatnonzero((first != ord("\n")) & (first != ord("#")))
+        if row < data.size:
+            end = int(ends[data[row]])
+            fh.seek(start)
+            fh.read(len(chunk[:end + 1].tobytes().decode()) - 1)  # `last` is not in fh
+            return line + int(data[row]) + 1
+        row -= data.size
+        line += ends.size
+        last = block[-1]
+        size = min(2 * size, SCAN_BLOCK_CHARS)
 
 
-def _parse_series(path, skiprows, max_rows):
+def _parse_series(source, path, skiprows, max_rows):
+    """Parse the series CSV at ``path`` from ``source``: the path itself, or a
+    text stream already at the first line to parse."""
     try:
         with warnings.catch_warnings():
             # numpy warns when a comment or blank line is not counted in max_rows
             warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
                                     UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2, comments="#",
-                              max_rows=max_rows)
+            data = np.loadtxt(source, delimiter=",", skiprows=skiprows, ndmin=2,
+                              comments="#", max_rows=max_rows)
     except OSError:
         raise FileNotFoundError(f"cannot read series file {path}")
     except ValueError as exc:
@@ -123,20 +131,21 @@ def read_series(path, max_rows=None, first_row=0):
 
     Returns data rows ``first_row`` onward, at most ``max_rows`` of them;
     comment and blank lines are not rows.  Only those rows are parsed: the
-    lines before them are found by a scan and skipped unparsed, and rows after
-    them are not read, so neither is checked.  When the file has no row
-    ``first_row``, or the rows read do not parse, the file is parsed from row 0
-    instead, so the result or the error is that of a read from row 0.
+    lines before them are found by a scan and skipped unparsed, the parser
+    reads on from where the scan stopped, and rows after them are not read,
+    so neither is checked.  When the file has no row ``first_row``, or the
+    rows read do not parse, the file is parsed from row 0 instead, so the
+    result or the error is that of a read from row 0.
     """
     if first_row > 0:
         try:
-            line = _line_of_row(path, first_row)
-            if line is not None:
-                return _parse_series(path, line, max_rows)
+            with np.lib._datasource.open(os.fspath(path), "rt") as fh:
+                if _line_of_row(fh, first_row) is not None:
+                    return _parse_series(fh, path, 0, max_rows)
         except (OSError, ValueError):
             pass  # the read from row 0 reports it
     stop = None if max_rows is None else first_row + max_rows
-    return _parse_series(path, 1, stop)[first_row:]
+    return _parse_series(path, path, 1, stop)[first_row:]
 
 
 def read_prefix(path, count=None, fraction=None):

@@ -78,23 +78,25 @@ class CompressionPlan:
         feature range, the lead variable and the within-degree-(k-1) parent
         of each monomial, and the (d_{k-1}, dim_in) table whose entry [r, v]
         is the within-degree-k index of degree-(k-1) monomial r times
-        variable v.  The table is found by sorting every grown tuple and
-        looking up its code.
+        variable v.  The table is found by looking up the base-m code of
+        every grown tuple.  As r is sorted, r with v inserted in order has
+        entry j equal to max(r[j-1], min(r[j], v)), with r[-1] = -inf and
+        r[k-1] = +inf, so the code is built entry by entry, without a sort.
         """
         m = self.dim_in
+        v = np.arange(m)
         tables = []
         prev_lo = 0
         for k in range(2, self.order + 1):
             lo, hi = self.degree_class_range(k)
-            prev = self.tuples[k - 2]
-            grown = np.empty((prev.shape[0], m, k), dtype=np.int64)
-            grown[:, :, 1:] = prev[:, None, :]
-            grown[:, :, 0] = np.arange(m)
-            grown = np.sort(grown.reshape(-1, k), axis=1)
+            prev = self.tuples[k - 2].T[:, :, None]  # prev[j] = r[j], one row per r
+            code = np.minimum(prev[0], v)
+            for j in range(1, k):
+                code *= m
+                code += np.maximum(prev[j - 1], np.minimum(prev[j], v) if j < k - 1 else v)
             # the codes of the degree-k tuples ascend, as the tuples are sorted
-            insert = np.searchsorted(_codes(self.tuples[k - 1], m), _codes(grown, m))
-            tables.append((lo, hi, self.lead[lo:hi], self.parent[lo:hi] - prev_lo,
-                           insert.reshape(-1, m)))
+            insert = np.searchsorted(_codes(self.tuples[k - 1], m), code)
+            tables.append((lo, hi, self.lead[lo:hi], self.parent[lo:hi] - prev_lo, insert))
             prev_lo = lo
         return tables
 

@@ -66,13 +66,17 @@ def close_group(generators, match_tol=MATCH_TOL, max_order=MAX_ORDER):
 
 
 def window_action(g, lag):
-    """Action of a channel-space element on delay windows: g (x) I_lag."""
+    """Action of a channel-space element on delay windows: g (x) I_lag, as
+    the broadcast products g[i, j] * I_lag[s, t] that ``np.kron`` forms, so
+    a negative entry of g leaves -0.0 off the diagonal of its block."""
     g = tensorops._as_matrix(g, "g")
     if g.shape[0] != g.shape[1]:
         raise ShapeError(f"group element must be square, got {g.shape}")
     if lag == 1:
         return np.array(g)
-    return tensorops.kron(g, np.eye(lag))
+    m = g.shape[0] * lag
+    tensorops._check_entries(m * m, tensorops.ENTRY_CAP)
+    return (g[:, None, :, None] * np.eye(lag)[:, None, :]).reshape(m, m)
 
 
 ROW_BLOCK_TERMS = 1 << 16

@@ -190,14 +190,17 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
     the whole design A (x) I_lag instead, and the rank is the nonzero count.
 
     When the data has T >= 2 (q + n*lag) columns, A is built from the R factor
-    of the (T, q + n*lag) matrix [h0r; h1]^T instead of the data: with
-    [h0r; h1] = R^T Q^T and Q orthonormal, every residual sum_j c_j X_j h0r - h1
-    has the Frobenius norm of sum_j c_j X_j R0^T - R1^T, so the fit (truncated
-    or sparse) is the same least-squares problem on n (q + n*lag) rows of A
-    instead of n*T.  Shorter data, such as both paper experiments, is fitted
-    directly: there the saving is small, and the direct fit keeps their
-    models bit for bit.  ``train_residual`` is always measured on the caller's
-    data.
+    of [h0r_u; h1]^T instead of the data, where h0r_u holds the u rows of h0r
+    on which some basis element is nonzero: a feature that every X_j ignores
+    adds nothing to any sum_j c_j X_j h0r.  With [h0r_u; h1] = R^T Q^T and Q
+    orthonormal, every residual sum_j c_j X_j h0r - h1 has the Frobenius norm
+    of sum_j c_j X_j^u R0^T - R1^T, so the fit (truncated or sparse) is the
+    same least-squares problem on n (u + n*lag) rows of A instead of n*T.
+    For k4 (-I is in the group, so every even degree is left out) the QR is
+    u + n*lag = 68 columns wide at lag 3, order 3, not q + n*lag = 90.
+    Shorter data, such as both paper experiments, is fitted directly: there
+    the saving is small, and the direct fit keeps their models bit for bit.
+    ``train_residual`` is always measured on the caller's data.
 
     Either way A has fewer than 2 n (q + n*lag) rows and at most n*q columns,
     under four times the entries of the one-slot constraint block that
@@ -217,11 +220,17 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
             f"feature and target column counts differ: {h0r.shape[1]} vs {h1.shape[1]}"
         )
     h0_fit, h1_fit = h0r, h1
-    q = h0r.shape[0]
-    if h0r.shape[1] >= 2 * (q + h1.shape[0]):
-        r = np.linalg.qr(np.vstack([h0r, h1]).T, mode="r")
-        h0_fit, h1_fit = r[:, :q].T, r[:, q:].T
     slots = basis.slot_matrices
+    if h0r.shape[1] >= 2 * (h0r.shape[0] + h1.shape[0]):
+        used = np.flatnonzero(slots.any(axis=(0, 1)))
+        # LAPACK factorises column-major input without a strided copy
+        stack = np.empty((h0r.shape[1], used.size + h1.shape[0]), order="F")
+        for col, feature in enumerate(used):
+            stack[:, col] = h0r[feature]
+        stack[:, used.size:] = h1.T
+        r = np.linalg.qr(stack, mode="r")
+        slots = slots[:, :, used]
+        h0_fit, h1_fit = r[:, :used.size].T, r[:, used.size:].T
     k, n, _ = slots.shape
     lag = basis.lag
     # matching pursuit needs the whole design, lag*lag times the entries of A

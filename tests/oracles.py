@@ -612,6 +612,15 @@ def unreduced_fit(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
     return coeffs, int(np.count_nonzero(coeffs))
 
 
+def full_width_qr_fit(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
+    """Coefficients and rank of the slot-factored fit on the R factor of the
+    whole (T, q + n*lag) stack [h0r; h1]^T, every feature included: the long
+    data fit before it left out the features that no basis element uses."""
+    q = h0r.shape[0]
+    r = np.linalg.qr(np.vstack([h0r, h1]).T, mode="r")
+    return unreduced_fit(basis, r[:, :q].T, r[:, q:].T, rel_tol, sparsify)
+
+
 def svd_rank(a, rel_tol):
     """Number of singular values above rel_tol * sigma_max, from a separate SVD."""
     s = np.linalg.svd(a, compute_uv=False)

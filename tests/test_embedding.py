@@ -133,6 +133,17 @@ class TestCompressionPlan:
             assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
             assert np.array_equal(got[4], insert)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_insert_tables_match_the_passes_on_random_plans(self, seed):
+        # the tables are built without sorting the grown tuples
+        rng = np.random.default_rng(seed)
+        m, p = (12, 4) if seed == 0 else (int(rng.integers(1, 13)), int(rng.integers(2, 5)))
+        plan = compression_plan(m, p)
+        inserts = insert_tables_by_passes(plan)
+        assert len(plan.action_tables) == len(inserts) == p - 1
+        for table, insert in zip(plan.action_tables, inserts):
+            assert table[4].dtype == np.int64 and np.array_equal(table[4], insert)
+
     @pytest.mark.parametrize("m,p", [(3, 20), (2, 31)])
     def test_overflowing_full_embedding_refused(self, m, p):
         # the plans themselves would have only 1771 and 528 features

@@ -319,3 +319,19 @@ class TestWindowAction:
     def test_block_structure(self):
         out = window_action(SWAP, 3)
         assert np.array_equal(out, np.kron(SWAP, np.eye(3)))
+
+    @pytest.mark.parametrize("kind", ["signed", "conjugated", "rotation+flip"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_kron(self, kind, seed):
+        # a negative entry times an off-diagonal zero of I_lag is -0.0 in both
+        rep = TestBitwiseOnRandomGroups.random_group(kind, seed)
+        for g in rep.elements:
+            for lag in range(1, 7):
+                assert bitwise_equal(window_action(g, lag), np.kron(g, np.eye(lag)))
+
+    def test_k4_negative_zeros(self):
+        for g in builtin_rep("k4").elements:
+            out = window_action(g, 5)
+            assert bitwise_equal(out, np.kron(g, np.eye(5)))
+            # the off-diagonal entries of a block with a -1 are -0.0
+            assert np.count_nonzero(np.signbit(out) & (out == 0)) == 20 * np.count_nonzero(g < 0)

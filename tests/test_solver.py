@@ -16,8 +16,9 @@ from tests.test_groups import named_rep, rotation
 from tests.test_model import manual_model
 
 from oracles import (cutoff_equivariant_basis, degree_kernel_dims_by_lists, dense_fit,
-                     dense_matrices, null_space, svd_rank, unconstrained_fit, unreduced_fit,
-                     whole_equivariant_basis, window_equivariant_basis)
+                     dense_matrices, full_width_qr_fit, null_space, svd_rank,
+                     unconstrained_fit, unreduced_fit, whole_equivariant_basis,
+                     window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -515,8 +516,9 @@ def _fitted_gap(basis, fit, coeffs, h0r, h1):
 
 
 class TestReducedFit:
-    """With T >= 2 (q + n*lag) the fit runs on the R factor of [h0r; h1]^T;
-    the fit on the data itself is the oracle."""
+    """With T >= 2 (q + n*lag) the fit runs on the R factor of [h0r_u; h1]^T,
+    h0r_u the rows of h0r that some basis element uses; the fit on the data
+    itself and the fit on the R factor of all rows are the oracles."""
 
     def test_k4_matches_unreduced_fit(self, k4_long_case):
         series, basis, h0r, h1 = k4_long_case
@@ -533,6 +535,32 @@ class TestReducedFit:
             fc = rollout(manual_model(coupling, builtin_rep("k4"), 3, 3), seed, 100)
             rmse.append(np.sqrt(np.mean((fc.values - series[2000:2100]) ** 2)))
         assert abs(rmse[0] / rmse[1] - 1.0) <= 0.02
+
+    def test_k4_matches_full_width_qr_fit(self, k4_long_case):
+        # the k4 basis is zero on the 22 features of even degree
+        series, basis, h0r, h1 = k4_long_case
+        fit = fit_coefficients(basis, h0r, h1)
+        coeffs, rank = full_width_qr_fit(basis, h0r, h1)
+        assert fit.rank == rank == 90
+        assert _fitted_gap(basis, fit, coeffs, h0r, h1) <= 1e-10
+        seed = delay_windows(series[:2000], 3)[-1]
+        rmse = []
+        for coupling in (assemble(basis, fit), solver._combine(basis, coeffs)):
+            fc = rollout(manual_model(coupling, builtin_rep("k4"), 3, 3), seed, 100)
+            rmse.append(np.sqrt(np.mean((fc.values - series[2000:2100]) ** 2)))
+        assert abs(rmse[0] / rmse[1] - 1.0) <= 0.02
+
+    @pytest.mark.parametrize("sparsify", [None, 5])
+    def test_unused_features_are_not_read(self, k4_long_case, sparsify):
+        _, basis, h0r, h1 = k4_long_case
+        unused = ~basis.slot_matrices.any(axis=(0, 1))
+        assert np.count_nonzero(unused) == 22
+        changed = h0r.copy()
+        rng = np.random.default_rng(5)
+        changed[unused] = rng.normal(scale=1e3, size=(np.count_nonzero(unused), h0r.shape[1]))
+        fits = [fit_coefficients(basis, data, h1, sparsify=sparsify) for data in (h0r, changed)]
+        assert np.array_equal(fits[0].coefficients, fits[1].coefficients)
+        assert fits[0].rank == fits[1].rank
 
     def test_z5_matches_unreduced_fit(self, z5_long_case):
         basis, h0r, h1 = z5_long_case
@@ -555,7 +583,8 @@ class TestReducedFit:
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         fit = fit_coefficients(basis, h0r[:, :cols], h1[:, :cols])
-        assert calls == ([(cols, h0r.shape[0] + h1.shape[0])] if reduced else [])
+        # the 62 features of odd degree and the 6 targets at k4 L=3 p=3
+        assert calls == ([(cols, 68)] if reduced else [])
         if not reduced:
             coeffs, rank = unreduced_fit(basis, h0r[:, :cols], h1[:, :cols])
             assert np.array_equal(fit.coefficients, coeffs) and fit.rank == rank
