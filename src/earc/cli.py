@@ -7,7 +7,6 @@ outputs.
 """
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -19,7 +18,8 @@ from . import solver, systems
 from .errors import (CorruptModelError, DimensionOverflowError, DivergenceError,
                      InsufficientDataError, ModelFormatError, NonFiniteGroupError,
                      NumericalError, ShapeError, UnknownNameError, ValidationError)
-from .groups import load_group, window_action
+from .embedding import as_series
+from .groups import json_numbers, load_group, parse_json, read_json, window_action
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -172,45 +172,17 @@ def read_prefix(path, count=None, fraction=None):
     return series[:max(count, 0)], count
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"cannot parse config {path}: {exc.msg} at line {exc.lineno}"
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise ValidationError(
-                f"cannot parse config {path}: not UTF-8 text ({exc.reason})"
-            ) from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
-    return data
-
-
-def _parse_matrix(spec):
-    if spec.startswith("I") and spec[1:].isdigit():
+def _parse_array(spec, ndim):
+    """The ``ndim``-D array of finite numbers in the JSON text ``spec`` of a
+    command-line flag; "I<n>" is the n x n identity."""
+    if ndim == 2 and spec.startswith("I") and spec[1:].isdigit():
         return np.eye(int(spec[1:]))
-    try:
-        mat = np.asarray(json.loads(spec), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise ValidationError(f"cannot parse matrix spec {spec!r}: {exc}") from exc
-    if mat.ndim != 2:
-        raise ValidationError(f"matrix spec {spec!r} is not 2-D")
-    return mat
-
-
-def _parse_vector(spec):
-    try:
-        vect = np.asarray(json.loads(spec), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise ValidationError(f"cannot parse vector spec {spec!r}: {exc}") from exc
-    if vect.ndim != 1:
-        raise ValidationError(f"vector spec {spec!r} is not 1-D")
-    return vect
+    what = f"{('vector', 'matrix')[ndim - 1]} spec {spec!r}"
+    # an object array keeps the entries as JSON decoded them, for json_numbers
+    nested = np.array(parse_json(spec, what, ValidationError), dtype=object)
+    if nested.ndim != ndim:
+        raise ValidationError(f"{what} is not {ndim}-D")
+    return json_numbers(nested.ravel().tolist(), what).reshape(nested.shape)
 
 
 def cmd_generate(args):
@@ -223,14 +195,14 @@ def cmd_generate(args):
     elif args.system == "competition":
         kwargs = {"steps": args.steps if args.steps is not None else 425}
         if args.p0_vec is not None:
-            kwargs["p0"] = _parse_vector(args.p0_vec)
+            kwargs["p0"] = _parse_array(args.p0_vec, 1)
         if args.growth is not None:
             kwargs["r"] = np.full(5, args.growth)
         cfg = systems.CompetitionConfig(**kwargs)
         values = systems.competition_generate(cfg)
     elif args.system == "linear":
-        a = _parse_matrix(args.matrix)
-        x0 = _parse_vector(args.x0) if args.x0 is not None else np.ones(a.shape[0])
+        a = _parse_array(args.matrix, 2)
+        x0 = _parse_array(args.x0, 1) if args.x0 is not None else np.ones(a.shape[0])
         values = systems.planted_linear(a, x0, args.steps if args.steps is not None else 100)
     else:
         raise UnknownNameError(f"unknown system {args.system!r}")
@@ -278,7 +250,9 @@ def _lag_arg(text):
 
 
 def cmd_train(args):
-    config = _load_config(args.config)
+    config = {} if args.config is None else read_json(args.config, ValidationError)
+    if not isinstance(config, dict):
+        raise ValidationError(f"config {args.config} must hold a JSON object")
     unknown = sorted(set(config) - set(_CONFIG_TYPES))
     if unknown:
         raise ValidationError(
@@ -321,6 +295,7 @@ def cmd_train(args):
 
 
 def _seed_window(args, m):
+    """The (L, n) seed rows, and the training sample count when they end a prefix."""
     lag = m.lag
     if args.seed_csv is not None:
         for flag, value in (("--data", args.data), ("--train-count", args.train_count),
@@ -332,25 +307,25 @@ def _seed_window(args, m):
             raise InsufficientDataError(
                 f"seed series has {series.shape[0]} rows, need at least {lag}"
             )
-        tail = series[-lag:]
-        return tail.T.ravel(), None
+        return series[-lag:], None
     if args.data is None:
         raise ValidationError("either --seed-csv or --data is required")
     count = args.train_count
     if args.train_fraction is None and count is not None and count >= lag:
         window = read_series(args.data, lag, first_row=count - lag)
         if window.shape[0] == lag:
-            return window.T.ravel(), count
+            return window, count
     # every other case, and a series shorter than the count, reads the prefix
     prefix, count = read_prefix(args.data, args.train_count, args.train_fraction)
     if count < lag:
         raise ValidationError(f"training prefix {count} is shorter than lag {lag}")
-    return prefix[-lag:].T.ravel(), count
+    return prefix[-lag:], count
 
 
 def cmd_forecast(args):
     m = model_mod.load(args.model)
-    seed, offset = _seed_window(args, m)
+    rows, offset = _seed_window(args, m)
+    seed = as_series(rows).T.ravel()
     if args.apply_group_element is not None:
         j = args.apply_group_element
         if not 0 <= j < m.group.order:
@@ -376,7 +351,7 @@ def cmd_forecast(args):
                 f"reference has {ref.shape[0]} rows, fewer than the {fc.steps} "
                 "forecast steps"
             )
-        reference = ref[:fc.steps]
+        reference = as_series(ref[:fc.steps]) if fc.steps > 0 else ref[:0]
     n = m.n
     header = ["t"] + [f"ch{j + 1}" for j in range(n)]
     columns = fc.values

@@ -1,4 +1,6 @@
-"""Finite orthogonal matrix groups and their actions on embedded coordinates."""
+"""Finite orthogonal matrix groups and their actions on embedded coordinates,
+and the one JSON decoder of group, model and config files and command-line
+arrays."""
 
 import json
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ class GroupRep:
     order: int
 
 
-def close_group(generators, match_tol=MATCH_TOL, max_order=MAX_ORDER):
+def close_group(generators):
     """Breadth-first closure of a generator set under matrix multiplication."""
     gens = [tensorops._as_matrix(g, f"generator {i}") for i, g in enumerate(generators)]
     if not gens:
@@ -40,22 +42,22 @@ def close_group(generators, match_tol=MATCH_TOL, max_order=MAX_ORDER):
             raise ShapeError(f"generator {i} has shape {g.shape}, expected ({n}, {n})")
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"generator {i} contains non-finite entries")
-        if np.linalg.norm(g.T @ g - np.eye(n)) > match_tol:
-            raise ValidationError(f"generator {i} is not orthogonal within {match_tol}")
+        if np.linalg.norm(g.T @ g - np.eye(n)) > MATCH_TOL:
+            raise ValidationError(f"generator {i} is not orthogonal within {MATCH_TOL}")
     elements = [np.eye(n)]
     queue = [np.eye(n)]
     while queue:
         e = queue.pop(0)
         for g in gens:
             prod = e @ g
-            if any(np.linalg.norm(prod - x) <= match_tol for x in elements):
+            if any(np.linalg.norm(prod - x) <= MATCH_TOL for x in elements):
                 continue
             elements.append(prod)
             queue.append(prod)
-            if len(elements) > max_order:
+            if len(elements) > MAX_ORDER:
                 raise NonFiniteGroupError(
-                    f"closure exceeded max_order={max_order}; group is not finite "
-                    "or match_tol is too tight"
+                    f"closure exceeded MAX_ORDER={MAX_ORDER}; group is not finite "
+                    "or MATCH_TOL is too tight"
                 )
     for e in elements:
         e.setflags(write=False)
@@ -144,6 +146,28 @@ def reduced_action(g, lag, plan):
     return out
 
 
+def parse_json(text, source, error):
+    """The JSON document in ``text`` (bytes are decoded as UTF-8), read from
+    ``source``.  Text that is not UTF-8 JSON raises ``error`` naming
+    ``source`` and the line and column where it stops being so."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except json.JSONDecodeError as exc:
+        reason = f"{exc.msg} at line {exc.lineno} column {exc.colno}"
+    except UnicodeDecodeError as exc:
+        lines = text[:exc.start].split(b"\n")
+        reason = f"not UTF-8 text ({exc.reason}) at line {len(lines)} column {len(lines[-1]) + 1}"
+    except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits, deep nesting
+        reason = str(exc)
+    raise error(f"cannot parse {source}: {reason}")
+
+
+def read_json(path, error):
+    """The JSON document in the file at ``path``, as in :func:`parse_json`."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path, error)
+
+
 def json_integer(value, name):
     """A JSON integer; bool is an int subclass, and int() would truncate a float."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -151,17 +175,36 @@ def json_integer(value, name):
     return value
 
 
+def json_numbers(values, name, dtype=np.float64):
+    """A JSON list of finite numbers as a 1-D ``dtype`` array; an integer
+    ``dtype`` takes JSON integers only.  The entry types are checked in one
+    pass first: ``np.asarray`` would read the string "0.5" and true as
+    numbers."""
+    integer = np.issubdtype(dtype, np.integer)
+    if not isinstance(values, list):
+        raise ValidationError(f"{name} must be a JSON list, got {type(values).__name__}")
+    if not set(map(type, values)) <= ({int} if integer else {int, float}):
+        raise ValidationError(f"each entry of {name} must be "
+                              f"{'an integer' if integer else 'a number'}")
+    try:
+        array = np.array(values, dtype=dtype)
+        if np.isfinite(array).all():
+            return array
+    except OverflowError:  # an integer beyond the dtype's range
+        pass
+    raise ValidationError(f"each entry of {name} must be a finite {np.dtype(dtype).name}")
+
+
 def from_json_dict(data):
     """Rebuild a group from its JSON encoding; the closure is recomputed."""
     try:
-        n, flat = data["n"], data["generators"]
-        n = json_integer(n, "n")
-        gens = [np.asarray(g, dtype=np.float64).reshape(n, n) for g in flat]
+        n = json_integer(data["n"], "n")
+        gens = [json_numbers(g, f"generator {i}").reshape(n, n)
+                for i, g in enumerate(data["generators"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed group encoding: {exc}") from exc
     return close_group(gens)
 
 
 def load_group(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    return from_json_dict(read_json(path, ValidationError))

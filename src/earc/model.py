@@ -23,7 +23,7 @@ from . import _kernels, solver, tensorops
 from .embedding import as_series, build_data_matrices, compression_plan
 from .errors import (CorruptModelError, InsufficientDataError, ModelFormatError,
                      ShapeError, ValidationError)
-from .groups import close_group, json_integer
+from .groups import from_json_dict, json_integer, json_numbers, read_json
 from .solver import FitReport
 
 MODEL_FORMAT_VERSION = 1
@@ -193,40 +193,28 @@ def load(path, check_equivariance=True):
     ``check_equivariance=False`` skips the residual bound so that diagnostic
     tools can inspect (and report on) a tampered file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(
-                f"cannot parse {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(
-                f"cannot parse {path}: not UTF-8 text ({exc.reason})"
-            ) from exc
+    payload = read_json(path, ModelFormatError)
     try:
-        version, n, lag, order = (json_integer(payload[key], key)
-                                  for key in ("version", "n", "L", "p"))
-        generators = [np.asarray(g, dtype=np.float64).reshape(n, n)
-                      for g in payload["generators"]]
-        rep_index = [json_integer(i, "rep_index entry") for i in payload["rep_index"]]
-        flat_w = np.asarray(payload["W"], dtype=np.float64)
+        version, lag, order = (json_integer(payload[key], key) for key in ("version", "L", "p"))
+        rep_index = json_numbers(payload["rep_index"], "rep_index", np.int64)
+        flat_w = json_numbers(payload["W"], "W")
         fit_data = payload["fit"]
-        coefficients = np.asarray(fit_data["coefficients"], dtype=np.float64)
-        train_residual = float(fit_data["train_residual"])
-        stored_residual = float(fit_data["delta_em"])
+        coefficients = json_numbers(fit_data["coefficients"], "fit.coefficients")
+        train_residual, stored_residual = json_numbers(
+            [fit_data["train_residual"], fit_data["delta_em"]], "fit residuals").tolist()
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelError(f"model file {path} is malformed: {exc}") from exc
     if version != MODEL_FORMAT_VERSION:
         raise CorruptModelError(f"unsupported model version {version}")
-    if n < 1 or lag < 1 or order < 1:
-        raise CorruptModelError(f"invalid dimensions n={n}, L={lag}, p={order}")
     try:
-        group = close_group(generators)
-    except ValidationError as exc:
+        group = from_json_dict(payload)
+    except (ValidationError, ShapeError) as exc:  # ShapeError: n = 0 empties each generator
         raise CorruptModelError(f"model file {path} has invalid generators: {exc}") from exc
+    if lag < 1 or order < 1:
+        raise CorruptModelError(f"invalid dimensions L={lag}, p={order}")
+    n = group.n
     plan = compression_plan(n * lag, order)
-    if rep_index != [int(i) for i in plan.rep_index]:
+    if not np.array_equal(rep_index, plan.rep_index):
         raise CorruptModelError("stored monomial representatives do not match the plan")
     expected = n * lag * plan.reduced_dim
     if flat_w.shape[0] != expected:
@@ -236,8 +224,6 @@ def load(path, check_equivariance=True):
     size = lag * int(solver.degree_kernel_dims(group, lag, order).sum())
     if coefficients.shape != (size,):
         raise CorruptModelError(f"fit has {coefficients.shape} coefficients, expected ({size},)")
-    if not np.all(np.isfinite(flat_w)) or not np.all(np.isfinite(coefficients)):
-        raise CorruptModelError("model contains non-finite entries")
     coupling = flat_w.reshape(n * lag, plan.reduced_dim)
     coupling.setflags(write=False)
     if check_equivariance:
@@ -248,6 +234,6 @@ def load(path, check_equivariance=True):
             )
     fit = FitReport(coefficients=coefficients, train_residual=train_residual,
                     equivariance_residual=stored_residual,
-                    basis_dim=coefficients.shape[0], rank=None, sparsify=None)
+                    basis_dim=coefficients.shape[0], rank=None)
     return EarcModel(n=n, lag=lag, order=order, group=group, plan=plan,
                      coupling=coupling, fit=fit, metadata={"source": str(path)})

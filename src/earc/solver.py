@@ -24,7 +24,7 @@ import numpy as np
 from . import tensorops
 from .embedding import compression_plan
 from .errors import NumericalError, ShapeError
-from .groups import reduced_action, window_action
+from .groups import reduced_action
 
 NORMAL_EQ_THRESHOLD = 2000
 """One-slot basis size above which an earlier ``fit_coefficients`` solved the
@@ -69,8 +69,8 @@ class FitReport:
     """Outcome of a coefficient fit.
 
     train_residual is ||W @ H0r - H1||_F / ||H1||_F; equivariance_residual is
-    filled in by the training pipeline (nan until then).  rank and sparsify
-    are None on models restored from disk.
+    filled in by the training pipeline (nan until then).  rank is None on
+    models restored from disk.
     """
 
     coefficients: np.ndarray
@@ -78,7 +78,6 @@ class FitReport:
     equivariance_residual: float
     basis_dim: int
     rank: int | None
-    sparsify: int | None
 
 
 def constraint_matrix(g, lag, plan, features=slice(None)):
@@ -219,6 +218,8 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
         raise ShapeError(
             f"feature and target column counts differ: {h0r.shape[1]} vs {h1.shape[1]}"
         )
+    if sparsify is not None and sparsify < 1:
+        raise ShapeError(f"sparsify must be >= 1, got {sparsify}")
     h0_fit, h1_fit = h0r, h1
     slots = basis.slot_matrices
     if h0r.shape[1] >= 2 * (h0r.shape[0] + h1.shape[0]):
@@ -243,15 +244,15 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
         rank *= lag
     else:
         # A (x) I_lag is the whole design in vec(h1) row order
-        coeffs = tensorops.lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(),
-                                 sparsify=sparsify)
+        coeffs = tensorops._omp(tensorops.kron(a, np.eye(lag)), rhs.ravel(), sparsify,
+                                tensorops.LSTSQ_RTOL)
         rank = int(np.count_nonzero(coeffs))
     w = _combine(basis, coeffs)
     h1norm = np.linalg.norm(h1)
     residual = np.linalg.norm(w @ h0r - h1) / (h1norm if h1norm > 0 else 1.0)
     return FitReport(coefficients=coeffs, train_residual=float(residual),
                      equivariance_residual=float("nan"), basis_dim=basis.size,
-                     rank=rank, sparsify=sparsify)
+                     rank=rank)
 
 
 def _slot_system(slots, h0r, h1):
@@ -305,7 +306,7 @@ def generator_residuals(w, group, lag, plan):
 def _commutator_norm(w, g, lag, plan):
     """||h W - W Ghat||_F of one element for a checked coupling ``w``."""
     ghat = reduced_action(g, lag, plan)
-    h = window_action(g, lag)
+    h = ghat[:w.shape[0], :w.shape[0]]  # the degree-1 block of Ghat is h = g (x) I_lag
     return float(np.linalg.norm(h @ w - w @ ghat))
 
 

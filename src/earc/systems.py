@@ -53,8 +53,9 @@ class HamiltonianConfig:
     steps: int = 600
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not (0 < self.dt < math.inf and math.isfinite(self.q0) and math.isfinite(self.p0)):
+            raise ValidationError(f"need a finite start and a finite dt > 0, got "
+                                  f"({self.q0}, {self.p0}) and {self.dt}")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
 
@@ -70,10 +71,12 @@ class CompetitionConfig:
 
     def __post_init__(self):
         p0 = np.asarray(self.p0, dtype=np.float64)
-        if np.any(p0 <= 0.0) or np.any(p0 >= 1.0):
+        if not np.all((p0 > 0.0) & (p0 < 1.0)):
             raise ValidationError("all start components must lie in (0, 1)")
-        if np.any(np.asarray(self.interactions) < 0.0):
-            raise ValidationError("interaction entries must be nonnegative")
+        if not np.all(np.isfinite(self.r)):
+            raise ValidationError("growth rates must be finite")
+        if not np.all((np.asarray(self.interactions) >= 0.0) & np.isfinite(self.interactions)):
+            raise ValidationError("interaction entries must be nonnegative and finite")
         if self.steps < 0:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
 
@@ -163,6 +166,8 @@ def planted_linear(a, x0, steps):
     x = tensorops._as_vector(x0, "x0")
     if a.shape[0] != a.shape[1] or a.shape[0] != x.shape[0]:
         raise ShapeError(f"matrix {a.shape} does not act on start of dim {x.shape[0]}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
+        raise ValidationError("matrix and start must be finite")
     if steps < 0:
         raise ShapeError(f"steps must be >= 0, got {steps}")
     rows = np.empty((steps + 1, x.shape[0]))

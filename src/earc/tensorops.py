@@ -13,7 +13,7 @@ ENTRY_CAP = 2**31
 
 LSTSQ_RTOL = 1e-12
 """Relative truncation threshold of least-squares solves: the cutoff of
-``solver.fit_coefficients``, which no option changes, and the default here."""
+``solver.fit_coefficients``, which no option changes."""
 
 
 def _as_matrix(a, name="matrix"):
@@ -52,24 +52,6 @@ def kron(a, b):
     return np.kron(a, b)
 
 
-def lstsq(a, b, rel_tol=LSTSQ_RTOL, sparsify=None):
-    """Minimum-norm least-squares solution of a x = b via truncated SVD.
-
-    Singular values below rel_tol * sigma_max are discarded.  When
-    ``sparsify`` is given, a greedy orthogonal-matching-pursuit pass retains
-    at most that many nonzero coefficients instead.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_vector(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"a has {a.shape[0]} rows but b has dim {b.shape[0]}")
-    if sparsify is not None:
-        if sparsify < 1:
-            raise ShapeError(f"sparsify must be >= 1, got {sparsify}")
-        return _omp(a, b, sparsify, rel_tol)
-    return _truncated_solve(a, b, rel_tol)[0]
-
-
 def _truncated_solve(a, b, rel_tol):
     """Truncated-SVD solution and the number of singular values it kept.
 
@@ -84,6 +66,8 @@ def _truncated_solve(a, b, rel_tol):
 
 
 def _omp(a, b, max_nonzero, rel_tol):
+    """Orthogonal matching pursuit: a solution of a x ~ b with at most
+    ``max_nonzero`` nonzero entries, each support refitted by ``_truncated_solve``."""
     norms = np.linalg.norm(a, axis=0)
     viable = norms > 0
     bnorm = np.linalg.norm(b)

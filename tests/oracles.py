@@ -482,6 +482,24 @@ def expansion_matrix(plan):
     return e
 
 
+def lstsq(a, b, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
+    """Minimum-norm least-squares solution of a x = b via truncated SVD.
+
+    Singular values below rel_tol * sigma_max are discarded.  When
+    ``sparsify`` is given, a greedy orthogonal-matching-pursuit pass retains
+    at most that many nonzero coefficients instead.
+    """
+    a = tensorops._as_matrix(a, "a")
+    b = tensorops._as_vector(b, "b")
+    if a.shape[0] != b.shape[0]:
+        raise ShapeError(f"a has {a.shape[0]} rows but b has dim {b.shape[0]}")
+    if sparsify is not None:
+        if sparsify < 1:
+            raise ShapeError(f"sparsify must be >= 1, got {sparsify}")
+        return tensorops._omp(a, b, sparsify, rel_tol)
+    return tensorops._truncated_solve(a, b, rel_tol)[0]
+
+
 def unconstrained_fit(h0r, h1, rel_tol=tensorops.LSTSQ_RTOL):
     """Minimum-norm least-squares solution of W @ h0r = h1, one row at a time."""
     h0r = tensorops._as_matrix(h0r, "h0r")
@@ -490,7 +508,7 @@ def unconstrained_fit(h0r, h1, rel_tol=tensorops.LSTSQ_RTOL):
         raise ShapeError(
             f"feature and target column counts differ: {h0r.shape[1]} vs {h1.shape[1]}"
         )
-    rows = [tensorops.lstsq(h0r.T, h1[i], rel_tol) for i in range(h1.shape[0])]
+    rows = [lstsq(h0r.T, h1[i], rel_tol) for i in range(h1.shape[0])]
     return np.vstack(rows)
 
 
@@ -592,7 +610,7 @@ def dense_fit(matrices, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
     rhs = h1.ravel(order="F")
     if sparsify is None:
         return tensorops._truncated_solve(lhs, rhs, rel_tol)
-    coeffs = tensorops.lstsq(lhs, rhs, rel_tol, sparsify)
+    coeffs = lstsq(lhs, rhs, rel_tol, sparsify)
     return coeffs, int(np.count_nonzero(coeffs))
 
 
@@ -608,7 +626,7 @@ def unreduced_fit(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
     if sparsify is None:
         coeffs, rank = tensorops._truncated_solve(a, rhs, rel_tol)
         return coeffs.ravel(), rank * lag
-    coeffs = tensorops.lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(), rel_tol, sparsify)
+    coeffs = lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(), rel_tol, sparsify)
     return coeffs, int(np.count_nonzero(coeffs))
 
 

@@ -829,6 +829,202 @@ class TestAcf:
         assert main(["acf", "--data", str(data), "--max-lag", "10"]) == 2
 
 
+NOT_FINITE_NUMBERS = ('"0.5"', "true", "false", "null", "NaN", "Infinity", "-Infinity",
+                      "1e999")
+"""JSON values that are not finite numbers; each replaces one number of an input."""
+
+
+def _number_paths(data, path=()):
+    """The key path of every number (not bool) in a decoded JSON document."""
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        return [found for key, value in items for found in _number_paths(value, path + (key,))]
+    return [path] if type(data) in (int, float) else []
+
+
+def _broken_json(text, rng, tokens=NOT_FINITE_NUMBERS):
+    """(kind, text) pairs: ``text`` cut short, with a byte that is not UTF-8
+    (a lone surrogate, as Python passes such an argv byte), and with each
+    token in place of one seeded number."""
+    cut = int(rng.integers(0, len(text) - 1))  # drops at least the closing bracket
+    at = int(rng.integers(0, len(text) + 1))
+    out = [("truncated", text[:cut]), ("not UTF-8", text[:at] + "\udcff" + text[at:])]
+    data = json.loads(text)
+    paths = _number_paths(data)
+    for token in tokens:
+        path = paths[int(rng.integers(len(paths)))]
+        changed = json.loads(text)
+        target = changed
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@number@"
+        out.append((f"{token} at {path}", json.dumps(changed).replace('"@number@"', token)))
+    return out
+
+
+def _write_text(path, text):
+    """Write ``text``; a lone surrogate becomes the byte it stands for."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+def _code_and_err(argv, capsys):
+    code = main([str(a) for a in argv])  # must return, not raise
+    return code, capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Config, group and model files and the command-line arrays are decoded
+    by one JSON reader: a file that does not parse, or a number that is a
+    string, a bool, null or not finite, exits 2, or 3 in a model file that
+    parses, with a message and without a traceback."""
+
+    def _sweep(self, text, run, expected, capsys, seed, tokens=NOT_FINITE_NUMBERS):
+        failures = []
+        for kind, broken in _broken_json(text, np.random.default_rng(seed), tokens):
+            code, err = _code_and_err(run(broken), capsys)
+            want = 2 if kind in ("truncated", "not UTF-8") else expected
+            if code != want or not err.startswith(("error: ", "numerical failure: ")):
+                failures.append((kind, code, err))
+        assert failures == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_config_sweep(self, comp_csv, tmp_path, capsys, seed):
+        text = json.dumps({"data": str(comp_csv), "group": "z5", "L": 1, "p": 2,
+                           "train_count": 31, "max_lag": 5, "out": str(tmp_path / "m.json")})
+        path = tmp_path / "config.json"
+
+        def run(broken):
+            _write_text(path, broken)
+            return ["train", "--config", path]
+        # null leaves a config key unset, and every key here has a default
+        self._sweep(text, run, 2, capsys, seed,
+                    tuple(t for t in NOT_FINITE_NUMBERS if t != "null"))
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_group_file_sweep(self, comp_csv, tmp_path, capsys, seed):
+        text = json.dumps({"n": 5, "generators": [builtin_rep("z5").generators[0].ravel().tolist()]})
+        path = tmp_path / "group.json"
+
+        def run(broken):
+            _write_text(path, broken)
+            return ["train", "--data", comp_csv, "--group-file", path, "--L", "1", "--p", "2",
+                    "--train-count", "31", "--out", tmp_path / "m.json"]
+        self._sweep(text, run, 2, capsys, seed)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "forecast"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_model_sweep(self, comp_csv, z5_model_path, tmp_path, capsys, command, seed):
+        path = tmp_path / "model.json"
+        options = {"verify": [], "forecast": ["--data", comp_csv, "--train-count", "31",
+                                              "--horizon", "3", "--out", tmp_path / "fc.csv"]}
+
+        def run(broken):
+            _write_text(path, broken)
+            return [command, "--model", path, *options[command]]
+        self._sweep(z5_model_path.read_text().strip(), run, 3, capsys, seed)
+        assert not (tmp_path / "fc.csv").exists()
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--matrix", "[[0.9, 0.1], [-0.1, 0.8]]"), ("--x0", "[1.0, 0.5]"),
+        ("--p0-vec", "[0.2, 0.35, 0.5, 0.65, 0.8]")], ids=["matrix", "x0", "p0-vec"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generate_array_sweep(self, tmp_path, capsys, flag, text, seed):
+        system = "competition" if flag == "--p0-vec" else "linear"
+        out = tmp_path / "gen.csv"
+        self._sweep(text, lambda broken: ["generate", "--system", system, flag, broken,
+                                          "--steps", "5", "--out", out], 2, capsys, seed)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["W", "generators", "coefficients", "train_residual"])
+    def test_model_numbers_written_as_strings_exit_3(self, z5_model_path, tmp_path, capsys,
+                                                     field):
+        payload = json.loads(z5_model_path.read_text())
+        holder = payload["fit"] if field in ("coefficients", "train_residual") else payload
+        if field == "generators":
+            holder[field] = [[repr(v) for v in g] for g in holder[field]]
+        elif field == "train_residual":
+            holder[field] = repr(holder[field])
+        else:
+            holder[field] = [repr(v) for v in holder[field]]
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(payload))
+        code, err = _code_and_err(["verify", "--model", path], capsys)
+        assert code == 3 and "must be a number" in err
+
+    @pytest.mark.parametrize("entry", ["strings", "bools"])
+    def test_group_file_entries_must_be_numbers(self, comp_csv, tmp_path, capsys, entry):
+        generator = builtin_rep("z5").generators[0].ravel().tolist()
+        values = [repr(v) for v in generator] if entry == "strings" else [bool(v) for v in generator]
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"n": 5, "generators": [values]}))
+        code, err = _code_and_err(["train", "--data", comp_csv, "--group-file", path, "--L", "1",
+                                   "--p", "2", "--train-count", "31",
+                                   "--out", tmp_path / "m.json"], capsys)
+        assert code == 2 and "each entry of generator 0 must be a number" in err
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"n": 5, "generators": [[0', "at line 1 column 27"),
+        (b'{"n": 5,\n "generators": \xff}', "not UTF-8 text (invalid start byte) at line 2 column 16"),
+        # json raises a bare ValueError and a RecursionError for these
+        (b'{"n": 5, "generators": [[' + b"1" * 5000 + b"]]}", "4300 digits"),
+        (b"[" * 100000, "recursion"),
+    ], ids=["truncated", "not-UTF-8", "long-integer", "deep-nesting"])
+    def test_unparsable_group_file_exits_2(self, comp_csv, tmp_path, capsys, content, message):
+        path = tmp_path / "group.json"
+        path.write_bytes(content)
+        code, err = _code_and_err(["train", "--data", comp_csv, "--group-file", path, "--L", "1",
+                                   "--p", "2", "--train-count", "31",
+                                   "--out", tmp_path / "m.json"], capsys)
+        assert code == 2 and f"cannot parse {path}: " in err and message in err
+
+    def test_matrix_of_strings_exits_2(self, tmp_path, capsys):
+        code, err = _code_and_err(["generate", "--system", "linear", "--matrix",
+                                   '[["1","0"],["0","1"]]', "--out", tmp_path / "l.csv"], capsys)
+        assert code == 2 and "must be a number" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--system", "hamiltonian", "--dt", "nan"],
+        ["--system", "hamiltonian", "--q0", "inf"],
+        ["--system", "competition", "--growth", "nan"],
+        ["--system", "competition", "--p0-vec", "[0.2, NaN, 0.5, 0.65, 0.8]"],
+        ["--system", "linear", "--x0", "[1, NaN]"],
+    ], ids=["dt", "q0", "growth", "p0-vec", "x0"])
+    def test_non_finite_generate_option_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "gen.csv"
+        code, err = _code_and_err(["generate", *flags, "--out", out], capsys)
+        assert code == 2 and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("source", ["--seed-csv", "--data"])
+    def test_non_finite_seed_window_exits_2(self, comp_csv, z5_model_path, tmp_path, capsys,
+                                            value, source):
+        series = read_series(comp_csv)[:31]
+        series[30, 1] = value  # in the one-row window of the L=1 model
+        path = tmp_path / "seed.csv"
+        write_series(path, series)
+        prefix = [] if source == "--seed-csv" else ["--train-count", "31"]
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, source, path, *prefix,
+                                   "--horizon", "5", "--out", out], capsys)
+        assert code == 2 and "non-finite" in err
+        assert not out.exists()
+
+    def test_non_finite_reference_row_exits_2(self, comp_csv, z5_model_path, tmp_path, capsys):
+        series = read_series(comp_csv)
+        series[33, 0] = np.nan  # the third forecast step's reference
+        reference = tmp_path / "ref.csv"
+        write_series(reference, series)
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, "--data", comp_csv,
+                                   "--train-count", "31", "--horizon", "5", "--reference",
+                                   reference, "--out", out], capsys)
+        assert code == 2 and "non-finite" in err
+        assert not out.exists()
+
+
 def _oracle_csv(header, index, values):
     fh = io.StringIO()
     fh.write(header + "\n")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from earc import groups
 from earc.embedding import compression_plan, embed_dim
 from earc.errors import NonFiniteGroupError, ShapeError, ValidationError
 from earc.groups import close_group, from_json_dict, load_group, reduced_action, window_action
@@ -73,9 +74,10 @@ class TestCloseGroup:
         with pytest.raises(ValidationError):
             close_group([np.array([[1.0, 1.0], [0.0, 1.0]])])
 
-    def test_non_finite_closure_rejected(self):
-        with pytest.raises(NonFiniteGroupError):
-            close_group([rotation(1.0)], max_order=16)
+    def test_non_finite_closure_rejected(self, monkeypatch):
+        monkeypatch.setattr(groups, "MAX_ORDER", 16)
+        with pytest.raises(NonFiniteGroupError, match="MAX_ORDER=16"):
+            close_group([rotation(1.0)])
 
 
 class TestLiftedAction:

@@ -27,8 +27,7 @@ def manual_model(coupling, group, lag, order, residual=0.0):
     plan = compression_plan(group.n * lag, order)
     size = lag * int(degree_kernel_dims(group, lag, order).sum())
     fit = FitReport(coefficients=np.zeros(size), train_residual=0.0,
-                    equivariance_residual=residual, basis_dim=size,
-                    rank=None, sparsify=None)
+                    equivariance_residual=residual, basis_dim=size, rank=None)
     return EarcModel(n=group.n, lag=lag, order=order, group=group, plan=plan,
                      coupling=coupling, fit=fit, metadata={})
 

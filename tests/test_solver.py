@@ -4,7 +4,7 @@ import pytest
 from earc import solver, tensorops
 from earc.embedding import build_data_matrices, compression_plan, delay_windows
 from earc.errors import DimensionOverflowError, NumericalError, ShapeError
-from earc.groups import GroupRep, close_group, reduced_action
+from earc.groups import GroupRep, close_group, reduced_action, window_action
 from earc.solver import (EquivariantBasis, assemble, basis_features, constraint_matrix,
                          degree_kernel_dims, equivariance_residual, equivariant_basis,
                          fit_coefficients, generator_residuals)
@@ -662,6 +662,25 @@ class TestEquivarianceResidual:
         for residual in (equivariance_residual, generator_residuals):
             with pytest.raises(ShapeError):
                 residual(w, rep, 2, plan)
+
+    @pytest.mark.parametrize("case", ["k4-paper", "z5-paper", "conjugated", "rotation+flip"])
+    def test_norms_bitwise_equal_to_window_action(self, k4_model, case):
+        # h comes from Ghat's degree-1 block instead of a second window_action
+        if case == "k4-paper":
+            m = k4_model[0]
+            group, lag, plan, w = m.group, m.lag, m.plan, m.coupling
+        elif case == "z5-paper":
+            group, lag = builtin_rep("z5"), 1
+            plan = compression_plan(5, 2)
+            w = train(competition_generate(CompetitionConfig())[:31], group, lag, 2).coupling
+        else:
+            group, lag = test_groups.TestBitwiseOnRandomGroups.random_group(case, 1), 2
+            plan = compression_plan(group.n * lag, 3)
+            w = np.random.default_rng(27).standard_normal((plan.dim_in, plan.reduced_dim))
+        expected = [np.linalg.norm(window_action(g, lag) @ w - w @ reduced_action(g, lag, plan))
+                    for g in group.elements]
+        got = solver.equivariance_residuals(w, group, lag, plan)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_generator_residuals_reported_per_generator(self, z5_setup):
         rep, plan, basis = z5_setup

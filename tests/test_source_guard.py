@@ -70,12 +70,28 @@ def test_every_library_definition_is_used_outside_tests():
     assert unused == []
 
 
+def _calls(matches):
+    """``file:line`` of every call in ``src/`` whose function expression
+    ``matches`` accepts."""
+    return [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and matches(node.func)]
+
+
 def test_series_csv_has_one_reader():
     """``src/`` calls ``np.loadtxt`` once, in the reader behind
     ``cli.read_series``: a faster way to reach some rows of a series must
     use that reader, not grow a second one beside it."""
-    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "loadtxt"]
+    calls = _calls(lambda func: isinstance(func, ast.Attribute) and func.attr == "loadtxt")
     assert len(calls) == 1 and calls[0].startswith("cli.py:"), calls
+
+
+def test_json_has_one_decoder():
+    """``src/`` calls ``json.load`` or ``json.loads`` once, in
+    ``groups.parse_json``: config, group and model files and the command-line
+    arrays are decoded under one set of rules, and their numbers are checked
+    by ``groups.json_numbers``."""
+    calls = _calls(lambda func: isinstance(func, ast.Attribute)
+                   and func.attr in ("load", "loads")
+                   and isinstance(func.value, ast.Name) and func.value.id == "json")
+    assert len(calls) == 1 and calls[0].startswith("groups.py:"), calls

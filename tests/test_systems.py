@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,13 @@ class TestHamiltonian:
             HamiltonianConfig(dt=0.0)
         with pytest.raises(ValidationError):
             HamiltonianConfig(steps=0)
+
+    @pytest.mark.parametrize("field,value", [("dt", math.nan), ("dt", math.inf),
+                                             ("q0", math.nan), ("q0", math.inf),
+                                             ("p0", -math.inf)])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            HamiltonianConfig(**{field: value})
 
 
 class TestCompetition:
@@ -135,6 +145,14 @@ class TestCompetition:
         with pytest.raises(ValidationError):
             CompetitionConfig(interactions=-INTERACTION_MATRIX)
 
+    @pytest.mark.parametrize("field,value", [
+        ("p0", [0.2, math.nan, 0.5, 0.65, 0.8]), ("r", np.full(5, math.nan)),
+        ("r", np.full(5, math.inf)), ("interactions", np.full((5, 5), math.nan)),
+        ("interactions", np.full((5, 5), math.inf))])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            CompetitionConfig(**{field: np.asarray(value)})
+
 
 class TestStepLoopOracles:
     """The scalar RK4 and the hoisted-check competition loop reproduce the
@@ -159,8 +177,9 @@ class TestStepLoopOracles:
     @pytest.mark.parametrize("cfg", [
         HamiltonianConfig(q0=3.0, p0=3.0, dt=0.1, steps=200),  # float ** 3 overflows
         HamiltonianConfig(q0=1e103, p0=0.0, steps=10),          # overflow in the first step
-        HamiltonianConfig(q0=float("nan"), p0=0.0, steps=10),
-        HamiltonianConfig(q0=float("inf"), p0=0.0, steps=10),
+        # starts that HamiltonianConfig refuses, for the loop's own check
+        SimpleNamespace(q0=math.nan, p0=0.0, dt=0.01, steps=10),
+        SimpleNamespace(q0=math.inf, p0=0.0, dt=0.01, steps=10),
     ])
     def test_hamiltonian_divergence_step(self, cfg):
         expected = diverged_message(hamiltonian_generate_by_array, cfg)
@@ -219,3 +238,9 @@ class TestPlantedLinear:
     def test_overflow_detected(self):
         with pytest.raises(DivergenceError):
             planted_linear(10.0 * np.eye(1), np.array([1.0]), 20)
+
+    @pytest.mark.parametrize("a,x0", [([[math.nan]], [1.0]), ([[1.0]], [math.inf])])
+    def test_non_finite_operands_rejected(self, a, x0):
+        # before the first step: with 0 steps the start would be returned as is
+        with pytest.raises(ValidationError, match="finite"):
+            planted_linear(np.array(a), np.array(x0), 0)
