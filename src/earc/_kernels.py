@@ -70,18 +70,18 @@ def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     w[:] = seed
     y = np.empty(m)
     blocks = [(lead, parent, phi[lo:hi]) for lo, hi, lead, parent in degree_blocks(plan)[1:]]
-    if consistent:
+    if consistent and lag > 1:
         # per channel: drop the oldest sample, append the predicted newest
         moves = ((w[:-1], w[1:]), (w[lag - 1::lag], y[lag - 1::lag]))
-    else:
+    else:  # free, or lag 1, where the newest samples are the whole window
         moves = ((w, y),)
     for k in range(horizon):
         for lead, parent, out in blocks:
             np.multiply(w[lead], phi[parent], out=out)
         np.matmul(coupling, phi, out=y)
-        if not math.sqrt(y @ y) <= norm_cap:  # NaN and inf fail too
+        if not math.sqrt(y.dot(y)) <= norm_cap:  # NaN and inf fail too
             return windows[:k].copy(), True
         for dst, src in moves:
-            np.copyto(dst, src)
+            dst[...] = src
         windows[k] = w
     return windows, False

@@ -70,79 +70,108 @@ def close_group(generators):
 def window_action(g, lag):
     """Action of a channel-space element on delay windows: g (x) I_lag, as
     the broadcast products g[i, j] * I_lag[s, t] that ``np.kron`` forms, so
-    a negative entry of g leaves -0.0 off the diagonal of its block."""
-    g = tensorops._as_matrix(g, "g")
-    if g.shape[0] != g.shape[1]:
-        raise ShapeError(f"group element must be square, got {g.shape}")
+    a negative entry of g leaves -0.0 off the diagonal of its block.  A stack
+    (E, n, n) of elements gives the (E, n*lag, n*lag) stack of their actions."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim not in (2, 3) or g.size == 0 or g.shape[-1] != g.shape[-2]:
+        raise ShapeError(f"group elements must be square and non-empty, got shape {g.shape}")
     if lag == 1:
         return np.array(g)
-    m = g.shape[0] * lag
-    tensorops._check_entries(m * m, tensorops.ENTRY_CAP)
-    return (g[:, None, :, None] * np.eye(lag)[:, None, :]).reshape(m, m)
+    m = g.shape[-1] * lag
+    tensorops._check_entries(g.size * lag * lag, tensorops.ENTRY_CAP)
+    return (g[..., :, None, :, None] * np.eye(lag)[:, None, :]).reshape(*g.shape[:-2], m, m)
 
 
-ROW_BLOCK_TERMS = 1 << 16
-"""Most terms plus sums of one ``np.bincount`` in ``reduced_action``; a degree
-block with more is summed in blocks of rows, so that a dense group's term
-arrays stay near the size of one dense block.  Of 2^12..2^18 it was fastest at
-2^16 on k4 (L=5-7 at p=3, L=6 at p=4) and z5 (L=3, p=3) on a 2-core x86 host."""
+def _row_nonzeros(mat):
+    """Columns and values of the nonzeros of each row of ``mat`` (E, rows,
+    cols), ascending, padded to the longest row with +0.0 at the row's first
+    nonzero column."""
+    m = mat.shape[-1]
+    nonzero = mat != 0
+    width = int(np.add.reduce(nonzero, axis=-1).max())
+    # the nonzero columns of each row ascending, then m for each zero
+    cols = np.sort(np.where(nonzero, np.arange(m), m), axis=-1)[..., :width]
+    pad = cols == m
+    np.copyto(cols, cols[..., :1], where=pad)
+    vals = np.take(mat, cols + np.arange(0, mat.size, m).reshape(*mat.shape[:-1], 1))
+    vals[pad] = 0.0
+    return cols, vals
 
 
-def _sparse_columns(mat):
-    """Column indices of the nonzeros of each row of ``mat``, ascending, padded
-    to the longest row with the columns of zero entries; shape (rows, width)."""
-    zero = mat == 0
-    width = mat.shape[1] - int(np.add.reduce(zero, axis=1).min())
-    return np.argsort(zero, axis=1, kind="stable")[:, :width]
+def action_rows(elements, lag, plan):
+    """h_g = g (x) I_lag and the rows of Ghat_g (see :func:`reduced_action`)
+    for a stack of E elements.
+
+    Returns (h, cols, vals): h is (E, m, m), and row r of Ghat_e has entries
+    ``vals[e, r]`` at columns ``cols[e, r]``, both (E, q, width).  The rows of
+    degree k keep their nonzeros, ascending, in block k; unused slots hold
+    +0.0.  The width is 1 for a signed permutation and grows for a dense group.
+
+    Degree k is a row-wise sparse product (Gustavson 1978) of h and degree
+    k-1, for all E elements at once: A_k[a, c] sums h[lead(a), v] *
+    A_{k-1}[tail(a), r] over the entries v of row lead(a) and r of row
+    tail(a) with insert[r, v] = c (the plan's ``action_tables``).  The terms
+    of a row are sorted stably by column, so each (a, c) gets them by
+    ascending v, as a loop over the distinct variables of c would, and one
+    ``np.bincount`` sums them from +0.0.  Rows are padded with +0.0 at their
+    first column, so a padded term adds +-0.0 to a column that real terms
+    reach: it changes no sum and adds no entry.  Every entry is bitwise that
+    of the loop.
+    """
+    h = window_action(elements, lag)
+    if h.ndim != 3 or h.shape[1] != plan.dim_in:
+        raise ShapeError(
+            f"plan dim_in={plan.dim_in} does not match element stack {h.shape}"
+        )
+    e = h.shape[0]
+    h_cols, h_vals = _row_nonzeros(h)
+    blocks = [(0, h_cols, h_vals)]
+    prev_cols, prev_vals = h_cols, h_vals
+    for lo, hi, lead_rows, tail_rows, insert in plan.action_tables:
+        rows, t = e * (hi - lo), h_cols.shape[2] * prev_cols.shape[2]
+        tensorops._check_entries(rows * t, tensorops.ENTRY_CAP)
+        # the (h width, prev width) terms of each row, as rows of (rows, t) arrays
+        cols = insert[prev_cols[:, tail_rows, None, :], h_cols[:, lead_rows, :, None]]
+        terms = h_vals[:, lead_rows, :, None] * prev_vals[:, tail_rows, None, :]
+        at = np.argsort(cols.reshape(rows, t), axis=1, kind="stable")
+        at += np.arange(0, rows * t, t)[:, None]
+        cols = np.take(cols, at)
+        slot = np.zeros((rows, t), dtype=np.int64)  # index of each term's column in its row
+        np.cumsum(cols[:, 1:] != cols[:, :-1], axis=1, out=slot[:, 1:])
+        width = int(slot[:, -1].max()) + 1
+        slot += np.arange(0, rows * width, width)[:, None]
+        sums = np.bincount(slot.ravel(), np.take(terms, at).ravel(), minlength=rows * width)
+        summed = np.repeat(cols[:, :1], width, axis=1)  # the column of each sum
+        np.put(summed, slot, cols)
+        prev_cols = summed.reshape(e, hi - lo, width)
+        prev_vals = sums.reshape(e, hi - lo, width)
+        blocks.append((lo, prev_cols, prev_vals))
+    q = plan.reduced_dim
+    width = max(c.shape[2] for _, c, _ in blocks)
+    cols = np.full((e, q, width), q - 1)
+    vals = np.zeros((e, q, width))
+    vals[:, q - 1, 0] = 1.0
+    for lo, c, v in blocks:
+        cols[:, lo:lo + c.shape[1], :c.shape[2]] = lo + c
+        vals[:, lo:lo + c.shape[1], :c.shape[2]] = v
+    return h, cols, vals
 
 
 def reduced_action(g, lag, plan):
-    """Action on compressed features: the q x q matrix with
+    """Action on compressed features: the dense q x q matrix with
     phi((g (x) I_lag) x) = reduced_action(g, lag, plan) @ phi(x) for the
-    compressed features phi of ``embedding.compressed_features``.
-
-    Equal to R @ G @ E for the block-diagonal action G on the full embedding
-    and the selection and expansion maps R and E (all three are test oracles),
-    but computed degree by degree through the plan's monomials, without
-    materialising the full-dimension matrix: the aggregated block A_k obeys
-    A_k[a, c] = sum over distinct v in c of h[lead(a), v] * A_{k-1}[tail(a), c - v].
-    Each block is a row-wise sparse product (Gustavson 1978): row a is row
-    lead(a) of h times row tail(a) of A_{k-1}, each nonzero pair (v, r) adding
-    its product at column c = insert[r, v] of the plan's ``action_tables``.
-    One ``np.bincount`` per block of rows adds the terms in input order from
-    +0.0, and for each (a, c) they arrive by ascending v, the order of a loop
-    over the distinct variables of c.  A term left out has an exactly zero
-    factor, so for finite g it would add +-0.0, which changes no sum that
-    starts at +0.0: the result is bitwise that of the loop over every term.
+    compressed features phi of ``embedding.compressed_features``; equal to
+    R @ G @ E for the action G on the full embedding and the selection and
+    expansion maps R and E (all three are test oracles).  It assembles one
+    element's :func:`action_rows`, with h itself, -0.0 entries included, as
+    its degree-1 block.
     """
-    h = window_action(g, lag)
-    m = h.shape[0]
-    if m != plan.dim_in:
-        raise ShapeError(
-            f"plan dim_in={plan.dim_in} does not match element dimension {m}"
-        )
+    h, cols, vals = action_rows(tensorops._as_matrix(g, "g")[None], lag, plan)
     q = plan.reduced_dim
-    out = np.zeros((q, q))
-    out[q - 1, q - 1] = 1.0
-    lo, hi = plan.degree_class_range(1)
-    out[lo:hi, lo:hi] = h
-    h_cols = prev_cols = _sparse_columns(h)
-    prev = h
-    for lo, hi, lead_rows, tail_rows, insert in plan.action_tables:
-        d = hi - lo
-        step = max(1, ROW_BLOCK_TERMS // (h_cols.shape[1] * prev_cols.shape[1] + d))
-        for s in range(0, d, step):
-            lead, tail = lead_rows[s:s + step], tail_rows[s:s + step]
-            rows = lead.shape[0]
-            lc, tc = h_cols[lead][:, :, None], prev_cols[tail][:, None, :]
-            cols = insert[tc, lc]  # (rows, h width, prev width)
-            cols += np.arange(0, rows * d, d)[:, None, None]
-            terms = h[lead[:, None, None], lc] * prev[tail[:, None, None], tc]
-            out[lo + s:lo + s + rows, lo:hi] = np.bincount(
-                cols.ravel(), terms.ravel(), minlength=rows * d).reshape(rows, d)
-        prev = out[lo:hi, lo:hi]
-        if hi < q - 1:  # another degree follows
-            prev_cols = _sparse_columns(prev)
+    out = np.bincount((cols[0] + np.arange(0, q * q, q)[:, None]).ravel(), vals[0].ravel(),
+                      minlength=q * q).reshape(q, q)
+    m = h.shape[1]
+    out[:m, :m] = h[0]
     return out
 
 

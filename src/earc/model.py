@@ -213,6 +213,14 @@ def load(path, check_equivariance=True):
     if lag < 1 or order < 1:
         raise CorruptModelError(f"invalid dimensions L={lag}, p={order}")
     n = group.n
+    # the plan has C(nL + p, p) >= 2^min(nL, p) features: check their count
+    # before tabulating them, without forming a huge binomial
+    if (min(n * lag, order) > rep_index.size.bit_length()
+            or math.comb(n * lag + order, order) != rep_index.size):
+        raise CorruptModelError(
+            f"model file {path} has {rep_index.size} monomial representatives, not the "
+            f"C(n*L + p, p) of n={n}, L={lag}, p={order}"
+        )
     plan = compression_plan(n * lag, order)
     if not np.array_equal(rep_index, plan.rep_index):
         raise CorruptModelError("stored monomial representatives do not match the plan")

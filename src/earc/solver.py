@@ -24,7 +24,7 @@ import numpy as np
 from . import tensorops
 from .embedding import compression_plan
 from .errors import NumericalError, ShapeError
-from .groups import reduced_action
+from .groups import action_rows, reduced_action
 
 NORMAL_EQ_THRESHOLD = 2000
 """One-slot basis size above which an earlier ``fit_coefficients`` solved the
@@ -293,21 +293,32 @@ def equivariance_residual(w, group, lag, plan):
 
 def equivariance_residuals(w, group, lag, plan):
     """Per-element commutator norms ||h W - W Ghat||_F, in ``group.elements`` order."""
-    w = _coupling(w, group, lag, plan)
-    return [_commutator_norm(w, g, lag, plan) for g in group.elements]
+    return _commutator_norms(_coupling(w, group, lag, plan), group.elements, lag, plan)
 
 
 def generator_residuals(w, group, lag, plan):
     """Per-generator commutator norms ||h W - W Ghat||_F."""
-    w = _coupling(w, group, lag, plan)
-    return [_commutator_norm(w, g, lag, plan) for g in group.generators]
+    return _commutator_norms(_coupling(w, group, lag, plan), group.generators, lag, plan)
 
 
-def _commutator_norm(w, g, lag, plan):
-    """||h W - W Ghat||_F of one element for a checked coupling ``w``."""
-    ghat = reduced_action(g, lag, plan)
-    h = ghat[:w.shape[0], :w.shape[0]]  # the degree-1 block of Ghat is h = g (x) I_lag
-    return float(np.linalg.norm(h @ w - w @ ghat))
+def _commutator_norms(w, elements, lag, plan):
+    """||h W - W Ghat||_F of each element for a checked coupling ``w``.
+
+    Ghat comes as the sparse rows of ``action_rows``, built once for all
+    elements, and W Ghat is one ``np.bincount``: entry (e, i, c) sums
+    w[i, j] * Ghat_e[j, c] over the row entries of Ghat_e at column c, by
+    ascending j, from +0.0.  No dense Ghat is formed.
+    """
+    h, cols, vals = action_rows(np.array(elements), lag, plan)
+    e, q, _ = cols.shape
+    rows = w.shape[0]
+    tensorops._check_entries(rows * cols.size, tensorops.ENTRY_CAP)
+    index = cols[:, None] + np.arange(0, e * rows * q, q).reshape(e, rows, 1, 1)
+    w_ghat = np.bincount(index.ravel(), (w[:, :, None] * vals[:, None]).ravel(),
+                         minlength=e * rows * q)
+    diff = np.matmul(h, w)
+    diff -= w_ghat.reshape(e, rows, q)
+    return [float(np.linalg.norm(d)) for d in diff]
 
 
 def _coupling(w, group, lag, plan):

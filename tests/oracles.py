@@ -366,6 +366,56 @@ def reduced_action_by_passes(g, lag, plan):
     return out
 
 
+ROW_BLOCK_TERMS = 1 << 16
+"""Most terms plus sums of one ``np.bincount`` in ``reduced_action_by_blocks``."""
+
+
+def _nonzero_columns(mat):
+    """Column indices of the nonzeros of each row of ``mat``, ascending, padded
+    to the longest row with the columns of zero entries; shape (rows, width)."""
+    zero = mat == 0
+    width = mat.shape[1] - int(np.add.reduce(zero, axis=1).min())
+    return np.argsort(zero, axis=1, kind="stable")[:, :width]
+
+
+def reduced_action_by_blocks(g, lag, plan):
+    """Reduced action of one element as a dense q x q matrix, each degree block
+    a row-wise sparse product (Gustavson 1978) written straight into it: row a
+    is row lead(a) of h times row tail(a) of A_{k-1}, each nonzero pair (v, r)
+    adding its product at column insert[r, v], with one ``np.bincount`` per
+    block of rows summing the terms from +0.0.  The nonzeros of a block are
+    read back from the dense matrix for the next degree."""
+    h = window_action(g, lag)
+    m = h.shape[0]
+    if m != plan.dim_in:
+        raise ShapeError(
+            f"plan dim_in={plan.dim_in} does not match element dimension {m}"
+        )
+    q = plan.reduced_dim
+    out = np.zeros((q, q))
+    out[q - 1, q - 1] = 1.0
+    lo, hi = plan.degree_class_range(1)
+    out[lo:hi, lo:hi] = h
+    h_cols = prev_cols = _nonzero_columns(h)
+    prev = h
+    for lo, hi, lead_rows, tail_rows, insert in plan.action_tables:
+        d = hi - lo
+        step = max(1, ROW_BLOCK_TERMS // (h_cols.shape[1] * prev_cols.shape[1] + d))
+        for s in range(0, d, step):
+            lead, tail = lead_rows[s:s + step], tail_rows[s:s + step]
+            rows = lead.shape[0]
+            lc, tc = h_cols[lead][:, :, None], prev_cols[tail][:, None, :]
+            cols = insert[tc, lc]  # (rows, h width, prev width)
+            cols += np.arange(0, rows * d, d)[:, None, None]
+            terms = h[lead[:, None, None], lc] * prev[tail[:, None, None], tc]
+            out[lo + s:lo + s + rows, lo:hi] = np.bincount(
+                cols.ravel(), terms.ravel(), minlength=rows * d).reshape(rows, d)
+        prev = out[lo:hi, lo:hi]
+        if hi < q - 1:  # another degree follows
+            prev_cols = _nonzero_columns(prev)
+    return out
+
+
 def insert_tables_by_passes(plan):
     """The (d_{k-1}, dim_in) insert table of each degree k = 2..p of
     ``CompressionPlan.action_tables``, read off the passes of the enumeration

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from earc import cli, solver
+from earc import cli, groups, solver
 from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, main,
                       read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError, ValidationError
-from earc.groups import close_group, reduced_action
+from earc.groups import action_rows, close_group, reduced_action
 from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
@@ -672,6 +672,23 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "must be an integer" in err and "PASS" not in err
 
+    @pytest.mark.parametrize("changes", [{"p": 50}, {"L": 1000000}, {"L": 200, "p": 3},
+                                         {"L": 10**9, "p": 10**9}],
+                             ids=["p=50", "L=1e6", "L=200", "both-1e9"])
+    def test_dimensions_unlike_the_stored_features_exit_3(self, z5_model_path, tmp_path,
+                                                          capsys, monkeypatch, changes):
+        # the feature count is checked before the plan's monomials are tabulated
+        payload = json.loads(z5_model_path.read_text())
+        payload.update(changes)
+        bad = tmp_path / "resized.json"
+        bad.write_text(json.dumps(payload))
+        planned = []
+        monkeypatch.setattr("earc.model.compression_plan", lambda *args: planned.append(args))
+        assert main(["verify", "--model", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "monomial representatives" in err
+        assert planned == []
+
     @pytest.mark.parametrize("tamper", ["empty", "non-orthogonal", "nan"])
     def test_invalid_generators_exit_3(self, z5_model_path, tmp_path, capsys, tamper):
         payload = json.loads(z5_model_path.read_text())
@@ -744,18 +761,26 @@ class TestVerify:
         assert main(["verify", "--model", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[:4] == expected
 
-    def test_builds_each_reduced_action_once(self, k4_model, tmp_path, monkeypatch):
+    def test_builds_every_action_in_one_call(self, k4_model, tmp_path, monkeypatch):
+        # one action_rows call covers the 4 elements, and no dense Ghat is built
         path = tmp_path / "k4.json"
         save(k4_model[0], path)
-        calls = []
+        stacks, dense = [], []
+
+        def rows(elements, lag, plan):
+            stacks.append(len(elements))
+            return action_rows(elements, lag, plan)
 
         def counted(g, lag, plan):
-            calls.append(g)
+            dense.append(g)
             return reduced_action(g, lag, plan)
 
+        monkeypatch.setattr(solver, "action_rows", rows)
         monkeypatch.setattr(solver, "reduced_action", counted)
+        monkeypatch.setattr(groups, "reduced_action", counted)
         assert main(["verify", "--model", str(path)]) == 0
-        assert len(calls) == 4
+        assert stacks == [4]
+        assert dense == []
 
     def test_trivial_group_model_is_exactly_equivariant(self, tmp_path, capsys):
         from earc.groups import close_group

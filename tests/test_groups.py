@@ -6,13 +6,15 @@ import pytest
 from earc import groups
 from earc.embedding import compression_plan, embed_dim
 from earc.errors import NonFiniteGroupError, ShapeError, ValidationError
-from earc.groups import close_group, from_json_dict, load_group, reduced_action, window_action
+from earc.groups import (action_rows, close_group, from_json_dict, load_group, reduced_action,
+                         window_action)
 from earc.solver import equivariant_basis
 from earc.systems import builtin_rep
 
 from oracles import (dense_matrices, direct_sum, expansion_matrix, lifted_action,
-                     reduced_action_by_class, reduced_action_by_passes, save_group,
-                     selection_matrix, to_json_dict, window_equivariant_basis)
+                     reduced_action_by_blocks, reduced_action_by_class,
+                     reduced_action_by_passes, save_group, selection_matrix, to_json_dict,
+                     window_equivariant_basis)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)
@@ -286,6 +288,74 @@ class TestBitwiseOnRandomGroups:
                     got = reduced_action(g, lag, plan)
                     assert bitwise_equal(got, reduced_action_by_class(g, lag, plan))
                     assert bitwise_equal(got, reduced_action_by_passes(g, lag, plan))
+
+
+def assemble_rows(h, cols, vals, plan):
+    """Dense q x q matrices of ``action_rows``, one per element, assembled with
+    ``np.add.at`` from +0.0; the degree-1 block is h, -0.0 entries included."""
+    e, q, _ = cols.shape
+    out = np.zeros((e, q, q))
+    np.add.at(out, (np.arange(e)[:, None, None], np.arange(q)[:, None], cols), vals)
+    m = plan.dim_in
+    out[:, :m, :m] = h
+    return out
+
+
+class TestActionRows:
+    """``action_rows`` against the dense Gustavson product it replaced
+    (``reduced_action_by_blocks``) and the loop over classes, bit for bit."""
+
+    @staticmethod
+    def check(elements, lag, plan):
+        elements = np.array(elements)
+        h, cols, vals = action_rows(elements, lag, plan)
+        assert cols.shape == vals.shape == (len(elements), plan.reduced_dim, cols.shape[2])
+        dense = assemble_rows(h, cols, vals, plan)
+        for e, g in enumerate(elements):
+            assert bitwise_equal(h[e], window_action(g, lag))
+            oracle = reduced_action_by_blocks(g, lag, plan)
+            assert bitwise_equal(dense[e], oracle)
+            assert bitwise_equal(dense[e], reduced_action_by_class(g, lag, plan))
+            assert bitwise_equal(reduced_action(g, lag, plan), oracle)
+            # one element at a time gives the same nonzeros, the same action and h
+            h1, cols1, vals1 = action_rows(elements[e:e + 1], lag, plan)
+            assert bitwise_equal(h1[0], h[e])
+            assert bitwise_equal(assemble_rows(h1, cols1, vals1, plan)[0], dense[e])
+            assert np.count_nonzero(vals1) == np.count_nonzero(vals[e])
+            # the nonzeros of a degree-k row are in the degree-k block
+            for k in range(1, plan.order + 1):
+                lo, hi = plan.degree_class_range(k)
+                block = cols[e, lo:hi][vals[e, lo:hi] != 0]
+                assert np.all((lo <= block) & (block < hi))
+        return cols
+
+    @pytest.mark.parametrize("name,lag,order", [
+        ("k4", 1, 3), ("k4", 5, 3), ("k4", 3, 3), ("k4", 6, 4), ("z5", 1, 2), ("z5", 2, 3),
+        ("z5", 3, 3), ("c3", 2, 2), ("c3", 4, 3), ("c3", 1, 4)])
+    def test_bitwise_equal_to_dense_oracle(self, name, lag, order):
+        rep = named_rep(name)
+        cols = self.check(rep.elements, lag, compression_plan(rep.n * lag, order))
+        if name != "c3":  # a signed permutation has one nonzero per row
+            assert cols.shape[2] == 1
+
+    @pytest.mark.parametrize("lag,order", [(1, 3), (2, 3), (3, 2)])
+    def test_negative_zero_entries(self, lag, order):
+        elements = [np.array([[-0.0, 1.0], [1.0, -0.0]]), np.array([[-1.0, -0.0], [0.0, 1.0]])]
+        self.check(elements, lag, compression_plan(2 * lag, order))
+
+    @pytest.mark.parametrize("kind", ["signed", "conjugated", "rotation+flip"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_groups(self, kind, seed):
+        rep = TestBitwiseOnRandomGroups.random_group(kind, seed)
+        for lag in range(1, 4):
+            for order in range(1, 4):
+                self.check(rep.elements, lag, compression_plan(rep.n * lag, order))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError, match="does not match"):
+            action_rows([SWAP], 1, compression_plan(4, 2))
+        with pytest.raises(ShapeError, match="square"):
+            action_rows(np.ones((1, 2, 3)), 1, compression_plan(4, 2))
 
 
 class TestJsonEncoding:

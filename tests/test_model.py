@@ -188,6 +188,14 @@ class TestRollout:
         assert fc.diverged and 0 < fc.steps < 510
 
     @pytest.mark.parametrize("mode", ["consistent", "free"])
+    def test_lag_one_diverging_rollout_matches_step_loop_oracle(self, z5_model, comp_series,
+                                                               mode):
+        # at lag 1 the consistent rollout makes the free rollout's one move
+        amplified = replace(z5_model, coupling=3.0 * z5_model.coupling)
+        fc = assert_matches_step_loop(amplified, comp_series[30], 394, mode)
+        assert fc.diverged and 0 < fc.steps < 394
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coupling_stops_at_step_zero(self, k4_model, k4_seed, mode, bad):
         coupling = k4_model[0].coupling.copy()

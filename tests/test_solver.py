@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -681,6 +683,21 @@ class TestEquivarianceResidual:
                     for g in group.elements]
         got = solver.equivariance_residuals(w, group, lag, plan)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_residual_never_holds_a_dense_action(self):
+        # k4 at L=6, p=4 (q=1820): one dense Ghat is 26.5 MB; the residual of
+        # all 4 elements stays under a quarter of that
+        rep, lag = builtin_rep("k4"), 6
+        plan = compression_plan(rep.n * lag, 4)
+        w = np.random.default_rng(28).standard_normal((plan.dim_in, plan.reduced_dim))
+        solver.equivariance_residuals(w, rep, lag, plan)  # builds the plan's tables
+        tracemalloc.start()
+        try:
+            solver.equivariance_residuals(w, rep, lag, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < plan.reduced_dim ** 2 * 8 / 4
 
     def test_generator_residuals_reported_per_generator(self, z5_setup):
         rep, plan, basis = z5_setup
