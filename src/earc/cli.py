@@ -29,7 +29,7 @@ EXIT_DIVERGED = 4
 
 _VALIDATION_ERRORS = (ValidationError, ShapeError, InsufficientDataError,
                       UnknownNameError, ModelFormatError, DimensionOverflowError,
-                      FileNotFoundError, IsADirectoryError, PermissionError)
+                      FileNotFoundError, IsADirectoryError, PermissionError, MemoryError)
 _NUMERICAL_ERRORS = (NumericalError, NonFiniteGroupError, CorruptModelError)
 
 

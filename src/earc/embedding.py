@@ -21,15 +21,27 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels, tensorops
-from .errors import InsufficientDataError, ShapeError, ValidationError
+from .errors import DimensionOverflowError, InsufficientDataError, ShapeError, ValidationError
 
 
 def embed_dim(n, p):
-    """Dimension of the order-p embedding of an n-vector: n + n^2 + ... + n^p + 1."""
+    """Dimension of the order-p embedding of an n-vector: n + n^2 + ... + n^p + 1.
+
+    The sum is accumulated term by term and refused as soon as it passes the
+    entry cap, within 31 terms for n >= 2, so a huge p costs nothing.
+    """
     if n < 1 or p < 1:
         raise ShapeError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    d = p + 1 if n == 1 else (n ** (p + 1) - n) // (n - 1) + 1
-    tensorops._check_entries(d, tensorops.ENTRY_CAP)
+    if n == 1:
+        tensorops._check_entries(p + 1, tensorops.ENTRY_CAP)
+        return p + 1
+    d = power = 1
+    for _ in range(p):
+        power *= n
+        d += power
+        if d > tensorops.ENTRY_CAP:
+            raise DimensionOverflowError(f"the order-{p} embedding of a {n}-vector would hold "
+                                         f"more than the cap of {tensorops.ENTRY_CAP} entries")
     return d
 
 

@@ -26,7 +26,10 @@ from .errors import (CorruptModelError, InsufficientDataError, ModelFormatError,
 from .groups import from_json_dict, json_integer, json_numbers, read_json
 from .solver import FitReport
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+"""Version that ``save`` writes; ``load`` also reads version 1, whose ``fit``
+stores the basis coefficients in place of their count ``basis_dim``."""
+
 DIVERGENCE_CAP = 1e12
 """Predicted dilated states with norm above this truncate the rollout."""
 
@@ -108,6 +111,7 @@ def rollout(model, seed, horizon, mode="consistent"):
         )
     if horizon < 1:
         raise ShapeError(f"horizon must be >= 1, got {horizon}")
+    tensorops._check_entries(horizon * seed.shape[0], tensorops.ENTRY_CAP)
     if mode not in ("consistent", "free"):
         raise ValidationError(f"unknown rollout mode {mode!r}")
     windows, diverged = _kernels.autoregress(
@@ -174,7 +178,7 @@ def save(model, path):
         "rep_index": [int(i) for i in model.plan.rep_index],
         "W": [float(v) for v in model.coupling.ravel()],
         "fit": {
-            "coefficients": [float(c) for c in model.fit.coefficients],
+            "basis_dim": int(model.fit.basis_dim),
             "train_residual": float(model.fit.train_residual),
             "delta_em": float(model.fit.equivariance_residual),
         },
@@ -188,7 +192,8 @@ def save(model, path):
 
 
 def load(path, check_equivariance=True):
-    """Load a persisted model, revalidating every invariant.
+    """Load a persisted model of either format version, revalidating every
+    invariant.  The versions differ only in where the basis size comes from.
 
     ``check_equivariance=False`` skips the residual bound so that diagnostic
     tools can inspect (and report on) a tampered file.
@@ -199,12 +204,13 @@ def load(path, check_equivariance=True):
         rep_index = json_numbers(payload["rep_index"], "rep_index", np.int64)
         flat_w = json_numbers(payload["W"], "W")
         fit_data = payload["fit"]
-        coefficients = json_numbers(fit_data["coefficients"], "fit.coefficients")
+        basis_dim = (json_numbers(fit_data["coefficients"], "fit.coefficients").shape[0]
+                     if version == 1 else json_integer(fit_data["basis_dim"], "fit.basis_dim"))
         train_residual, stored_residual = json_numbers(
             [fit_data["train_residual"], fit_data["delta_em"]], "fit residuals").tolist()
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelError(f"model file {path} is malformed: {exc}") from exc
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise CorruptModelError(f"unsupported model version {version}")
     try:
         group = from_json_dict(payload)
@@ -230,8 +236,8 @@ def load(path, check_equivariance=True):
             f"coupling has {flat_w.shape[0]} entries, expected {expected}"
         )
     size = lag * int(solver.degree_kernel_dims(group, lag, order).sum())
-    if coefficients.shape != (size,):
-        raise CorruptModelError(f"fit has {coefficients.shape} coefficients, expected ({size},)")
+    if basis_dim != size:
+        raise CorruptModelError(f"fit has ({basis_dim},) coefficients, expected ({size},)")
     coupling = flat_w.reshape(n * lag, plan.reduced_dim)
     coupling.setflags(write=False)
     if check_equivariance:
@@ -240,8 +246,7 @@ def load(path, check_equivariance=True):
             raise CorruptModelError(
                 f"loaded coupling violates equivariance: residual {residual:.3e}"
             )
-    fit = FitReport(coefficients=coefficients, train_residual=train_residual,
-                    equivariance_residual=stored_residual,
-                    basis_dim=coefficients.shape[0], rank=None)
+    fit = FitReport(coefficients=None, train_residual=train_residual,
+                    equivariance_residual=stored_residual, basis_dim=basis_dim, rank=None)
     return EarcModel(n=n, lag=lag, order=order, group=group, plan=plan,
                      coupling=coupling, fit=fit, metadata={"source": str(path)})

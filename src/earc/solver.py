@@ -69,8 +69,9 @@ class FitReport:
     """Outcome of a coefficient fit.
 
     train_residual is ||W @ H0r - H1||_F / ||H1||_F; equivariance_residual is
-    filled in by the training pipeline (nan until then).  rank is None on
-    models restored from disk.
+    filled in by the training pipeline (nan until then).  coefficients and
+    rank are None on models restored from disk: model files store only the
+    coupling and the basis size.
     """
 
     coefficients: np.ndarray

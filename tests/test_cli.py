@@ -11,10 +11,10 @@ from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, 
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError, ValidationError
 from earc.groups import action_rows, close_group, reduced_action
-from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save
+from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save, train
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
-from tests.test_model import manual_model
+from tests.test_model import manual_model, v1_payload
 
 from oracles import (hamiltonian_generate_by_array, predict_step, read_series_from_row_0,
                      save_group, unreduced_fit, write_rows_by_value)
@@ -92,6 +92,15 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("system", ["hamiltonian", "competition", "linear"])
+    def test_steps_past_the_entry_cap_exit_2(self, tmp_path, capsys, system):
+        out = tmp_path / "gen.csv"
+        code, err = _code_and_err(["generate", "--system", system, "--steps", 10**13,
+                                   "--out", out], capsys)
+        assert code == 2 and "exceeding the cap" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_report_and_model_file(self, z5_model_path, capsys):
         m = load(z5_model_path)
@@ -110,9 +119,21 @@ class TestTrain:
         h0r, h1 = build_data_matrices(read_series(data), 3, 3, plan)
         coeffs, _ = unreduced_fit(equivariant_basis(builtin_rep("k4"), 3, plan), h0r, h1,
                                   sparsify=20)
-        support = np.flatnonzero(load(out).fit.coefficients)
+        # model files store the coupling, not the coefficients it was assembled from
+        trained = train(read_series(data), builtin_rep("k4"), 3, 3, sparsify=20)
+        assert np.array_equal(load(out).coupling, trained.coupling)
+        support = np.flatnonzero(trained.fit.coefficients)
         assert support.size == 20
         assert np.array_equal(support, np.flatnonzero(coeffs))
+
+    @pytest.mark.parametrize("order", [10**6, 10**8])
+    def test_order_past_the_entry_cap_exits_2(self, comp_csv, tmp_path, capsys, order):
+        # n^(p+1) would have too many digits to format, or take minutes to form
+        out = tmp_path / "m.json"
+        code, err = _code_and_err(["train", "--data", comp_csv, "--group", "z5", "--L", "1",
+                                   "--p", order, "--train-count", "31", "--out", out], capsys)
+        assert code == 2 and "cap of 2147483648 entries" in err
+        assert not out.exists()
 
     def test_missing_csv_exits_2(self, capsys):
         code = main(["train", "--data", "/nonexistent/series.csv", "--group", "z5",
@@ -353,6 +374,29 @@ class TestForecast:
         expected = predict_step(m, series[30])
         got = read_series(out)[0]
         assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("horizon", [10**13, 10**30])
+    def test_horizon_past_the_entry_cap_exits_2(self, comp_csv, z5_model_path, tmp_path,
+                                                capsys, horizon):
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, "--data", comp_csv,
+                                   "--train-count", "31", "--horizon", horizon, "--out", out],
+                                  capsys)
+        assert code == 2 and "exceeding the cap" in err
+        assert not out.exists()
+
+    def test_allocation_failure_exits_2(self, comp_csv, z5_model_path, tmp_path, capsys,
+                                        monkeypatch):
+        # a horizon under the entry cap can still need more memory than the host has
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+        monkeypatch.setattr("earc.model.rollout", fail)
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, "--data", comp_csv,
+                                   "--train-count", "31", "--horizon", 2**28, "--out", out],
+                                  capsys)
+        assert (code, err) == (2, "error: Unable to allocate 16.0 GiB\n")
+        assert not out.exists()
 
     def test_both_prefix_flags_exit_2(self, comp_csv, z5_model_path, tmp_path, capsys):
         out = tmp_path / "fc.csv"
@@ -725,7 +769,7 @@ class TestVerify:
     @pytest.mark.parametrize("kept", [3, 0], ids=["truncated", "empty"])
     def test_wrong_coefficient_count_exits_3(self, comp_csv, z5_model_path, tmp_path, capsys,
                                              kept):
-        payload = json.loads(z5_model_path.read_text())
+        payload = v1_payload(z5_model_path)
         assert len(payload["fit"]["coefficients"]) == 21
         payload["fit"]["coefficients"] = payload["fit"]["coefficients"][:kept]
         bad = tmp_path / "cut.json"
@@ -736,6 +780,44 @@ class TestVerify:
         assert main(["forecast", "--model", str(bad), "--data", str(comp_csv),
                      "--train-count", "31", "--horizon", "3", "--out", str(out)]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("basis_dim,message", [
+        (20, "expected (21,)"), (True, "must be an integer"), (21.0, "must be an integer"),
+        ("21", "must be an integer"), (None, "'basis_dim'"),
+    ], ids=["wrong", "true", "float", "string", "missing"])
+    def test_bad_basis_dim_exits_3(self, comp_csv, z5_model_path, tmp_path, capsys,
+                                   basis_dim, message):
+        payload = json.loads(z5_model_path.read_text())
+        if basis_dim is None:
+            del payload["fit"]["basis_dim"]
+        else:
+            payload["fit"]["basis_dim"] = basis_dim
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, err = _code_and_err(["verify", "--model", bad], capsys)
+        assert code == 3 and err.startswith("numerical failure: ") and message in err
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", bad, "--data", comp_csv,
+                                   "--train-count", "31", "--horizon", "3", "--out", out],
+                                  capsys)
+        assert code == 3 and message in err
+        assert not out.exists()
+
+    def test_version_1_file_gives_the_same_outputs(self, comp_csv, z5_model_path, tmp_path,
+                                                   capsys):
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(v1_payload(z5_model_path)) + "\n")
+        outputs = []
+        for path in (z5_model_path, v1):
+            assert main(["verify", "--model", str(path)]) == 0
+            report = capsys.readouterr().out
+            fc = tmp_path / f"{path.stem}.csv"
+            assert main(["forecast", "--model", str(path), "--data", str(comp_csv),
+                         "--train-count", "31", "--horizon", "50", "--apply-group-element",
+                         "2", "--out", str(fc)]) == 0
+            capsys.readouterr()
+            outputs.append((report, fc.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("generators", [
         [SWAP, SWAP, FLIP],                          # a repeated generator
@@ -965,7 +1047,8 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("field", ["W", "generators", "coefficients", "train_residual"])
     def test_model_numbers_written_as_strings_exit_3(self, z5_model_path, tmp_path, capsys,
                                                      field):
-        payload = json.loads(z5_model_path.read_text())
+        payload = (v1_payload(z5_model_path) if field == "coefficients"
+                   else json.loads(z5_model_path.read_text()))
         holder = payload["fit"] if field in ("coefficients", "train_residual") else payload
         if field == "generators":
             holder[field] = [[repr(v) for v in g] for g in holder[field]]
@@ -977,6 +1060,16 @@ class TestMalformedInputs:
         path.write_text(json.dumps(payload))
         code, err = _code_and_err(["verify", "--model", path], capsys)
         assert code == 3 and "must be a number" in err
+
+    @pytest.mark.parametrize("token", NOT_FINITE_NUMBERS)
+    def test_version_1_coefficients_must_be_finite_numbers(self, z5_model_path, tmp_path,
+                                                            capsys, token):
+        payload = v1_payload(z5_model_path)
+        payload["fit"]["coefficients"][4] = "slot"
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload).replace('"slot"', token))
+        code, err = _code_and_err(["verify", "--model", path], capsys)
+        assert code == 3 and "each entry of fit.coefficients must be" in err
 
     @pytest.mark.parametrize("entry", ["strings", "bools"])
     def test_group_file_entries_must_be_numbers(self, comp_csv, tmp_path, capsys, entry):

@@ -35,6 +35,20 @@ class TestEmbedDim:
             for p in range(1, 5):
                 assert embed_dim(n, p) == sum(n ** k for k in range(1, p + 1)) + 1
 
+    def test_largest_dimensions_under_the_cap(self):
+        # 2 + 4 + ... + 2^30 + 1 = 2^31 - 1; a single channel has p + 1
+        assert embed_dim(2, 30) == tensorops.ENTRY_CAP - 1
+        assert embed_dim(1, tensorops.ENTRY_CAP - 1) == tensorops.ENTRY_CAP
+        for n, p in ((2, 31), (1, tensorops.ENTRY_CAP)):
+            with pytest.raises(DimensionOverflowError):
+                embed_dim(n, p)
+
+    @pytest.mark.parametrize("n,p", [(5, 10**6), (5, 10**8), (2, 10**18)])
+    def test_huge_order_refused_without_forming_the_power(self, n, p):
+        # n^(p+1) has more than 4300 digits, which str() refuses, or takes minutes
+        with pytest.raises(DimensionOverflowError, match=f"cap of {tensorops.ENTRY_CAP}"):
+            embed_dim(n, p)
+
 
 class TestEmbed:
     def test_order_two(self):

@@ -1,11 +1,12 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from earc.embedding import compression_plan, delay_windows
-from earc.errors import (CorruptModelError, InsufficientDataError,
+from earc.errors import (CorruptModelError, DimensionOverflowError, InsufficientDataError,
                          ModelFormatError, ShapeError, ValidationError)
 from earc.groups import close_group, window_action
 from earc.model import DIVERGENCE_CAP, EarcModel, estimate_lag, load, rollout, save, train
@@ -21,15 +22,27 @@ def linear_series(a, x0, steps):
 
 
 def manual_model(coupling, group, lag, order, residual=0.0):
-    """A model with the given coupling and as many (zero) coefficients as the
-    symmetry's basis has elements, which ``load`` requires."""
+    """A model with the given coupling and the basis size of the symmetry,
+    which ``load`` requires."""
     coupling = np.asarray(coupling, dtype=np.float64)
     plan = compression_plan(group.n * lag, order)
     size = lag * int(degree_kernel_dims(group, lag, order).sum())
-    fit = FitReport(coefficients=np.zeros(size), train_residual=0.0,
+    fit = FitReport(coefficients=None, train_residual=0.0,
                     equivariance_residual=residual, basis_dim=size, rank=None)
     return EarcModel(n=group.n, lag=lag, order=order, group=group, plan=plan,
                      coupling=coupling, fit=fit, metadata={})
+
+
+def v1_payload(path, coefficients=None):
+    """The version-1 form of the model file at ``path``: its fit stores the
+    basis coefficients (zeros unless given) in place of ``basis_dim``."""
+    payload = json.loads(Path(path).read_text())
+    fit = payload["fit"]
+    size = fit.pop("basis_dim")
+    payload["version"] = 1
+    payload["fit"] = {"coefficients": [0.0] * size if coefficients is None
+                      else [float(c) for c in coefficients], **fit}
+    return payload
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +253,11 @@ class TestRollout:
         with pytest.raises(ValidationError):
             rollout(z5_model, comp_series[30], 5, mode="both")
 
+    @pytest.mark.parametrize("horizon", [10**13, 10**30])
+    def test_horizon_past_the_entry_cap_refused(self, z5_model, comp_series, horizon):
+        with pytest.raises(DimensionOverflowError, match="exceeding the cap"):
+            rollout(z5_model, comp_series[30], horizon)
+
 
 class TestEstimateLag:
     def test_white_noise_decorrelates_immediately(self):
@@ -312,7 +330,7 @@ class TestPersistence:
     def test_coefficient_count_must_match_the_basis(self, z5_model, tmp_path, kept):
         path = tmp_path / "m.json"
         save(z5_model, path)
-        payload = json.loads(path.read_text())
+        payload = v1_payload(path)
         payload["fit"]["coefficients"] = payload["fit"]["coefficients"][:kept]
         path.write_text(json.dumps(payload))
         for check in (True, False):
@@ -326,15 +344,57 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             save(m, tmp_path / "bad.json")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_refuses_to_persist_non_finite_coefficient(self, tmp_path, bad):
-        rep = builtin_rep("z5")
-        m = manual_model(np.zeros((5, 21)), rep, 1, 2)
-        m = replace(m, fit=replace(m.fit, coefficients=np.array([bad])))
+    @pytest.mark.parametrize("field", ["W", "train_residual"])
+    def test_refuses_to_persist_non_finite_values(self, tmp_path, field):
+        m = manual_model(np.zeros((5, 21)), builtin_rep("z5"), 1, 2)
+        if field == "W":
+            coupling = np.zeros((5, 21))
+            coupling[0, 0] = np.inf
+            m = replace(m, coupling=coupling)
+        else:
+            m = replace(m, fit=replace(m.fit, train_residual=np.nan))
         path = tmp_path / "bad.json"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="non-finite"):
             save(m, path)
         assert not path.exists()
+
+    def test_file_stores_the_basis_size_not_the_coefficients(self, z5_model, tmp_path):
+        path = tmp_path / "m.json"
+        save(z5_model, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        assert payload["fit"] == {"basis_dim": 21,
+                                  "train_residual": z5_model.fit.train_residual,
+                                  "delta_em": z5_model.fit.equivariance_residual}
+        loaded = load(path)
+        assert loaded.fit.basis_dim == 21
+        assert loaded.fit.coefficients is None and loaded.fit.rank is None
+
+    @pytest.mark.parametrize("which", ["z5", "k4"])
+    def test_version_1_file_loads_to_the_same_model(self, z5_model, k4_model, tmp_path, which):
+        # a version-1 file as earlier releases wrote it: the trained coefficients
+        trained = z5_model if which == "z5" else k4_model[0]
+        v2, v1, resaved = (tmp_path / name for name in ("v2.json", "v1.json", "resaved.json"))
+        save(trained, v2)
+        v1.write_text(json.dumps(v1_payload(v2, trained.fit.coefficients)) + "\n")
+        old, new = load(v1), load(v2)
+        assert np.array_equal(old.coupling, new.coupling)
+        assert np.array_equal(old.coupling, trained.coupling)
+        for a, b in zip(old.group.generators, new.group.generators, strict=True):
+            assert np.array_equal(a, b)
+        assert old.plan is new.plan and vars(old.fit) == vars(new.fit)
+        save(old, resaved)
+        assert resaved.read_bytes() == v2.read_bytes()
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_other_versions_are_refused(self, z5_model, tmp_path, version):
+        path = tmp_path / "m.json"
+        save(z5_model, path)
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptModelError, match=f"unsupported model version {version}"):
+            load(path)
 
 
 class TestDelayWindowHelpers:

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from earc.errors import DivergenceError, UnknownNameError, ValidationError
+from earc.errors import (DimensionOverflowError, DivergenceError, UnknownNameError,
+                         ValidationError)
 from earc.systems import (DEFAULT_COMPETITION_START, GROWTH_RATE, INTERACTION_MATRIX,
                           CompetitionConfig, HamiltonianConfig, builtin_rep,
                           competition_generate, hamiltonian_generate, planted_linear)
@@ -216,6 +217,17 @@ class TestBuiltinReps:
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
             builtin_rep("d8")
+
+
+@pytest.mark.parametrize("generate", [
+    lambda steps: hamiltonian_generate(HamiltonianConfig(steps=steps)),
+    lambda steps: competition_generate(CompetitionConfig(steps=steps)),
+    lambda steps: planted_linear(np.eye(2), np.ones(2), steps),
+], ids=["hamiltonian", "competition", "linear"])
+@pytest.mark.parametrize("steps", [10**13, 10**30])
+def test_steps_past_the_entry_cap_refused(generate, steps):
+    with pytest.raises(DimensionOverflowError, match="exceeding the cap"):
+        generate(steps)
 
 
 class TestPlantedLinear:
