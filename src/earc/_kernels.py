@@ -23,6 +23,11 @@ of one block stay in cache.  Of 2^14..2^17 it was fastest on 20,000-row
 batches at (m, p) = (6, 3) and (10, 3) on a 2-core x86 host; evaluating a whole
 batch at once was 1.3-2.6x slower."""
 
+BLOCK_STEPS = 256
+"""Rollout and competition-map steps between two divergence tests.  Of 16..512
+it was fastest from 256 on, for 10,000 z5 steps (m, q) = (5, 21) and 1,000 k4
+steps at L = 3, p = 3 on a 2-core x86 host; a test costs about 10 us."""
+
 
 def degree_blocks(plan):
     """Per degree 1..p: (lo, hi, lead[lo:hi], parent[lo:hi]) of its class range."""
@@ -60,7 +65,15 @@ def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     Each step computes what ``fill_features`` and ``coupling @ phi`` would, in
     buffers allocated once: the degree-1 features are the window coordinates
     in order (lead c, parent the constant), so the window is kept as
-    ``phi[:m]`` and is itself the degree-1 block.
+    ``phi[:m]`` and is itself the degree-1 block.  ``coupling.dot`` is the
+    dgemv of ``np.matmul`` without its ufunc dispatch.  Where the window is the
+    whole prediction (free mode, and lag 1) it is predicted into its row of
+    ``windows``, else into a scratch row.
+
+    Divergence is tested once per ``BLOCK_STEPS`` steps: the rows whose
+    batched norm is not safely under the cap are tested again in step order
+    with the per-step test ``sqrt(y.dot(y)) <= norm_cap``, so the rollout stops
+    at the same step.  At most one block is computed past it, without warnings.
     """
     m = seed.shape[0]
     windows = np.empty((horizon, m))
@@ -68,20 +81,33 @@ def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     phi[-1] = 1.0
     w = phi[:m]
     w[:] = seed
-    y = np.empty(m)
     blocks = [(lead, parent, phi[lo:hi]) for lo, hi, lead, parent in degree_blocks(plan)[1:]]
-    if consistent and lag > 1:
-        # per channel: drop the oldest sample, append the predicted newest
-        moves = ((w[:-1], w[1:]), (w[lag - 1::lag], y[lag - 1::lag]))
-    else:  # free, or lag 1, where the newest samples are the whole window
-        moves = ((w, y),)
-    for k in range(horizon):
-        for lead, parent, out in blocks:
-            np.multiply(w[lead], phi[parent], out=out)
-        np.matmul(coupling, phi, out=y)
-        if not math.sqrt(y.dot(y)) <= norm_cap:  # NaN and inf fail too
-            return windows[:k].copy(), True
-        for dst, src in moves:
-            dst[...] = src
-        windows[k] = w
+    shift = consistent and lag > 1
+    if shift:  # per channel: drop the oldest sample, append the predicted newest
+        scratch = np.empty((min(BLOCK_STEPS, horizon), m))
+        old, new, newest = w[:-1], w[1:], w[lag - 1::lag]
+    predict = coupling.dot
+    flag_cap = norm_cap * (1.0 - 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, horizon, BLOCK_STEPS):
+            rows = windows[start:start + BLOCK_STEPS]
+            ys = scratch[:len(rows)] if shift else rows  # the predictions
+            if shift:
+                for y, row in zip(ys, rows):
+                    for lead, parent, out in blocks:
+                        np.multiply(w[lead], phi[parent], out=out)
+                    predict(phi, out=y)
+                    old[...] = new
+                    newest[...] = y[lag - 1::lag]
+                    row[...] = w
+            else:
+                for y in rows:
+                    for lead, parent, out in blocks:
+                        np.multiply(w[lead], phi[parent], out=out)
+                    predict(phi, out=y)
+                    w[...] = y
+            for i in np.flatnonzero(~(np.linalg.norm(ys, axis=1) <= flag_cap)):
+                y = ys[i]
+                if not math.sqrt(y.dot(y)) <= norm_cap:  # NaN and inf fail too
+                    return windows[:start + i].copy(), True
     return windows, False

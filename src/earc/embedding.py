@@ -118,12 +118,21 @@ def compression_plan(dim_in, order):
     """Table the monomials of the order-p embedding of a dim_in-vector.
 
     Refuses (DimensionOverflowError) any plan whose full embedding would
-    exceed the entry cap, although the full embedding is never built.
+    exceed the entry cap, although the full embedding is never built, and any
+    whose tuple table would: its sum of k * C(m + k - 1, k) (p(p + 1)/2 at
+    m = 1) is added up term by term before a tuple is built.
     """
     if dim_in < 1 or order < 1:
         raise ShapeError(f"need dim_in >= 1 and order >= 1, got {dim_in}, {order}")
     const = embed_dim(dim_in, order) - 1  # full coordinate of the constant
     m = dim_in
+    entries = count = 0
+    for k in range(1, order + 1):
+        count = count * (m + k - 1) // k if k > 1 else m  # C(m + k - 1, k)
+        entries += k * count
+        if entries > tensorops.ENTRY_CAP:
+            raise DimensionOverflowError(f"the order-{order} plan of a {m}-vector would table "
+                                         f"more than the cap of {tensorops.ENTRY_CAP} entries")
     tuples = tuple(np.fromiter(chain.from_iterable(combinations_with_replacement(range(m), k)),
                                dtype=np.int64).reshape(-1, k)
                    for k in range(1, order + 1))

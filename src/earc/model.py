@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _kernels, solver, tensorops
 from .embedding import as_series, build_data_matrices, compression_plan
-from .errors import (CorruptModelError, InsufficientDataError, ModelFormatError,
-                     ShapeError, ValidationError)
+from .errors import (CorruptModelError, DimensionOverflowError, InsufficientDataError,
+                     ModelFormatError, ShapeError, ValidationError)
 from .groups import from_json_dict, json_integer, json_numbers, read_json
 from .solver import FitReport
 
@@ -227,7 +227,10 @@ def load(path, check_equivariance=True):
             f"model file {path} has {rep_index.size} monomial representatives, not the "
             f"C(n*L + p, p) of n={n}, L={lag}, p={order}"
         )
-    plan = compression_plan(n * lag, order)
+    try:
+        plan = compression_plan(n * lag, order)
+    except DimensionOverflowError as exc:
+        raise CorruptModelError(f"model file {path} has dimensions past the cap: {exc}") from exc
     if not np.array_equal(rep_index, plan.rep_index):
         raise CorruptModelError("stored monomial representatives do not match the plan")
     expected = n * lag * plan.reduced_dim

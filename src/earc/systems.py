@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorops
+from . import _kernels, tensorops
 from .errors import DivergenceError, ShapeError, UnknownNameError, ValidationError
 from .groups import close_group
 
@@ -117,11 +117,6 @@ def hamiltonian_generate(cfg):
     return rows
 
 
-def _competition_update(p, r, n_matrix):
-    """p + r * p * (1 - N p) on validated operands."""
-    return p + r * p * (1.0 - n_matrix @ p)
-
-
 def _competition_operands(p, r, interactions):
     """``p``, ``r`` and ``interactions`` as float arrays of matching dims."""
     p = tensorops._as_vector(p, "p")
@@ -135,16 +130,28 @@ def _competition_operands(p, r, interactions):
 
 
 def competition_generate(cfg):
-    """Iterated competition map, returned as a (steps+1, 5) series."""
+    """Iterated competition map p + r * p * (1 - N p), returned as a
+    (steps+1, 5) series.  Each step writes straight into its row; the range is
+    tested once per ``_kernels.BLOCK_STEPS`` steps, and its first failing row
+    (NaN fails too) is reported."""
     p, r, n_matrix = _competition_operands(cfg.p0, cfg.r, cfg.interactions)
     tensorops._check_entries((cfg.steps + 1) * p.shape[0], tensorops.ENTRY_CAP)
     rows = np.empty((cfg.steps + 1, p.shape[0]))
     rows[0] = p
-    for k in range(1, cfg.steps + 1):
-        p = _competition_update(p, r, n_matrix)
-        if not np.abs(p).max() <= COMPETITION_RANGE:  # NaN and inf fail too
-            raise DivergenceError(f"competition state left the admissible range at step {k}")
-        rows[k] = p
+    rp, t = np.empty_like(p), np.empty_like(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, cfg.steps + 1, _kernels.BLOCK_STEPS):
+            block = rows[start:start + _kernels.BLOCK_STEPS]
+            for prev, nxt in zip(rows[start - 1:], block):
+                n_matrix.dot(prev, out=t)
+                np.subtract(1.0, t, out=t)
+                np.multiply(r, prev, out=rp)
+                np.multiply(rp, t, out=t)
+                np.add(prev, t, out=nxt)
+            bad = np.flatnonzero(~(np.abs(block).max(axis=1) <= COMPETITION_RANGE))
+            if bad.size:
+                raise DivergenceError(
+                    f"competition state left the admissible range at step {start + bad[0]}")
     return rows
 
 

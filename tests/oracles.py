@@ -1,28 +1,29 @@
 """Reference implementations that the library's optimised code replaced,
 and constructions that only tests need: the full embedding and its
 selection and expansion maps, dense group actions, single prediction steps,
-the Hamiltonian field and energy, one competition step, group files and
-a series read that parses every row from row 0.
+the rollout kernels that tested divergence at every step, the Hamiltonian
+field and energy, one competition step, group files and a series read that
+parses every row from row 0.
 
 They are kept only as test oracles: the library must reproduce them bit for
 bit, or, where the arithmetic changed, within the tolerance a test states.
 """
 
 import json
+import math
 import warnings
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
-from earc import solver, tensorops
+from earc import _kernels, solver, tensorops
 from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, NumericalError, ShapeError, ValidationError
 from earc.groups import reduced_action, window_action
 from earc.solver import (EquivariantBasis, basis_features, constraint_matrix,
                          degree_kernel_dims)
-from earc.systems import (COMPETITION_RANGE, _competition_operands, _competition_update,
-                          _hamiltonian_field)
+from earc.systems import COMPETITION_RANGE, _competition_operands, _hamiltonian_field
 
 
 def hamiltonian_vector_field(state):
@@ -38,7 +39,8 @@ def hamiltonian_energy(q, p):
 
 def competition_step(p, r, interactions):
     """One update of the competition recurrence p + r * p * (1 - N p)."""
-    return _competition_update(*_competition_operands(p, r, interactions))
+    p, r, n_matrix = _competition_operands(p, r, interactions)
+    return p + r * p * (1.0 - n_matrix @ p)
 
 
 def predict_step(model, window):
@@ -266,6 +268,37 @@ def autoregress_by_step(coupling, lead, parent, seed, horizon, n_channels, lag,
             values[k, j] = y[j * lag + lag - 1]
         windows[k] = w
     return values, windows, horizon, False
+
+
+def autoregress_by_matmul(coupling, plan, seed, horizon, lag, consistent, norm_cap):
+    """The rollout kernel that predicted with ``np.matmul`` and tested
+    divergence at every step; same arguments and result as
+    ``_kernels.autoregress``.
+    """
+    m = seed.shape[0]
+    windows = np.empty((horizon, m))
+    phi = np.empty(plan.reduced_dim)
+    phi[-1] = 1.0
+    w = phi[:m]
+    w[:] = seed
+    y = np.empty(m)
+    blocks = [(lead, parent, phi[lo:hi])
+              for lo, hi, lead, parent in _kernels.degree_blocks(plan)[1:]]
+    if consistent and lag > 1:
+        # per channel: drop the oldest sample, append the predicted newest
+        moves = ((w[:-1], w[1:]), (w[lag - 1::lag], y[lag - 1::lag]))
+    else:  # free, or lag 1, where the newest samples are the whole window
+        moves = ((w, y),)
+    for k in range(horizon):
+        for lead, parent, out in blocks:
+            np.multiply(w[lead], phi[parent], out=out)
+        np.matmul(coupling, phi, out=y)
+        if not math.sqrt(y.dot(y)) <= norm_cap:  # NaN and inf fail too
+            return windows[:k].copy(), True
+        for dst, src in moves:
+            dst[...] = src
+        windows[k] = w
+    return windows, False
 
 
 def write_rows_by_value(fh, index, values):

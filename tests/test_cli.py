@@ -14,7 +14,7 @@ from earc.groups import action_rows, close_group, reduced_action
 from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save, train
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
-from tests.test_model import manual_model, v1_payload
+from tests.test_model import manual_model, single_channel_payload, v1_payload
 
 from oracles import (hamiltonian_generate_by_array, predict_step, read_series_from_row_0,
                      save_group, unreduced_fit, write_rows_by_value)
@@ -133,6 +133,17 @@ class TestTrain:
         code, err = _code_and_err(["train", "--data", comp_csv, "--group", "z5", "--L", "1",
                                    "--p", order, "--train-count", "31", "--out", out], capsys)
         assert code == 2 and "cap of 2147483648 entries" in err
+        assert not out.exists()
+
+    def test_single_channel_order_past_the_tuple_cap_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "line.csv"
+        write_series(data, np.linspace(0.1, 0.9, 20)[:, None])
+        group = tmp_path / "sign.json"
+        group.write_text(json.dumps({"n": 1, "generators": [[-1.0]]}))
+        out = tmp_path / "m.json"
+        code, err = _code_and_err(["train", "--data", data, "--group-file", group, "--L", "1",
+                                   "--p", 10**5, "--train-count", "20", "--out", out], capsys)
+        assert code == 2 and "table more than the cap" in err
         assert not out.exists()
 
     def test_missing_csv_exits_2(self, capsys):
@@ -732,6 +743,13 @@ class TestVerify:
         err = capsys.readouterr().err
         assert str(bad) in err and "monomial representatives" in err
         assert planned == []
+
+    def test_single_channel_order_past_the_tuple_cap_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "huge-p.json"
+        bad.write_text(json.dumps(single_channel_payload(10**5)))
+        assert main(["verify", "--model", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "table more than the cap" in err
 
     @pytest.mark.parametrize("tamper", ["empty", "non-orthogonal", "nan"])
     def test_invalid_generators_exit_3(self, z5_model_path, tmp_path, capsys, tamper):

@@ -164,6 +164,23 @@ class TestCompressionPlan:
         with pytest.raises(DimensionOverflowError):
             compression_plan(m, p)
 
+    @pytest.mark.parametrize("p", [65536, 10**5, 10**8])
+    def test_single_variable_tuple_table_refused(self, p):
+        # p(p + 1)/2 tuple entries pass the cap from p = 65536 on, although
+        # the embedding has only p + 1 entries
+        with pytest.raises(DimensionOverflowError, match="table more than the cap"):
+            compression_plan(1, p)
+
+    @pytest.mark.parametrize("m,p", [(1, 10), (3, 3), (4, 2)])
+    def test_tuple_entries_at_and_past_the_cap(self, monkeypatch, m, p):
+        entries = sum(k * math.comb(m + k - 1, k) for k in range(1, p + 1))
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", entries)
+        plan = compression_plan.__wrapped__(m, p)  # past the cache
+        assert sum(t.size for t in plan.tuples) == entries
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", entries - 1)
+        with pytest.raises(DimensionOverflowError, match="table more than the cap"):
+            compression_plan.__wrapped__(m, p)
+
     def test_class_tuples_are_sorted_and_consistent(self):
         plan = compression_plan(3, 3)
         for c in range(plan.reduced_dim - 1):

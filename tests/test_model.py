@@ -1,10 +1,12 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from earc import _kernels
 from earc.embedding import compression_plan, delay_windows
 from earc.errors import (CorruptModelError, DimensionOverflowError, InsufficientDataError,
                          ModelFormatError, ShapeError, ValidationError)
@@ -14,7 +16,7 @@ from earc.solver import FitReport, degree_kernel_dims
 from earc.systems import (CompetitionConfig, builtin_rep, competition_generate,
                           planted_linear)
 
-from oracles import autoregress_by_step, predict_step
+from oracles import autoregress_by_matmul, autoregress_by_step, predict_step
 
 
 def linear_series(a, x0, steps):
@@ -43,6 +45,14 @@ def v1_payload(path, coefficients=None):
     payload["fit"] = {"coefficients": [0.0] * size if coefficients is None
                       else [float(c) for c in coefficients], **fit}
     return payload
+
+
+def single_channel_payload(order):
+    """A model file for n = L = 1 and order ``order``, with the p + 1 monomial
+    representatives that ``load`` counts; the rest is never read."""
+    return {"version": 2, "n": 1, "L": 1, "p": order, "generators": [[-1.0]],
+            "rep_index": list(range(order + 1)), "W": [0.0],
+            "fit": {"basis_dim": 1, "train_residual": 0.0, "delta_em": 0.0}}
 
 
 @pytest.fixture(scope="module")
@@ -137,15 +147,40 @@ def shift_plus_map_model(a_map):
 
 
 def assert_matches_step_loop(model, seed, horizon, mode):
-    """Bitwise agreement of rollout() with the per-step column-loop oracle."""
-    fc = rollout(model, seed, horizon, mode=mode)
+    """Bitwise agreement of rollout() with the per-step column-loop oracle and
+    with the kernel that tested divergence at every step; rollout() may not
+    emit a warning, even where the oracles do."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fc = rollout(model, seed, horizon, mode=mode)
     values, windows, steps, diverged = autoregress_by_step(
         model.coupling, model.plan.lead, model.plan.parent, seed, horizon,
         model.n, model.lag, mode == "consistent", DIVERGENCE_CAP)
     assert (fc.steps, fc.diverged) == (steps, diverged)
     assert np.array_equal(fc.values, values[:steps])
     assert np.array_equal(fc.windows, windows[:steps])
+    windows, diverged = autoregress_by_matmul(model.coupling, model.plan, seed, horizon,
+                                              model.lag, mode == "consistent", DIVERGENCE_CAP)
+    assert fc.diverged == diverged and np.array_equal(fc.windows, windows)
     return fc
+
+
+def doubling_model(lag):
+    """n = 1, p = 1: each step predicts [2x, ..., 2x] from the newest sample x
+    alone, so that in both modes the prediction norms grow by exactly 2 per
+    step."""
+    coupling = np.zeros((lag, lag + 1))
+    coupling[:, lag - 1] = 2.0
+    return manual_model(coupling, close_group([np.eye(1)]), lag, 1)
+
+
+def seed_diverging_at(model, step):
+    """A seed whose prediction at ``step`` is the first past DIVERGENCE_CAP, by
+    a factor of sqrt(2) on each side."""
+    seed = np.zeros(model.lag)
+    seed[-1] = 1.0
+    first = np.linalg.norm(model.coupling[:, :-1] @ seed)
+    return seed * (DIVERGENCE_CAP / first * 2.0 ** (0.5 - step))
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +270,29 @@ class TestRollout:
             assert mapped.steps == 510
             assert np.max(np.abs(mapped.values - base.values @ g.T)) <= 1e-9
 
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
+    @pytest.mark.parametrize("lag", [1, 3])
+    @pytest.mark.parametrize("where", ["first", "block-1", "block", "block+1", "2*block",
+                                       "last"])
+    def test_divergence_at_block_boundaries(self, lag, mode, where):
+        block = _kernels.BLOCK_STEPS
+        horizon = 2 * block + 5
+        step = {"first": 0, "block-1": block - 1, "block": block, "block+1": block + 1,
+                "2*block": 2 * block, "last": horizon - 1}[where]
+        m = doubling_model(lag)
+        fc = assert_matches_step_loop(m, seed_diverging_at(m, step), horizon, mode)
+        assert fc.diverged and fc.steps == step
+
+    @pytest.mark.parametrize("mode", ["consistent", "free"])
+    def test_prediction_at_the_cap_is_kept(self, mode):
+        # the block's norm flags a state at the cap; the per-step test keeps it
+        m = doubling_model(1)
+        step = _kernels.BLOCK_STEPS - 3
+        fc = assert_matches_step_loop(m, np.array([DIVERGENCE_CAP * 2.0 ** -(step + 1)]),
+                                      2 * _kernels.BLOCK_STEPS, mode)
+        assert fc.diverged and fc.steps == step + 1
+        assert fc.values[-1, 0] == DIVERGENCE_CAP
+
     def test_divergence_truncates_with_flag(self):
         group = close_group([np.eye(1)])
         m = manual_model(np.array([[2.0, 0.0]]), group, 1, 1)  # x -> 2x
@@ -284,6 +342,15 @@ class TestEstimateLag:
 
 
 class TestPersistence:
+    def test_single_channel_plan_past_the_cap_refused(self, tmp_path):
+        # p(p + 1)/2 tuple entries, against the p + 1 that the count checks
+        with pytest.raises(DimensionOverflowError, match="table more than the cap"):
+            train(np.linspace(0.1, 0.9, 20)[:, None], close_group([-np.eye(1)]), 1, 10**5)
+        path = tmp_path / "huge-p.json"
+        path.write_text(json.dumps(single_channel_payload(10**5)))
+        with pytest.raises(CorruptModelError, match="table more than the cap"):
+            load(path)
+
     def test_save_load_save_is_idempotent(self, z5_model, tmp_path):
         p1 = tmp_path / "m1.json"
         p2 = tmp_path / "m2.json"

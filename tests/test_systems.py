@@ -1,9 +1,11 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from earc import _kernels
 from earc.errors import (DimensionOverflowError, DivergenceError, UnknownNameError,
                          ValidationError)
 from earc.systems import (DEFAULT_COMPETITION_START, GROWTH_RATE, INTERACTION_MATRIX,
@@ -25,6 +27,13 @@ def diverged_message(generate, cfg):
     with pytest.raises(DivergenceError) as info:
         generate(cfg)
     return str(info.value)
+
+
+def quiet_diverged_message(generate, cfg):
+    """``diverged_message`` with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return diverged_message(generate, cfg)
 
 
 class TestHamiltonian:
@@ -200,7 +209,22 @@ class TestStepLoopOracles:
     def test_competition_divergence_step(self, growth):
         cfg = CompetitionConfig(r=np.full(5, growth), steps=200)
         expected = diverged_message(competition_generate_by_step, cfg)
-        assert diverged_message(competition_generate, cfg) == expected
+        assert quiet_diverged_message(competition_generate, cfg) == expected
+
+    @pytest.mark.parametrize("where", ["first", "block-1", "block", "block+1", "block+2",
+                                       "last"])
+    def test_competition_divergence_at_block_boundaries(self, where):
+        # without interactions each step multiplies the state by 1 + r, and
+        # 0.5 (1 + r)^k passes the range of 10 between steps k - 1/2 and k
+        block = _kernels.BLOCK_STEPS
+        steps = 2 * block + 7
+        step = {"first": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+                "block+2": block + 2, "last": steps}[where]
+        cfg = CompetitionConfig(p0=np.full(5, 0.5), r=np.full(5, 20.0 ** (1 / (step - 0.5)) - 1),
+                                interactions=np.zeros((5, 5)), steps=steps)
+        message = quiet_diverged_message(competition_generate, cfg)
+        assert message == diverged_message(competition_generate_by_step, cfg)
+        assert message.endswith(f"at step {step}")
 
 
 class TestBuiltinReps:
