@@ -5,7 +5,7 @@ bases, truncated-SVD least squares, and autoregressive forecasting."""
 
 from .embedding import (CompressionPlan, build_data_matrices, compressed_features,
                         compression_plan, delay_windows, embed_dim)
-from .groups import GroupRep, close_group, reduced_action
+from .groups import GroupRep, close_group
 from .model import EarcModel, Forecast, estimate_lag, load, rollout, save, train
 from .solver import (EquivariantBasis, FitReport, assemble, equivariance_residual,
                      equivariant_basis, fit_coefficients)
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CompressionPlan", "build_data_matrices", "compressed_features",
     "compression_plan", "delay_windows", "embed_dim",
-    "GroupRep", "close_group", "reduced_action",
+    "GroupRep", "close_group",
     "EarcModel", "Forecast", "estimate_lag", "load", "rollout", "save", "train",
     "EquivariantBasis", "FitReport", "assemble", "equivariance_residual",
     "equivariant_basis", "fit_coefficients",

@@ -99,8 +99,13 @@ def _row_nonzeros(mat):
 
 
 def action_rows(elements, lag, plan):
-    """h_g = g (x) I_lag and the rows of Ghat_g (see :func:`reduced_action`)
-    for a stack of E elements.
+    """h_g = g (x) I_lag and the rows of Ghat_g for a stack of E elements.
+
+    Ghat_g is the action on compressed features: the q x q matrix with
+    phi((g (x) I_lag) x) = Ghat_g @ phi(x) for the compressed features phi of
+    ``embedding.compressed_features``, equal to R @ G @ E for the action G on
+    the full embedding and the selection and expansion maps R and E (all
+    three are test oracles).  Its degree-1 block is h.
 
     Returns (h, cols, vals): h is (E, m, m), and row r of Ghat_e has entries
     ``vals[e, r]`` at columns ``cols[e, r]``, both (E, q, width).  The rows of
@@ -155,24 +160,6 @@ def action_rows(elements, lag, plan):
         cols[:, lo:lo + c.shape[1], :c.shape[2]] = lo + c
         vals[:, lo:lo + c.shape[1], :c.shape[2]] = v
     return h, cols, vals
-
-
-def reduced_action(g, lag, plan):
-    """Action on compressed features: the dense q x q matrix with
-    phi((g (x) I_lag) x) = reduced_action(g, lag, plan) @ phi(x) for the
-    compressed features phi of ``embedding.compressed_features``; equal to
-    R @ G @ E for the action G on the full embedding and the selection and
-    expansion maps R and E (all three are test oracles).  It assembles one
-    element's :func:`action_rows`, with h itself, -0.0 entries included, as
-    its degree-1 block.
-    """
-    h, cols, vals = action_rows(tensorops._as_matrix(g, "g")[None], lag, plan)
-    q = plan.reduced_dim
-    out = np.bincount((cols[0] + np.arange(0, q * q, q)[:, None]).ravel(), vals[0].ravel(),
-                      minlength=q * q).reshape(q, q)
-    m = h.shape[1]
-    out[:m, :m] = h[0]
-    return out
 
 
 def parse_json(text, source, error):

@@ -9,6 +9,8 @@ Enforcing the equation for the generators suffices.  Under column-stacking
 vectorisation its matrix is K_g = I_q (x) g (x) I_lag - Ghat_g^T (x) I_n (x) I_lag
 = K'_g (x) I_lag with the one-lag-slot constraint K'_g = I_q (x) g - Ghat_g^T (x) I_n,
 so the kernel is solved for the n*q unknowns of one slot and repeated on every slot.
+The stacked K'_g of all generators is filled from one ``groups.action_rows``
+call, the sparse rows of Ghat_g; nothing here forms a dense Ghat_g.
 
 Ghat_g never mixes monomial degrees, so the kernel is a direct sum over degree
 blocks, and the dimension of block k's share is the character count
@@ -24,7 +26,7 @@ import numpy as np
 from . import tensorops
 from .embedding import compression_plan
 from .errors import NumericalError, ShapeError
-from .groups import action_rows, reduced_action
+from .groups import action_rows
 
 NORMAL_EQ_THRESHOLD = 2000
 """One-slot basis size above which an earlier ``fit_coefficients`` solved the
@@ -81,15 +83,26 @@ class FitReport:
     rank: int | None
 
 
-def constraint_matrix(g, lag, plan, features=slice(None)):
-    """Vec form of the intertwiner equation for one generator on one lag slot,
-    on the unknowns of the given features (all of them by default).
-
-    Ghat_g maps every degree block to itself, so on a union of degree blocks
-    the equation's rows involve only that union's unknowns.
+def constraint_matrix(elements, lag, plan, features):
+    """Vec form of the intertwiner equation on one lag slot for a stack of E
+    elements, on the unknowns of the u ascending ``features`` (a union of
+    degree blocks, which Ghat maps to itself): the (E*n*u, n*u) vertical
+    stack of K'_e = I_u (x) g_e - Ghat_e^T (x) I_n.  It is filled from one
+    ``action_rows`` call: g_e on the u diagonal blocks, then each nonzero
+    Ghat_e[r, c] subtracted at row (c, i) and column (r, i) for every channel
+    i, so each entry is the Kronecker form's value up to the sign of a zero.
     """
-    ghat = reduced_action(g, lag, plan)[features][:, features]
-    return tensorops.kron(np.eye(ghat.shape[0]), g) - tensorops.kron(ghat.T, np.eye(g.shape[0]))
+    e, n = elements.shape[:2]
+    u = features.size
+    tensorops._check_entries(e * (n * u) ** 2, tensorops.ENTRY_CAP)
+    _, cols, vals = action_rows(elements, lag, plan)
+    elem, row, entry = np.nonzero(vals[:, features])  # skips the +0.0 padding
+    col = np.searchsorted(features, cols[elem, features[row], entry])
+    out = np.zeros((e, u, n, u, n))
+    out[:, np.arange(u), :, np.arange(u), :] = elements
+    i = np.arange(n)
+    out[elem[:, None], col[:, None], i, row[:, None], i] -= vals[elem, features[row], entry, None]
+    return out.reshape(e * n * u, n * u)
 
 
 def degree_kernel_dims(group, lag, order):
@@ -142,7 +155,8 @@ def equivariant_basis(group, lag, plan):
     (stacking avoids squaring the condition number, as sum(K^T K) would).
     NumericalError is raised unless exactly d singular values are at most
     KERNEL_RTOL times the largest.  The SVD sees only the unknowns of
-    ``basis_features``, and Ghat_g is built on the plan that stops at the
+    ``basis_features``, and the rows of Ghat_g are built, in one
+    ``constraint_matrix`` call for all generators, on the plan that stops at the
     highest kept degree, whose blocks are those of ``plan``.  Its constant
     feature sits lower, but is kept only when the group fixes a channel
     vector v, and then every degree k holds the kernel vector
@@ -159,10 +173,7 @@ def equivariant_basis(group, lag, plan):
     top = int(np.flatnonzero(dims[1:])[-1]) + 1
     action_plan = compression_plan(plan.dim_in, top)
     features = basis_features(dims, action_plan)
-    unknowns = group.n * features.size
-    tensorops._check_entries(len(group.generators) * unknowns * unknowns, tensorops.ENTRY_CAP)
-    stacked = np.vstack([constraint_matrix(g, lag, action_plan, features)
-                         for g in group.generators])
+    stacked = constraint_matrix(np.array(group.generators), lag, action_plan, features)
     # at least as many rows as unknowns, so vt holds every right singular vector
     _, s, vt = tensorops._svd(stacked, full_matrices=False)
     found = int(np.count_nonzero(s <= KERNEL_RTOL * s[0]))

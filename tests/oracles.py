@@ -20,9 +20,8 @@ import numpy as np
 from earc import _kernels, solver, tensorops
 from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, NumericalError, ShapeError, ValidationError
-from earc.groups import reduced_action, window_action
-from earc.solver import (EquivariantBasis, basis_features, constraint_matrix,
-                         degree_kernel_dims)
+from earc.groups import action_rows, window_action
+from earc.solver import EquivariantBasis, basis_features, degree_kernel_dims
 from earc.systems import COMPETITION_RANGE, _competition_operands, _hamiltonian_field
 
 
@@ -449,6 +448,32 @@ def reduced_action_by_blocks(g, lag, plan):
     return out
 
 
+def assemble_rows(h, cols, vals, plan):
+    """Dense q x q matrices of ``action_rows``, one per element, assembled with
+    ``np.add.at`` from +0.0; the degree-1 block is h, -0.0 entries included."""
+    e, q, _ = cols.shape
+    out = np.zeros((e, q, q))
+    np.add.at(out, (np.arange(e)[:, None, None], np.arange(q)[:, None], cols), vals)
+    m = plan.dim_in
+    out[:, :m, :m] = h
+    return out
+
+
+def assembled_action(g, lag, plan):
+    """Dense q x q Ghat_g of one element: the assembly of its ``action_rows``."""
+    h, cols, vals = action_rows(np.asarray(g, dtype=np.float64)[None], lag, plan)
+    return assemble_rows(h, cols, vals, plan)[0]
+
+
+def kron_constraint_matrix(g, lag, plan, features=slice(None)):
+    """One generator's one-slot constraint I_u (x) g - Ghat_g^T (x) I_n on the
+    unknowns of ``features``, as two Kronecker products of the dense Ghat_g of
+    ``reduced_action_by_blocks``: the constraint before it was filled from the
+    rows of all generators at once."""
+    ghat = reduced_action_by_blocks(g, lag, plan)[features][:, features]
+    return tensorops.kron(np.eye(ghat.shape[0]), g) - tensorops.kron(ghat.T, np.eye(g.shape[0]))
+
+
 def insert_tables_by_passes(plan):
     """The (d_{k-1}, dim_in) insert table of each degree k = 2..p of
     ``CompressionPlan.action_tables``, read off the passes of the enumeration
@@ -627,7 +652,8 @@ def cutoff_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
     right singular vectors whose singular value is at most rel_tol * sigma_max
     (the basis size is what the cutoff selects, not the character count)."""
     features = basis_features(degree_kernel_dims(group, lag, plan.order), plan)
-    stacked = np.vstack([constraint_matrix(g, lag, plan, features) for g in group.generators])
+    stacked = np.vstack([kron_constraint_matrix(g, lag, plan, features)
+                         for g in group.generators])
     kernel = null_space(stacked, rel_tol)
     slots = np.zeros((kernel.shape[1], group.n, plan.reduced_dim))
     slots[:, :, features] = kernel.T.reshape(-1, features.size, group.n).transpose(0, 2, 1)
@@ -638,7 +664,7 @@ def cutoff_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
 def window_constraint_matrix(g, lag, plan):
     """Vec form of the intertwiner equation over the whole delay window:
     I_q (x) (g (x) I_lag) - Ghat_g^T (x) I_{n*lag}, with n*lag*q unknowns."""
-    ghat = reduced_action(g, lag, plan)
+    ghat = reduced_action_by_blocks(g, lag, plan)
     h = window_action(g, lag)
     m = h.shape[0]
     q = plan.reduced_dim
@@ -662,7 +688,7 @@ def whole_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
     """One-slot basis from one SVD of the stacked one-slot constraints on all
     n*q unknowns, empty degree blocks included."""
     q = plan.reduced_dim
-    stacked = np.vstack([constraint_matrix(g, lag, plan) for g in group.generators])
+    stacked = np.vstack([kron_constraint_matrix(g, lag, plan) for g in group.generators])
     kernel = null_space(stacked, rel_tol)
     slots = np.ascontiguousarray(kernel.T.reshape(-1, q, group.n).transpose(0, 2, 1))
     return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=q, lag=lag,

@@ -98,11 +98,12 @@ def test_criterion_04_embedding_equivariance_oracle():
 def test_criterion_05_kernel_equivalence_oracle():
     sign_group = close_group([-np.eye(2)])
     plan = compression_plan(2, 1)
-    ks = [constraint_matrix(g, 1, plan) for g in sign_group.generators]
+    stacked = constraint_matrix(np.array(sign_group.generators), 1, plan,
+                                np.arange(plan.reduced_dim))
     basis = equivariant_basis(sign_group, 1, plan)
     vecs = np.array([vec(x) for x in dense_matrices(basis)])
     p_stacked = vecs.T @ vecs
-    normal = sum(k.T @ k for k in ks)
+    normal = stacked.T @ stacked  # the sum of K^T K over the generators
     eigvals, eigvecs = np.linalg.eigh(normal)
     kernel = eigvecs[:, eigvals <= 1e-10 * max(eigvals.max(), 1.0)]
     p_normal = kernel @ kernel.T

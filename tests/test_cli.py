@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from earc import cli, groups, solver
+from earc import cli, solver
 from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, main,
                       read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError, ValidationError
-from earc.groups import action_rows, close_group, reduced_action
+from earc.groups import action_rows, close_group
 from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save, train
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
 from earc.systems import HamiltonianConfig, builtin_rep, hamiltonian_generate, planted_linear
@@ -862,25 +862,19 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines()[:4] == expected
 
     def test_builds_every_action_in_one_call(self, k4_model, tmp_path, monkeypatch):
-        # one action_rows call covers the 4 elements, and no dense Ghat is built
+        # one action_rows call covers the 4 elements, so verify builds no basis
+        # constraint: its rows would be a second call
         path = tmp_path / "k4.json"
         save(k4_model[0], path)
-        stacks, dense = [], []
+        stacks = []
 
         def rows(elements, lag, plan):
             stacks.append(len(elements))
             return action_rows(elements, lag, plan)
 
-        def counted(g, lag, plan):
-            dense.append(g)
-            return reduced_action(g, lag, plan)
-
         monkeypatch.setattr(solver, "action_rows", rows)
-        monkeypatch.setattr(solver, "reduced_action", counted)
-        monkeypatch.setattr(groups, "reduced_action", counted)
         assert main(["verify", "--model", str(path)]) == 0
         assert stacks == [4]
-        assert dense == []
 
     def test_trivial_group_model_is_exactly_equivariant(self, tmp_path, capsys):
         from earc.groups import close_group

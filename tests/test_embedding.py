@@ -8,13 +8,13 @@ from earc.embedding import (as_series, build_data_matrices, compressed_features,
                             compression_plan, delay_windows, embed_dim)
 from earc.errors import (DimensionOverflowError, InsufficientDataError, ShapeError,
                          ValidationError)
-from earc.groups import reduced_action, window_action
+from earc.groups import window_action
 from earc.systems import builtin_rep
 
-from oracles import (class_of, class_tuple, compress, compression_plan_by_enumeration,
-                     embed, expand, expansion_matrix, full_dim, insert_tables_by_passes,
-                     kron_power, lifted_action, monomial_features_by_column,
-                     selection_matrix)
+from oracles import (assembled_action, class_of, class_tuple, compress,
+                     compression_plan_by_enumeration, embed, expand, expansion_matrix, full_dim,
+                     insert_tables_by_passes, kron_power, lifted_action,
+                     monomial_features_by_column, selection_matrix)
 
 
 ORACLE_SIZES = sorted({(m, p) for m in range(1, 9) for p in range(1, 6)
@@ -286,7 +286,7 @@ class TestEmbeddedEquivariance:
         plan = compression_plan(rep.n * lag, order)
         rng = np.random.default_rng(16)
         for g in rep.elements:
-            ghat = reduced_action(g, lag, plan)
+            ghat = assembled_action(g, lag, plan)
             h = window_action(g, lag)
             for _ in range(5):
                 x = rng.standard_normal(rep.n * lag)

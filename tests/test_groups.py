@@ -6,15 +6,14 @@ import pytest
 from earc import groups
 from earc.embedding import compression_plan, embed_dim
 from earc.errors import NonFiniteGroupError, ShapeError, ValidationError
-from earc.groups import (action_rows, close_group, from_json_dict, load_group, reduced_action,
-                         window_action)
+from earc.groups import action_rows, close_group, from_json_dict, load_group, window_action
 from earc.solver import equivariant_basis
 from earc.systems import builtin_rep
 
-from oracles import (dense_matrices, direct_sum, expansion_matrix, lifted_action,
-                     reduced_action_by_blocks, reduced_action_by_class,
-                     reduced_action_by_passes, save_group, selection_matrix, to_json_dict,
-                     window_equivariant_basis)
+from oracles import (assemble_rows, assembled_action, dense_matrices, direct_sum,
+                     expansion_matrix, lifted_action, reduced_action_by_blocks,
+                     reduced_action_by_class, reduced_action_by_passes, save_group,
+                     selection_matrix, to_json_dict, window_equivariant_basis)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = -np.eye(2)
@@ -103,15 +102,17 @@ class TestLiftedAction:
 
 
 class TestReducedAction:
+    """Ghat_g through ``action_rows``, one element at a time, assembled dense."""
+
     def test_trivial_group_gives_identity(self):
         plan = compression_plan(4, 2)
-        out = reduced_action(np.eye(2), 2, plan)
+        out = assembled_action(np.eye(2), 2, plan)
         assert np.array_equal(out, np.eye(plan.reduced_dim))
 
     def test_swap_relabels_monomials(self):
         # classes: x1, x2, x1^2, x1x2, x2^2, 1
         plan = compression_plan(2, 2)
-        out = reduced_action(SWAP, 1, plan)
+        out = assembled_action(SWAP, 1, plan)
         expected = np.zeros((6, 6))
         expected[0, 1] = expected[1, 0] = 1.0
         expected[2, 4] = expected[4, 2] = 1.0
@@ -127,29 +128,29 @@ class TestReducedAction:
         e = expansion_matrix(plan)
         for g in rep.generators:
             dense = r @ lifted_action(g, lag, order) @ e
-            assert np.max(np.abs(reduced_action(g, lag, plan) - dense)) <= 1e-12
+            assert np.max(np.abs(assembled_action(g, lag, plan) - dense)) <= 1e-12
 
     def test_general_orthogonal_element(self):
         # a non-permutation element exercises the aggregation over repeats
         plan = compression_plan(2, 3)
         g = rotation(0.7)
         dense = selection_matrix(plan) @ lifted_action(g, 1, 3) @ expansion_matrix(plan)
-        assert np.max(np.abs(reduced_action(g, 1, plan) - dense)) <= 1e-12
+        assert np.max(np.abs(assembled_action(g, 1, plan) - dense)) <= 1e-12
 
     def test_homomorphism(self):
         rep = builtin_rep("z5")
         plan = compression_plan(5, 2)
         for a in rep.elements:
             for b in rep.elements:
-                lhs = reduced_action(a @ b, 1, plan)
-                rhs = reduced_action(a, 1, plan) @ reduced_action(b, 1, plan)
+                lhs = assembled_action(a @ b, 1, plan)
+                rhs = assembled_action(a, 1, plan) @ assembled_action(b, 1, plan)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_signed_permutation_structure(self):
         rep = builtin_rep("k4")
         plan = compression_plan(10, 3)
         for g in rep.elements:
-            out = reduced_action(g, 5, plan)
+            out = assembled_action(g, 5, plan)
             nonzero_per_row = np.count_nonzero(out, axis=1)
             assert np.all(nonzero_per_row == 1)
             vals = out[out != 0.0]
@@ -158,7 +159,7 @@ class TestReducedAction:
     def test_dimension_mismatch(self):
         plan = compression_plan(4, 2)
         with pytest.raises(ShapeError):
-            reduced_action(SWAP, 1, plan)
+            assembled_action(SWAP, 1, plan)
 
     @pytest.mark.parametrize("name,lag,order", [
         ("k4", 1, 3), ("k4", 2, 3), ("k4", 3, 3), ("k4", 4, 3), ("k4", 5, 3), ("k4", 7, 3),
@@ -167,7 +168,7 @@ class TestReducedAction:
         rep = named_rep(name)
         plan = compression_plan(rep.n * lag, order)
         for g in rep.elements:
-            got = reduced_action(g, lag, plan)
+            got = assembled_action(g, lag, plan)
             assert bitwise_equal(got, reduced_action_by_class(g, lag, plan))
             assert bitwise_equal(got, reduced_action_by_passes(g, lag, plan))
 
@@ -176,7 +177,7 @@ class TestReducedAction:
         # -0.0 is a zero, so the kernel leaves its terms out; the oracles add them
         for g in (np.array([[-0.0, 1.0], [1.0, -0.0]]), np.array([[-1.0, -0.0], [0.0, 1.0]])):
             plan = compression_plan(2 * lag, order)
-            got = reduced_action(g, lag, plan)
+            got = assembled_action(g, lag, plan)
             assert np.any(np.signbit(got) & (got == 0.0))
             assert bitwise_equal(got, reduced_action_by_class(g, lag, plan))
             assert bitwise_equal(got, reduced_action_by_passes(g, lag, plan))
@@ -192,13 +193,13 @@ class TestReducedAction:
             lower = compression_plan(plan.dim_in, top)
             keep = np.append(np.arange(lower.reduced_dim - 1), plan.reduced_dim - 1)
             for g in rep.elements:
-                assert np.array_equal(reduced_action(g, lag, lower),
-                                      reduced_action(g, lag, plan)[np.ix_(keep, keep)])
+                assert np.array_equal(assembled_action(g, lag, lower),
+                                      assembled_action(g, lag, plan)[np.ix_(keep, keep)])
 
     def test_dense_orthogonal_bitwise_equal_to_class_loop(self):
         g = random_orthogonal(3, 50)
         plan = compression_plan(3, 4)
-        out = reduced_action(g, 1, plan)
+        out = assembled_action(g, 1, plan)
         ranges = [plan.degree_class_range(k) for k in range(1, 5)]
         assert np.count_nonzero(out) == sum((hi - lo) ** 2 for lo, hi in ranges) + 1
         assert bitwise_equal(out, reduced_action_by_class(g, 1, plan))
@@ -227,10 +228,10 @@ class TestRandomFiniteGroups:
     def test_homomorphism(self, name, lag, order):
         rep = self.conjugated(name, 60)
         plan = compression_plan(rep.n * lag, order)
-        actions = [reduced_action(g, lag, plan) for g in rep.elements]
+        actions = [assembled_action(g, lag, plan) for g in rep.elements]
         for a, ga in zip(rep.elements, actions):
             for b, gb in zip(rep.elements, actions):
-                assert np.max(np.abs(ga @ gb - reduced_action(a @ b, lag, plan))) <= 1e-10
+                assert np.max(np.abs(ga @ gb - assembled_action(a @ b, lag, plan))) <= 1e-10
 
     @pytest.mark.parametrize("name,lag,order", CASES)
     def test_matches_dense_construction(self, name, lag, order):
@@ -240,7 +241,7 @@ class TestRandomFiniteGroups:
         e = expansion_matrix(plan)
         for g in rep.elements:
             dense = r @ lifted_action(g, lag, order) @ e
-            assert np.max(np.abs(reduced_action(g, lag, plan) - dense)) <= 1e-12
+            assert np.max(np.abs(assembled_action(g, lag, plan) - dense)) <= 1e-12
 
     @pytest.mark.parametrize("name,lag,order", CASES)
     def test_one_slot_basis_matches_whole_window_oracle(self, name, lag, order):
@@ -255,7 +256,7 @@ class TestRandomFiniteGroups:
 
 
 class TestBitwiseOnRandomGroups:
-    """``reduced_action`` against both oracles, bit for bit, on seeded random
+    """``action_rows`` against both oracles, bit for bit, on seeded random
     finite groups: signed permutations of 3 or 4 channels, their conjugates by
     a random orthogonal matrix (dense elements), and a rotation (+) sign flip,
     whose rows have two nonzeros or one."""
@@ -285,20 +286,9 @@ class TestBitwiseOnRandomGroups:
             for order in range(1, 4):
                 plan = compression_plan(rep.n * lag, order)
                 for g in elements:
-                    got = reduced_action(g, lag, plan)
+                    got = assembled_action(g, lag, plan)
                     assert bitwise_equal(got, reduced_action_by_class(g, lag, plan))
                     assert bitwise_equal(got, reduced_action_by_passes(g, lag, plan))
-
-
-def assemble_rows(h, cols, vals, plan):
-    """Dense q x q matrices of ``action_rows``, one per element, assembled with
-    ``np.add.at`` from +0.0; the degree-1 block is h, -0.0 entries included."""
-    e, q, _ = cols.shape
-    out = np.zeros((e, q, q))
-    np.add.at(out, (np.arange(e)[:, None, None], np.arange(q)[:, None], cols), vals)
-    m = plan.dim_in
-    out[:, :m, :m] = h
-    return out
 
 
 class TestActionRows:
@@ -316,7 +306,6 @@ class TestActionRows:
             oracle = reduced_action_by_blocks(g, lag, plan)
             assert bitwise_equal(dense[e], oracle)
             assert bitwise_equal(dense[e], reduced_action_by_class(g, lag, plan))
-            assert bitwise_equal(reduced_action(g, lag, plan), oracle)
             # one element at a time gives the same nonzeros, the same action and h
             h1, cols1, vals1 = action_rows(elements[e:e + 1], lag, plan)
             assert bitwise_equal(h1[0], h[e])

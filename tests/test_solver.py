@@ -6,7 +6,7 @@ import pytest
 from earc import solver, tensorops
 from earc.embedding import build_data_matrices, compression_plan, delay_windows
 from earc.errors import DimensionOverflowError, NumericalError, ShapeError
-from earc.groups import GroupRep, close_group, reduced_action, window_action
+from earc.groups import GroupRep, action_rows, close_group, window_action
 from earc.solver import (EquivariantBasis, assemble, basis_features, constraint_matrix,
                          degree_kernel_dims, equivariance_residual, equivariant_basis,
                          fit_coefficients, generator_residuals)
@@ -17,10 +17,10 @@ from tests import test_groups
 from tests.test_groups import named_rep, rotation
 from tests.test_model import manual_model
 
-from oracles import (cutoff_equivariant_basis, degree_kernel_dims_by_lists, dense_fit,
-                     dense_matrices, full_width_qr_fit, null_space, svd_rank,
-                     unconstrained_fit, unreduced_fit, whole_equivariant_basis,
-                     window_equivariant_basis)
+from oracles import (assembled_action, cutoff_equivariant_basis, degree_kernel_dims_by_lists,
+                     dense_fit, dense_matrices, full_width_qr_fit, kron_constraint_matrix,
+                     null_space, svd_rank, unconstrained_fit, unreduced_fit,
+                     whole_equivariant_basis, window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -82,7 +82,7 @@ class TestEquivariantBasis:
         for mat in dense_matrices(basis):
             scale = max(1.0, np.linalg.norm(mat))
             for g in rep.generators:
-                ghat = reduced_action(g, 1, plan)
+                ghat = assembled_action(g, 1, plan)
                 assert np.linalg.norm(g @ mat - mat @ ghat) <= 1e-9 * scale
 
     def test_generators_suffice_for_whole_group(self, z5_setup):
@@ -90,16 +90,17 @@ class TestEquivariantBasis:
         for mat in dense_matrices(basis):
             scale = max(1.0, np.linalg.norm(mat))
             for g in rep.elements:
-                ghat = reduced_action(g, 1, plan)
+                ghat = assembled_action(g, 1, plan)
                 assert np.linalg.norm(g @ mat - mat @ ghat) <= 1e-9 * scale
 
     def test_kernel_equals_summed_normal_form(self):
         # stacked-SVD kernel == ker(sum K^T K), compared as projectors
         plan = compression_plan(2, 1)
-        ks = [constraint_matrix(g, 1, plan) for g in SIGN_GROUP.generators]
-        stacked_kernel = null_space(np.vstack(ks), 1e-10)
+        stacked = constraint_matrix(np.array(SIGN_GROUP.generators), 1, plan,
+                                    np.arange(plan.reduced_dim))
+        stacked_kernel = null_space(stacked, 1e-10)
         p1 = stacked_kernel @ stacked_kernel.T
-        normal = sum(k.T @ k for k in ks)
+        normal = stacked.T @ stacked  # the sum of K^T K over the generators
         eigvals, eigvecs = np.linalg.eigh(normal)
         kernel2 = eigvecs[:, eigvals <= 1e-10 * max(eigvals.max(), 1.0)]
         p2 = kernel2 @ kernel2.T
@@ -127,8 +128,8 @@ class TestEquivariantBasis:
     def test_k4_paper_constraint_has_one_slot_of_unknowns(self):
         rep = builtin_rep("k4")
         plan = compression_plan(10, 3)
-        for g in rep.generators:
-            assert constraint_matrix(g, 5, plan).shape == (572, 572)
+        stacked = constraint_matrix(np.array(rep.generators), 5, plan, np.arange(plan.reduced_dim))
+        assert stacked.shape == (1144, 572)  # two generators over 572 unknowns
         assert equivariant_basis(rep, 5, plan).size == 1150
 
     @pytest.mark.parametrize("lag", [3, 4])
@@ -155,7 +156,7 @@ def _degree_features(plan, k):
 
 
 def _stacked(rep, lag, plan, features):
-    return np.vstack([constraint_matrix(g, lag, plan, features) for g in rep.generators])
+    return constraint_matrix(np.array(rep.generators), lag, plan, features)
 
 
 def _kernel_dim(a):
@@ -315,16 +316,17 @@ class TestDegreeBlocks:
             equivariant_basis(rep, 2, plan)
 
     def test_action_stops_at_the_highest_kept_degree(self, monkeypatch):
-        # k4 at p=4 keeps degrees 1 and 3: no Ghat_g of the order-4 plan is built
+        # k4 at p=4 keeps degrees 1 and 3: one action_rows call builds the
+        # rows of both generators, on the order-3 plan
         built = []
 
-        def recorded(g, lag, plan):
-            built.append(plan.order)
-            return reduced_action(g, lag, plan)
+        def recorded(elements, lag, plan):
+            built.append((len(elements), plan.order))
+            return action_rows(elements, lag, plan)
 
-        monkeypatch.setattr(solver, "reduced_action", recorded)
+        monkeypatch.setattr(solver, "action_rows", recorded)
         basis = equivariant_basis(builtin_rep("k4"), 5, compression_plan(10, 4))
-        assert built == [3, 3]
+        assert built == [(2, 3)]
         assert basis.size == 230 * 5
 
     def test_entry_cap_counts_the_restricted_matrix(self, monkeypatch):
@@ -337,6 +339,68 @@ class TestDegreeBlocks:
         monkeypatch.setattr(tensorops, "ENTRY_CAP", restricted - 1)
         with pytest.raises(DimensionOverflowError):
             equivariant_basis(rep, 5, plan)
+
+
+def _kron_stack(elements, lag, plan, features):
+    """The stacked one-slot constraint as one Kronecker form per element."""
+    return np.vstack([kron_constraint_matrix(g, lag, plan, features) for g in elements])
+
+
+class TestConstraintFromRows:
+    """The stacked constraint that ``equivariant_basis`` fills from one
+    ``action_rows`` call against the per-generator Kronecker products it
+    replaced: equal values (the signs of zeros differ), SVD factors and a
+    basis bitwise equal.  CI also runs this class at one BLAS thread."""
+
+    @staticmethod
+    def build(rep, lag, order, monkeypatch):
+        """The stacked constraint, its SVD factors and the basis, once from the
+        rows and once from the Kronecker oracle."""
+        plan = compression_plan(rep.n * lag, order)
+        svd = tensorops._svd
+        out = []
+        for build in (constraint_matrix, _kron_stack):
+            run = {}
+
+            def stacked(elements, lag, plan, features, build=build):
+                run["stack"] = build(elements, lag, plan, features)
+                return run["stack"]
+
+            def factors(a, full_matrices):
+                run["factors"] = svd(a, full_matrices)
+                return run["factors"]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "constraint_matrix", stacked)
+                patch.setattr(tensorops, "_svd", factors)
+                run["basis"] = equivariant_basis(rep, lag, plan).slot_matrices
+            out.append(run)
+        got, oracle = out
+        assert np.array_equal(got["stack"], oracle["stack"])
+        assert got["basis"].tobytes() == oracle["basis"].tobytes()
+        return got["factors"], oracle["factors"]
+
+    @pytest.mark.parametrize("name,lag,order", [("k4", 5, 3), ("z5", 1, 2), ("k4", 3, 3),
+                                                ("c3", 2, 3)])
+    def test_bitwise_equal_to_kron_oracle(self, name, lag, order, monkeypatch):
+        for a, b in zip(*self.build(named_rep(name), lag, order, monkeypatch)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["signed", "conjugated", "rotation+flip"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_groups(self, kind, seed, monkeypatch):
+        # lag 3 at order 3 takes seconds per group and is left out.  For the
+        # rotation (+) flip at lag 2 or 3, the right singular vectors outside
+        # the kernel can differ in the sign of a zero; the kernel never does
+        rep = test_groups.TestBitwiseOnRandomGroups.random_group(kind, seed)
+        for lag, order in [(lag, order) for lag in range(1, 4) for order in range(1, 4)
+                           if lag + order < 6]:
+            (u, s, vt), (ou, os, ovt) = self.build(rep, lag, order, monkeypatch)
+            assert u.tobytes() == ou.tobytes() and s.tobytes() == os.tobytes()
+            if kind == "rotation+flip":
+                assert np.array_equal(vt, ovt)
+            else:
+                assert vt.tobytes() == ovt.tobytes()
 
 
 class TestFitCoefficients:
@@ -679,7 +743,7 @@ class TestEquivarianceResidual:
             group, lag = test_groups.TestBitwiseOnRandomGroups.random_group(case, 1), 2
             plan = compression_plan(group.n * lag, 3)
             w = np.random.default_rng(27).standard_normal((plan.dim_in, plan.reduced_dim))
-        expected = [np.linalg.norm(window_action(g, lag) @ w - w @ reduced_action(g, lag, plan))
+        expected = [np.linalg.norm(window_action(g, lag) @ w - w @ assembled_action(g, lag, plan))
                     for g in group.elements]
         got = solver.equivariance_residuals(w, group, lag, plan)
         assert np.array(got).tobytes() == np.array(expected).tobytes()

@@ -95,3 +95,12 @@ def test_json_has_one_decoder():
                    and func.attr in ("load", "loads")
                    and isinstance(func.value, ast.Name) and func.value.id == "json")
     assert len(calls) == 1 and calls[0].startswith("groups.py:"), calls
+
+
+def test_kron_only_in_the_sparse_fit():
+    """``src/`` forms a Kronecker product only for the matching-pursuit design
+    A (x) I_lag of ``solver.fit_coefficients``, through ``tensorops.kron``: the
+    basis constraint is filled from the rows of ``groups.action_rows``, with no
+    dense Ghat and no Kronecker product."""
+    calls = _calls(lambda func: isinstance(func, ast.Attribute) and func.attr == "kron")
+    assert [c.split(":")[0] for c in calls] == ["solver.py", "tensorops.py"], calls
