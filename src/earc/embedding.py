@@ -14,7 +14,7 @@ expansion maps between the two are test oracles (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations_with_replacement
 
 import numpy as np
@@ -113,7 +113,6 @@ class CompressionPlan:
         return tables
 
 
-@lru_cache(maxsize=64)
 def compression_plan(dim_in, order):
     """Table the monomials of the order-p embedding of a dim_in-vector.
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorops
-from .embedding import compression_plan
 from .errors import NumericalError, ShapeError
 from .groups import action_rows
 
@@ -155,14 +154,10 @@ def equivariant_basis(group, lag, plan):
     (stacking avoids squaring the condition number, as sum(K^T K) would).
     NumericalError is raised unless exactly d singular values are at most
     KERNEL_RTOL times the largest.  The SVD sees only the unknowns of
-    ``basis_features``, and the rows of Ghat_g are built, in one
-    ``constraint_matrix`` call for all generators, on the plan that stops at the
-    highest kept degree, whose blocks are those of ``plan``.  Its constant
-    feature sits lower, but is kept only when the group fixes a channel
-    vector v, and then every degree k holds the kernel vector
-    x -> (v . x_t)^(k-1) x_t for one lag slot x_t, so that plan is ``plan``.
-    The kernel of K'_g (x) I_lag is the one-slot kernel (x) I_lag, so only
-    the one-slot matrices are kept, zero on the left-out features.
+    ``basis_features``, and the rows of Ghat_g are built in one
+    ``constraint_matrix`` call for all generators.  The kernel of
+    K'_g (x) I_lag is the one-slot kernel (x) I_lag, so only the one-slot
+    matrices are kept, zero on the left-out features.
     """
     if group.n * lag != plan.dim_in:
         raise ShapeError(
@@ -170,10 +165,8 @@ def equivariant_basis(group, lag, plan):
         )
     dims = degree_kernel_dims(group, lag, plan.order)
     size = int(dims.sum())
-    top = int(np.flatnonzero(dims[1:])[-1]) + 1
-    action_plan = compression_plan(plan.dim_in, top)
-    features = basis_features(dims, action_plan)
-    stacked = constraint_matrix(np.array(group.generators), lag, action_plan, features)
+    features = basis_features(dims, plan)
+    stacked = constraint_matrix(np.array(group.generators), lag, plan, features)
     # at least as many rows as unknowns, so vt holds every right singular vector
     _, s, vt = tensorops._svd(stacked, full_matrices=False)
     found = int(np.count_nonzero(s <= KERNEL_RTOL * s[0]))

@@ -8,8 +8,10 @@ import numpy as np
 
 from .errors import DimensionOverflowError, NumericalError, ShapeError
 
-ENTRY_CAP = 2**31
-"""Hard ceiling on the entry count of any produced array."""
+ENTRY_CAP = 2**28
+"""Hard ceiling on the entry count of any produced array.  Every array earc
+builds holds float64 or int64, so the cap is a budget of 8 * 2^28 bytes =
+2 GiB per array."""
 
 LSTSQ_RTOL = 1e-12
 """Relative truncation threshold of least-squares solves: the cutoff of

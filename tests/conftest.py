@@ -16,8 +16,8 @@ def k4_model(ham_series):
     """The Hamiltonian paper model (L=5, p=3) and its training time.
 
     Its coefficient fit is no longer the suite's largest computation (a
-    train with warm plan caches takes about 0.2 s); the model is trained
-    once because several test modules use it.
+    train takes about 0.2 s); the model is trained once because several
+    test modules use it.
     """
     start = time.perf_counter()
     m = train(ham_series[:90], builtin_rep("k4"), 5, 3)

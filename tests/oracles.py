@@ -661,6 +661,28 @@ def cutoff_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
                             slot_matrices=slots)
 
 
+def lower_plan_equivariant_basis(group, lag, plan):
+    """``solver.equivariant_basis`` with the rows of Ghat_g built on the plan
+    that stops at the highest degree whose character count is not 0.  That
+    plan's constant sits lower, but is kept only when the group fixes a
+    channel vector v, and then every degree holds a kernel vector, so the
+    lower plan is ``plan`` itself."""
+    dims = degree_kernel_dims(group, lag, plan.order)
+    size = int(dims.sum())
+    top = int(np.flatnonzero(dims[1:])[-1]) + 1
+    lower = compression_plan(plan.dim_in, top)
+    features = basis_features(dims, lower)
+    stacked = solver.constraint_matrix(np.array(group.generators), lag, lower, features)
+    _, s, vt = tensorops._svd(stacked, full_matrices=False)
+    if np.count_nonzero(s <= solver.KERNEL_RTOL * s[0]) != size:
+        raise NumericalError("the stacked constraint's kernel is not the character count")
+    slots = np.zeros((size, group.n, plan.reduced_dim))
+    slots[:, :, features] = vt[vt.shape[0] - size:].reshape(
+        -1, features.size, group.n).transpose(0, 2, 1)
+    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
+                            slot_matrices=slots)
+
+
 def window_constraint_matrix(g, lag, plan):
     """Vec form of the intertwiner equation over the whole delay window:
     I_q (x) (g (x) I_lag) - Ghat_g^T (x) I_{n*lag}, with n*lag*q unknowns."""

@@ -1,11 +1,12 @@
 import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from earc import cli, solver
+from earc import cli, solver, tensorops
 from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, main,
                       read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
@@ -132,7 +133,7 @@ class TestTrain:
         out = tmp_path / "m.json"
         code, err = _code_and_err(["train", "--data", comp_csv, "--group", "z5", "--L", "1",
                                    "--p", order, "--train-count", "31", "--out", out], capsys)
-        assert code == 2 and "cap of 2147483648 entries" in err
+        assert code == 2 and f"cap of {tensorops.ENTRY_CAP} entries" in err
         assert not out.exists()
 
     def test_single_channel_order_past_the_tuple_cap_exits_2(self, tmp_path, capsys):
@@ -885,6 +886,33 @@ class TestVerify:
         assert main(["verify", "--model", str(path)]) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first.endswith(" 0")
+
+
+class TestOnePlanPerCommand:
+    """Each command builds its compression plan once and passes it down."""
+
+    @pytest.mark.parametrize("command", ["train", "forecast", "verify"])
+    def test_one_plan(self, comp_csv, z5_model_path, tmp_path, monkeypatch, command):
+        args = {"train": ["--data", comp_csv, "--group", "z5", "--L", 1, "--p", 2,
+                          "--train-count", 31, "--out", tmp_path / "m.json"],
+                "forecast": ["--model", z5_model_path, "--data", comp_csv, "--train-count", 31,
+                             "--horizon", 5, "--out", tmp_path / "fc.csv"],
+                "verify": ["--model", z5_model_path]}[command]
+        # every module-level binding in earc, as the benchmark's tracer wraps them
+        planned = []
+        plan = compression_plan
+
+        def counted(dim_in, order):
+            planned.append((dim_in, order))
+            return plan(dim_in, order)
+
+        for name, module in list(sys.modules.items()):
+            if name == "earc" or name.startswith("earc."):
+                for attr, value in list(vars(module).items()):
+                    if value is plan:
+                        monkeypatch.setattr(module, attr, counted)
+        assert main([command, *map(str, args)]) == 0
+        assert planned == [(5, 2)]
 
 
 class TestParser:

@@ -36,10 +36,10 @@ class TestEmbedDim:
                 assert embed_dim(n, p) == sum(n ** k for k in range(1, p + 1)) + 1
 
     def test_largest_dimensions_under_the_cap(self):
-        # 2 + 4 + ... + 2^30 + 1 = 2^31 - 1; a single channel has p + 1
-        assert embed_dim(2, 30) == tensorops.ENTRY_CAP - 1
+        # 2 + 4 + ... + 2^27 + 1 = 2^28 - 1; a single channel has p + 1
+        assert embed_dim(2, 27) == tensorops.ENTRY_CAP - 1
         assert embed_dim(1, tensorops.ENTRY_CAP - 1) == tensorops.ENTRY_CAP
-        for n, p in ((2, 31), (1, tensorops.ENTRY_CAP)):
+        for n, p in ((2, 28), (1, tensorops.ENTRY_CAP)):
             with pytest.raises(DimensionOverflowError):
                 embed_dim(n, p)
 
@@ -164,9 +164,9 @@ class TestCompressionPlan:
         with pytest.raises(DimensionOverflowError):
             compression_plan(m, p)
 
-    @pytest.mark.parametrize("p", [65536, 10**5, 10**8])
+    @pytest.mark.parametrize("p", [60000, 65535, 65536, 10**5, 10**8])
     def test_single_variable_tuple_table_refused(self, p):
-        # p(p + 1)/2 tuple entries pass the cap from p = 65536 on, although
+        # p(p + 1)/2 tuple entries pass the cap from p = 23170 on, although
         # the embedding has only p + 1 entries
         with pytest.raises(DimensionOverflowError, match="table more than the cap"):
             compression_plan(1, p)
@@ -175,11 +175,18 @@ class TestCompressionPlan:
     def test_tuple_entries_at_and_past_the_cap(self, monkeypatch, m, p):
         entries = sum(k * math.comb(m + k - 1, k) for k in range(1, p + 1))
         monkeypatch.setattr(tensorops, "ENTRY_CAP", entries)
-        plan = compression_plan.__wrapped__(m, p)  # past the cache
+        plan = compression_plan(m, p)
         assert sum(t.size for t in plan.tuples) == entries
         monkeypatch.setattr(tensorops, "ENTRY_CAP", entries - 1)
         with pytest.raises(DimensionOverflowError, match="table more than the cap"):
-            compression_plan.__wrapped__(m, p)
+            compression_plan(m, p)
+
+    def test_each_call_checks_the_cap(self, monkeypatch):
+        # a plan built once is not handed out again past a lowered cap
+        compression_plan(3, 3)
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", 3 + 2 * 6 + 3 * 10 - 1)
+        with pytest.raises(DimensionOverflowError, match="table more than the cap"):
+            compression_plan(3, 3)
 
     def test_class_tuples_are_sorted_and_consistent(self):
         plan = compression_plan(3, 3)

@@ -449,7 +449,11 @@ class TestPersistence:
         assert np.array_equal(old.coupling, trained.coupling)
         for a, b in zip(old.group.generators, new.group.generators, strict=True):
             assert np.array_equal(a, b)
-        assert old.plan is new.plan and vars(old.fit) == vars(new.fit)
+        for key in ("rep_index", "lead", "parent"):
+            assert np.array_equal(getattr(old.plan, key), getattr(new.plan, key))
+        for a, b in zip(old.plan.tuples, new.plan.tuples, strict=True):
+            assert np.array_equal(a, b)
+        assert vars(old.fit) == vars(new.fit)
         save(old, resaved)
         assert resaved.read_bytes() == v2.read_bytes()
 

@@ -19,8 +19,8 @@ from tests.test_model import manual_model
 
 from oracles import (assembled_action, cutoff_equivariant_basis, degree_kernel_dims_by_lists,
                      dense_fit, dense_matrices, full_width_qr_fit, kron_constraint_matrix,
-                     null_space, svd_rank, unconstrained_fit, unreduced_fit,
-                     whole_equivariant_basis, window_equivariant_basis)
+                     lower_plan_equivariant_basis, null_space, svd_rank, unconstrained_fit,
+                     unreduced_fit, whole_equivariant_basis, window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -315,20 +315,6 @@ class TestDegreeBlocks:
         with pytest.raises(NumericalError, match="not the character count"):
             equivariant_basis(rep, 2, plan)
 
-    def test_action_stops_at_the_highest_kept_degree(self, monkeypatch):
-        # k4 at p=4 keeps degrees 1 and 3: one action_rows call builds the
-        # rows of both generators, on the order-3 plan
-        built = []
-
-        def recorded(elements, lag, plan):
-            built.append((len(elements), plan.order))
-            return action_rows(elements, lag, plan)
-
-        monkeypatch.setattr(solver, "action_rows", recorded)
-        basis = equivariant_basis(builtin_rep("k4"), 5, compression_plan(10, 4))
-        assert built == [(2, 3)]
-        assert basis.size == 230 * 5
-
     def test_entry_cap_counts_the_restricted_matrix(self, monkeypatch):
         rep = builtin_rep("k4")
         plan = compression_plan(10, 3)
@@ -350,7 +336,9 @@ class TestConstraintFromRows:
     """The stacked constraint that ``equivariant_basis`` fills from one
     ``action_rows`` call against the per-generator Kronecker products it
     replaced: equal values (the signs of zeros differ), SVD factors and a
-    basis bitwise equal.  CI also runs this class at one BLAS thread."""
+    basis bitwise equal; and the basis against the one built on the plan
+    that stops at the highest kept degree.  CI also runs this class at one
+    BLAS thread."""
 
     @staticmethod
     def build(rep, lag, order, monkeypatch):
@@ -401,6 +389,34 @@ class TestConstraintFromRows:
                 assert np.array_equal(vt, ovt)
             else:
                 assert vt.tobytes() == ovt.tobytes()
+
+    def test_one_action_rows_call_on_the_models_plan(self, monkeypatch):
+        # k4 at p=4 keeps degrees 1 and 3: one action_rows call builds the
+        # rows of both generators, on the order-4 plan the basis is for
+        built = []
+
+        def recorded(elements, lag, plan):
+            built.append((len(elements), plan.order))
+            return action_rows(elements, lag, plan)
+
+        monkeypatch.setattr(solver, "action_rows", recorded)
+        basis = equivariant_basis(builtin_rep("k4"), 5, compression_plan(10, 4))
+        assert built == [(2, 4)]
+        assert basis.size == 230 * 5
+
+    @pytest.mark.parametrize("name", ["k4", "k4'"])
+    @pytest.mark.parametrize("lag,order", [(5, 4), (3, 4), (2, 6)])
+    def test_bitwise_equal_to_lower_plan_oracle(self, name, lag, order):
+        # the rows of the degree blocks above the highest kept one, built on
+        # the model's plan, change nothing; k4' is k4 conjugated by a dense
+        # orthogonal matrix
+        rep = named_rep("k4")
+        if name == "k4'":
+            rep = test_groups.TestRandomFiniteGroups.conjugated("k4", 64)
+        plan = compression_plan(rep.n * lag, order)
+        got = equivariant_basis(rep, lag, plan).slot_matrices
+        oracle = lower_plan_equivariant_basis(rep, lag, plan).slot_matrices
+        assert got.tobytes() == oracle.tobytes()
 
 
 class TestFitCoefficients:
