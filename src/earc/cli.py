@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 failed verification, 2 validation or input error,
 3 numerical failure or corrupt model, 4 forecast divergence.  All commands are
 deterministic; repeated runs on identical inputs produce byte-identical
-outputs.
+outputs, whatever the number of usable cores: a large CSV table is formatted
+by forked processes, one row slice each, into the same bytes.
 """
 
 import argparse
@@ -44,18 +45,116 @@ under later large allocations: with 256 or 1024 rows, about half of the k4-long
 benchmark runs peaked 19 MB (15%) higher; with 64 rows none of 8 did, as with
 ``np.savetxt``."""
 
+PARALLEL_ENTRIES = 1 << 14
+"""Table entries per process from which :func:`_write_rows` forks: a table of
+e entries is formatted by min(usable cores, e // PARALLEL_ENTRIES) processes.
+On a 2-core host at a process size of 90 MB (medians of 31 interleaved calls
+on random doubles), two processes lost below about 16,000 entries (11,000:
+6.4 vs 9.0-9.5 ms) and won from there on, by 1-20% at 33,000 entries and 35%
+at 66,000.  One fork, exit and wait took 2.3-3.4 ms at 30-180 MB, more in a
+larger process, as fork copies the page tables.  So the smallest table that
+forks, 2^15 entries, is twice that crossover: z5's generated series (60,192
+entries) and forecasts (110,000) fork, the k4 forecasts (5,000 at most) do
+not."""
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _format_rows(write, table, row):
+    """``write`` the text of ``table`` in blocks of ``CSV_BLOCK_ROWS`` rows."""
+    for r in range(0, table.shape[0], CSV_BLOCK_ROWS):
+        block = table[r:r + CSV_BLOCK_ROWS]
+        write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _start_worker(part, row, readers):
+    """Fork a process that writes the text of ``part`` into a new pipe and
+    exits.  Returns the pipe's read end and the pid, or None when no process
+    can be started; ``readers`` are the read ends of the earlier workers."""
+    rfd, wfd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork when other threads exist, which
+            # OpenBLAS's pool is.  The child only formats, writes and leaves
+            # through os._exit, and OpenBLAS stops its pool at fork.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            for fd in readers + [rfd]:  # the parent's EOF and EPIPE need them closed
+                os.close(fd)
+            # all text before the first write: a worker that wrote as it went
+            # would block on the pipe until the parent reads it, and run serially
+            text = []
+            _format_rows(text.append, part, row)
+            data = memoryview("".join(text).encode("ascii"))
+            while data:
+                data = data[os.write(wfd, data):]
+            code = 0
+        finally:
+            # no atexit handler, and no second flush of the buffers inherited,
+            # such as the header waiting in the parent's file
+            os._exit(code)
+    os.close(wfd)
+    return rfd, pid
+
 
 def _write_rows(fh, index, values):
     """One CSV row per index entry: the integer, then the values as in ``_fmt``.
 
     The bytes equal ``np.savetxt`` with formats %d and %.17g, which formats
-    one row at a time.
+    one row at a time.  A table of at least twice ``PARALLEL_ENTRIES``
+    entries is cut into contiguous row slices, one per usable core and per
+    ``PARALLEL_ENTRIES`` entries: this process writes the first, forked
+    processes format the others, and their text is copied into ``fh`` in
+    order.  A worker that fails or sends too few rows raises
+    ``ChildProcessError``; every worker is waited for.
     """
     table = np.column_stack([index, values])
     row = ",".join(["%d"] + ["%.17g"] * values.shape[1]) + "\n"
-    for r in range(0, table.shape[0], CSV_BLOCK_ROWS):
-        block = table[r:r + CSV_BLOCK_ROWS]
-        fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+    procs = min(_usable_cores(), table.size // PARALLEL_ENTRIES) if hasattr(os, "fork") else 1
+    if procs < 2:
+        _format_rows(fh.write, table, row)
+        return
+    bounds = [table.shape[0] * i // procs for i in range(procs + 1)]
+    parts = [table[a:b] for a, b in zip(bounds, bounds[1:])]
+    workers = []  # (read end, pid) for parts[1:], fewer when a fork failed
+    try:
+        for part in parts[1:]:
+            worker = _start_worker(part, row, [fd for fd, _ in workers])
+            if worker is None:
+                break
+            workers.append(worker)
+        _format_rows(fh.write, parts[0], row)
+        for part, (fd, pid) in zip(parts[1:], workers):
+            lines = 0
+            while chunk := os.read(fd, 1 << 16):  # one pipe's capacity at a time
+                lines += chunk.count(b"\n")
+                fh.write(chunk.decode("ascii"))
+            if lines != part.shape[0]:
+                raise ChildProcessError(f"CSV worker {pid} sent {lines} of "
+                                        f"{part.shape[0]} rows")
+        for part in parts[1 + len(workers):]:
+            _format_rows(fh.write, part, row)
+    finally:
+        for fd, _ in workers:  # first, so that a worker blocked on its pipe stops
+            os.close(fd)
+        statuses = [(pid, os.waitpid(pid, 0)[1]) for _, pid in workers]
+    for pid, status in statuses:
+        if status != 0:
+            raise ChildProcessError(f"CSV worker {pid} exited with code "
+                                    f"{os.waitstatus_to_exitcode(status)}")
 
 
 def write_series(path, values):

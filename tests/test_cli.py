@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import signal
 import sys
 import tracemalloc
 
@@ -7,8 +9,8 @@ import numpy as np
 import pytest
 
 from earc import cli, solver, tensorops
-from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, _write_rows, build_parser, main,
-                      read_series, write_series)
+from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, PARALLEL_ENTRIES, _write_rows, build_parser,
+                      main, read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import DivergenceError, ValidationError
 from earc.groups import action_rows, close_group
@@ -1184,10 +1186,7 @@ class TestMalformedInputs:
 
 
 def _oracle_csv(header, index, values):
-    fh = io.StringIO()
-    fh.write(header + "\n")
-    write_rows_by_value(fh, index, values)
-    return fh.getvalue()
+    return header + "\n" + _oracle_rows(index, values)
 
 
 @pytest.fixture(scope="module")
@@ -1257,6 +1256,238 @@ class TestCsvRows:
         table = autocorrelation(read_series(special_csv), 10)
         header = "lag," + ",".join(f"ch{j}" for j in range(1, 6))
         assert out.read_text() == _oracle_csv(header, range(1, 11), table)
+
+    # Forked row slices: PARALLEL_ENTRIES = 1 gives min(cores, entries) processes
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_special_and_random_values_forked(self, cores, monkeypatch, forks):
+        _fork_from(monkeypatch, cores, 1)
+        self.test_special_and_random_values()
+        assert len(forks) == cores - 1
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("rows,first", [(0, 0), (1, 0), (2, 0), (CSV_BLOCK_ROWS, 0),
+                                            (2500, 0), (2501, 31)])
+    def test_row_blocks_forked(self, rows, first, cores, monkeypatch, forks):
+        """Row counts of 0, 1, fewer than the processes, one block and not
+        divisible by 2 or 3, and an index that does not start at 0."""
+        _fork_from(monkeypatch, cores, 1)
+        values = np.random.default_rng(rows).standard_normal((rows, 3))
+        index = np.arange(first, first + rows)
+        assert _rows_text(index, values) == _oracle_rows(index, values)
+        assert len(forks) == max(min(cores, 4 * rows), 1) - 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize("rows,expected", [(PARALLEL_ENTRIES // 2 - 1, 0),
+                                               (PARALLEL_ENTRIES // 2, 1)])
+    def test_forks_from_twice_the_threshold(self, rows, expected, monkeypatch, forks):
+        """With index and 3 columns, 2 * PARALLEL_ENTRIES entries are 2 processes."""
+        _fork_from(monkeypatch, 3, PARALLEL_ENTRIES)
+        values = np.random.default_rng(rows).standard_normal((rows, 3))
+        index = np.arange(rows)
+        assert _rows_text(index, values) == _oracle_rows(index, values)
+        assert len(forks) == expected
+
+    def test_no_fork_on_one_core(self, monkeypatch, forks):
+        _fork_from(monkeypatch, 1, 1)
+        self.test_special_and_random_values()
+        assert forks == []
+
+    def test_no_fork_without_os_fork(self, monkeypatch):
+        _fork_from(monkeypatch, 2, 1)
+        monkeypatch.delattr(os, "fork")  # a call would raise AttributeError
+        self.test_special_and_random_values()
+
+    def test_cores_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cores() == 1
+
+    def test_failed_fork_formats_here(self, monkeypatch, forks):
+        """A fork that raises leaves its slice and the next to this process."""
+        _fork_from(monkeypatch, 3, 1)
+        fork = os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        self.test_special_and_random_values()
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_commands_forked(self, special_csv, z5_model_path, tmp_path, monkeypatch, forks):
+        """generate, forecast and acf write the bytes of the one-process writer,
+        including the header buffered in the file before the workers start."""
+        runs = [["generate", "--system", "competition", "--steps", "300"],
+                ["forecast", "--model", z5_model_path, "--data", special_csv,
+                 "--train-count", "31", "--horizon", "300", "--reference", special_csv],
+                ["acf", "--data", special_csv, "--max-lag", "40"]]
+        for forked in (False, True):
+            if forked:
+                _fork_from(monkeypatch, 2, 1)
+            for i, argv in enumerate(runs):
+                out = tmp_path / f"{i}-{forked}.csv"
+                assert main([str(a) for a in argv] + ["--out", str(out)]) == 0
+        for i in range(len(runs)):
+            assert (tmp_path / f"{i}-True.csv").read_bytes() == \
+                (tmp_path / f"{i}-False.csv").read_bytes()
+        assert len(forks) == len(runs)
+        _assert_no_child()
+
+
+def _fork_from(monkeypatch, cores, entries):
+    """Let ``_write_rows`` see ``cores`` usable cores and fork from
+    ``entries`` entries per process."""
+    monkeypatch.setattr(cli, "PARALLEL_ENTRIES", entries)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+
+
+def _rows_text(index, values, fh=None):
+    fh = io.StringIO() if fh is None else fh
+    _write_rows(fh, index, values)
+    return fh.getvalue()
+
+
+def _oracle_rows(index, values):
+    fh = io.StringIO()
+    write_rows_by_value(fh, index, values)
+    return fh.getvalue()
+
+
+def _assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes ``os.fork`` starts during the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than 60 s instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the CSV writer did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _in_workers(monkeypatch, action):
+    """Make each CSV worker run ``action(write, table, row)`` in place of
+    ``cli._format_rows``; this process formats as before."""
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def patched(write, table, row):
+        if os.getpid() == parent:
+            return format_rows(write, table, row)
+        return action(write, table, row)
+
+    monkeypatch.setattr(cli, "_format_rows", patched)
+
+
+def _raise(write, table, row):
+    raise RuntimeError("worker failure")
+
+
+FORMAT_ROWS = cli._format_rows
+
+
+class TestCsvWorkers:
+    """The forked CSV writer reaps every worker, raises on a worker's failure
+    and never reports a truncated table as written.  At most 3 processes."""
+
+    VALUES = np.random.default_rng(5).standard_normal((6000, 3))
+    """About 0.5 MB of text: each worker's slice is more than a pipe holds."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_success_reaps_every_worker(self, cores, monkeypatch, forks, deadline):
+        _fork_from(monkeypatch, cores, 1000)
+        index = np.arange(self.VALUES.shape[0])
+        assert _rows_text(index, self.VALUES) == _oracle_rows(index, self.VALUES)
+        entries = self.VALUES.shape[0] * 4
+        assert len(forks) == min(cores, entries // cli.PARALLEL_ENTRIES) - 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("action,message", [
+        (_raise, "sent 0 of"),
+        # exits 0, but without the last row of its slice
+        (lambda write, table, row: FORMAT_ROWS(write, table[:-1], row), r"sent \d+ of")])
+    def test_worker_failure_raises(self, cores, action, message, monkeypatch, forks,
+                                   deadline):
+        _fork_from(monkeypatch, cores, 1000)
+        _in_workers(monkeypatch, action)
+        with pytest.raises(ChildProcessError, match=message):
+            _rows_text(np.arange(self.VALUES.shape[0]), self.VALUES)
+        assert len(forks) == cores - 1
+        _assert_no_child()
+
+    def test_worker_exit_code_checked(self, monkeypatch, forks, deadline):
+        """A worker that sent every row but then failed still fails the write."""
+        _fork_from(monkeypatch, 2, 1000)
+        parent, write = os.getpid(), os.write
+
+        def write_then_fail(fd, data):
+            if os.getpid() == parent:
+                return write(fd, data)
+            write(fd, data)  # the whole slice: a blocking pipe write
+            raise OSError("worker failure after its write")
+
+        monkeypatch.setattr(os, "write", write_then_fail)
+        with pytest.raises(ChildProcessError, match="exited with code 1"):
+            _rows_text(np.arange(self.VALUES.shape[0]), self.VALUES)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_write_error_reaps_every_worker(self, cores, monkeypatch, forks, deadline):
+        """The file fails while the workers are blocked on full pipes: they
+        get EPIPE when the read ends close, and exit."""
+        _fork_from(monkeypatch, cores, 1000)
+
+        class Full(io.StringIO):
+            def write(self, text):
+                if self.tell() > 100_000:
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        with pytest.raises(OSError, match="No space left"):
+            _rows_text(np.arange(self.VALUES.shape[0]), self.VALUES, Full())
+        assert len(forks) == cores - 1
+        _assert_no_child()
+
+    def test_failed_worker_fails_forecast(self, comp_csv, z5_model_path, tmp_path,
+                                          monkeypatch, forks, deadline):
+        _fork_from(monkeypatch, 2, 1)
+        _in_workers(monkeypatch, _raise)
+        out = tmp_path / "fc.csv"
+        with pytest.raises(ChildProcessError):  # a traceback and exit code 1 from earc
+            main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
+                  "--train-count", "31", "--horizon", "100", "--out", str(out)])
+        assert len(forks) == 1
+        _assert_no_child()
 
 
 @pytest.fixture(scope="module")
