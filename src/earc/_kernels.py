@@ -17,12 +17,6 @@ import numpy as np
 
 NUMBA_ENABLED = False  # read by perfbench's environment record; there is no numba path
 
-CHUNK_ENTRIES = 1 << 15
-"""Feature entries per block of rows in a batch, so that the gathered operands
-of one block stay in cache.  Of 2^14..2^17 it was fastest on 20,000-row
-batches at (m, p) = (6, 3) and (10, 3) on a 2-core x86 host; evaluating a whole
-batch at once was 1.3-2.6x slower."""
-
 BLOCK_STEPS = 256
 """Rollout and competition-map steps between two divergence tests.  Of 16..512
 it was fastest from 256 on, for 10,000 z5 steps (m, q) = (5, 21) and 1,000 k4
@@ -43,15 +37,6 @@ def fill_features(windows, blocks, out):
     out[..., -1] = 1.0
     for lo, hi, lead, parent in blocks:
         np.multiply(windows[..., lead], out[..., parent], out=out[..., lo:hi])
-    return out
-
-
-def monomial_features(windows, plan, out):
-    """Fill ``out`` (rows, q) from ``windows`` (rows, m), one block of rows at a time."""
-    blocks = degree_blocks(plan)
-    step = max(1, CHUNK_ENTRIES // plan.reduced_dim)
-    for r in range(0, windows.shape[0], step):
-        fill_features(windows[r:r + step], blocks, out[r:r + step])
     return out
 
 

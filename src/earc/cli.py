@@ -1,6 +1,6 @@
 """Command-line front end: generate / train / forecast / verify / acf.
 
-Exit codes: 0 success, 1 failed verification, 2 validation or input error,
+Exit codes: 0 success, 1 failed verification, 2 validation, input or I/O error,
 3 numerical failure or corrupt model, 4 forecast divergence.  All commands are
 deterministic; repeated runs on identical inputs produce byte-identical
 outputs, whatever the number of usable cores: a large CSV table is formatted
@@ -15,10 +15,10 @@ import warnings
 import numpy as np
 
 from . import model as model_mod
-from . import solver, systems
-from .errors import (CorruptModelError, DimensionOverflowError, DivergenceError,
-                     InsufficientDataError, ModelFormatError, NonFiniteGroupError,
-                     NumericalError, ShapeError, UnknownNameError, ValidationError)
+from . import solver, systems, tensorops
+from .errors import (CorruptModelError, DivergenceError, EarcError, InsufficientDataError,
+                     NonFiniteGroupError, NumericalError, ShapeError, UnknownNameError,
+                     ValidationError)
 from .embedding import as_series
 from .groups import json_numbers, load_group, parse_json, read_json, window_action
 
@@ -28,9 +28,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_DIVERGED = 4
 
-_VALIDATION_ERRORS = (ValidationError, ShapeError, InsufficientDataError,
-                      UnknownNameError, ModelFormatError, DimensionOverflowError,
-                      FileNotFoundError, IsADirectoryError, PermissionError, MemoryError)
 _NUMERICAL_ERRORS = (NumericalError, NonFiniteGroupError, CorruptModelError)
 
 
@@ -275,7 +272,12 @@ def _parse_array(spec, ndim):
     """The ``ndim``-D array of finite numbers in the JSON text ``spec`` of a
     command-line flag; "I<n>" is the n x n identity."""
     if ndim == 2 and spec.startswith("I") and spec[1:].isdigit():
-        return np.eye(int(spec[1:]))
+        try:
+            n = int(spec[1:])
+        except ValueError:  # a digit that is not decimal, or past int's digit limit
+            raise ValidationError(f"matrix spec {spec!r} is not a size") from None
+        tensorops._check_entries(n * n, tensorops.ENTRY_CAP)
+        return np.eye(n)
     what = f"{('vector', 'matrix')[ndim - 1]} spec {spec!r}"
     # an object array keeps the entries as JSON decoded them, for json_numbers
     nested = np.array(parse_json(spec, what, ValidationError), dtype=object)
@@ -609,15 +611,16 @@ def main(argv=None):
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    # every other earc error, and a file, process or memory the system refused
+    except (EarcError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

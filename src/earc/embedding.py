@@ -23,6 +23,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _kernels, tensorops
 from .errors import DimensionOverflowError, InsufficientDataError, ShapeError, ValidationError
 
+CHUNK_ENTRIES = 1 << 15
+"""Feature entries per block of rows in :func:`compressed_features`, so that
+the gathered operands of one block stay in cache.  Of 2^14..2^17 it was
+fastest on 20,000-row batches at (m, p) = (6, 3) and (10, 3) on a 2-core x86
+host; evaluating a whole batch at once was 1.3-2.6x slower."""
+
 
 def embed_dim(n, p):
     """Dimension of the order-p embedding of an n-vector: n + n^2 + ... + n^p + 1.
@@ -163,7 +169,11 @@ def compressed_features(plan, windows):
             f"windows must be (rows, {plan.dim_in}), got {windows.shape}"
         )
     out = np.empty((windows.shape[0], plan.reduced_dim))
-    return _kernels.monomial_features(windows, plan, out)
+    blocks = _kernels.degree_blocks(plan)
+    step = max(1, CHUNK_ENTRIES // plan.reduced_dim)
+    for r in range(0, windows.shape[0], step):
+        _kernels.fill_features(windows[r:r + step], blocks, out[r:r + step])
+    return out
 
 
 def as_series(values):

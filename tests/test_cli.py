@@ -1,6 +1,8 @@
+import errno
 import io
 import json
 import os
+import re
 import signal
 import sys
 import tracemalloc
@@ -12,7 +14,8 @@ from earc import cli, solver, tensorops
 from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, PARALLEL_ENTRIES, _write_rows, build_parser,
                       main, read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
-from earc.errors import DivergenceError, ValidationError
+from earc.errors import (CorruptModelError, DivergenceError, EarcError, NonFiniteGroupError,
+                         NumericalError, ValidationError)
 from earc.groups import action_rows, close_group
 from earc.model import DIVERGENCE_CAP, autocorrelation, load, rollout, save, train
 from earc.solver import equivariance_residual, equivariant_basis, generator_residuals
@@ -94,6 +97,33 @@ class TestGenerate:
         assert "at step 3" in err
         assert not out.exists()
 
+
+    def test_identity_matrix_at_and_past_the_entry_cap(self, tmp_path, capsys, monkeypatch):
+        """``--matrix I<n>`` is refused before the identity is built when n^2
+        entries pass the cap."""
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", 100)
+        at, past = tmp_path / "i10.csv", tmp_path / "i11.csv"
+        assert main(["generate", "--system", "linear", "--matrix", "I10", "--steps", "3",
+                     "--out", str(at)]) == 0
+        assert np.array_equal(read_series(at), np.ones((4, 10)))
+        capsys.readouterr()
+        code, err = _code_and_err(["generate", "--system", "linear", "--matrix", "I11",
+                                   "--steps", "3", "--out", past], capsys)
+        assert code == 2
+        assert err == "error: result would hold 121 entries, exceeding the cap of 100\n"
+        assert not past.exists()
+
+    @pytest.mark.parametrize("size", ["9" * 30, "9" * 5000, "\u00b2"],
+                             ids=["30 nines", "5000 nines", "superscript two"])
+    def test_identity_size_that_cannot_be_built_exits_2(self, size, tmp_path, capsys):
+        """Too many entries (DimensionOverflowError), a digit string past
+        int's digit limit or a digit that is not decimal (ValidationError)."""
+        out = tmp_path / "lin.csv"
+        code, err = _code_and_err(["generate", "--system", "linear", "--matrix", "I" + size,
+                                   "--out", out], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("system", ["hamiltonian", "competition", "linear"])
     def test_steps_past_the_entry_cap_exit_2(self, tmp_path, capsys, system):
@@ -1479,14 +1509,143 @@ class TestCsvWorkers:
         _assert_no_child()
 
     def test_failed_worker_fails_forecast(self, comp_csv, z5_model_path, tmp_path,
-                                          monkeypatch, forks, deadline):
+                                          monkeypatch, forks, deadline, capsys):
         _fork_from(monkeypatch, 2, 1)
         _in_workers(monkeypatch, _raise)
         out = tmp_path / "fc.csv"
-        with pytest.raises(ChildProcessError):  # a traceback and exit code 1 from earc
-            main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
-                  "--train-count", "31", "--horizon", "100", "--out", str(out)])
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, "--data", comp_csv,
+                                   "--train-count", 31, "--horizon", 100, "--out", out], capsys)
+        assert code == 2
+        assert re.fullmatch(r"error: CSV worker \d+ sent 0 of \d+ rows\n", err)
         assert len(forks) == 1
+        _assert_no_child()
+
+
+def _earc_error_classes(base=EarcError):
+    """Every subclass of ``base``, recursively."""
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _earc_error_classes(cls)
+
+
+DOCUMENTED_EXITS = {EarcError: (2, "error: "), NumericalError: (3, "numerical failure: "),
+                    NonFiniteGroupError: (3, "numerical failure: "),
+                    CorruptModelError: (3, "numerical failure: "),
+                    DivergenceError: (4, "divergence: ")}
+"""The exit code and message prefix of an earc error, by its nearest listed
+class: 2 validation or input, 3 numerical failure or corrupt model, 4
+divergence."""
+
+
+def _documented_exit(cls):
+    return next(DOCUMENTED_EXITS[c] for c in cls.__mro__ if c in DOCUMENTED_EXITS)
+
+
+def _raising_command(monkeypatch, exc):
+    """Make ``earc verify`` raise ``exc``."""
+    def run(args):
+        raise exc
+
+    help_text, add_arguments, _ = cli.COMMANDS["verify"]
+    monkeypatch.setitem(cli.COMMANDS, "verify", (help_text, add_arguments, run))
+
+
+UNDER_FILE = {
+    "generate --out": ["generate", "--system", "competition", "--steps", 40, "--out", "@"],
+    "train --data": ["train", "--data", "@", "--group", "z5", "--L", 1, "--p", 2,
+                     "--train-count", 31, "--out", "OUT"],
+    "train --config": ["train", "--config", "@", "--data", "COMP", "--group", "z5", "--L", 1,
+                       "--p", 2, "--train-count", 31, "--out", "OUT"],
+    "train --group-file": ["train", "--data", "COMP", "--group-file", "@", "--L", 1, "--p", 2,
+                           "--train-count", 31, "--out", "OUT"],
+    "train --out": ["train", "--data", "COMP", "--group", "z5", "--L", 1, "--p", 2,
+                    "--train-count", 31, "--out", "@"],
+    "forecast --model": ["forecast", "--model", "@", "--data", "COMP", "--train-count", 31,
+                         "--horizon", 10, "--out", "OUT"],
+    "forecast --data": ["forecast", "--model", "Z5", "--data", "@", "--train-count", 31,
+                        "--horizon", 10, "--out", "OUT"],
+    "forecast --seed-csv": ["forecast", "--model", "Z5", "--seed-csv", "@", "--horizon", 10,
+                            "--out", "OUT"],
+    "forecast --reference": ["forecast", "--model", "Z5", "--data", "COMP", "--train-count", 31,
+                             "--horizon", 10, "--reference", "@", "--out", "OUT"],
+    "forecast --out": ["forecast", "--model", "Z5", "--data", "COMP", "--train-count", 31,
+                       "--horizon", 10, "--out", "@"],
+    "verify --model": ["verify", "--model", "@"],
+    "acf --data": ["acf", "--data", "@", "--max-lag", 5, "--out", "OUT"],
+    "acf --out": ["acf", "--data", "COMP", "--max-lag", 5, "--out", "@"],
+}
+"""An argv for every option of a command that opens a file, with that option
+at "@", a path under a regular file; "COMP" and "Z5" are the competition
+series and its z5 model, and "OUT" a path that must not be written."""
+
+
+class TestFailureBoundary:
+    """The exception class decides the exit code: every earc error and every
+    OS error ends a command with its documented code and one stderr line, and
+    any other exception is a program fault that keeps its traceback."""
+
+    CLASSES = sorted(set(_earc_error_classes()), key=lambda cls: cls.__name__)
+
+    def test_every_error_class_is_walked(self):
+        assert {cls.__name__ for cls in self.CLASSES} >= {
+            "ShapeError", "DimensionOverflowError", "NumericalError", "InsufficientDataError",
+            "ValidationError", "NonFiniteGroupError", "DivergenceError", "ModelFormatError",
+            "CorruptModelError", "UnknownNameError"}
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_earc_error_exits_with_its_documented_code(self, cls, monkeypatch, capsys):
+        _raising_command(monkeypatch, cls("boundary"))
+        code, prefix = _documented_exit(cls)
+        assert _code_and_err(["verify", "--model", "m.json"], capsys) == (code,
+                                                                          prefix + "boundary\n")
+
+    def test_new_error_classes_exit_by_their_base(self, monkeypatch, capsys):
+        class Unlisted(EarcError):
+            pass
+
+        class UnlistedNumerical(NumericalError):
+            pass
+
+        for cls, code in ((Unlisted, 2), (UnlistedNumerical, 3)):
+            _raising_command(monkeypatch, cls("new"))
+            assert _code_and_err(["verify", "--model", "m.json"], capsys)[0] == code
+
+    @pytest.mark.parametrize("exc", [ChildProcessError("CSV worker 1 exited with code 1"),
+                                     OSError(errno.ENOSPC, "No space left on device"),
+                                     MemoryError("no room")], ids=lambda exc: type(exc).__name__)
+    def test_os_and_memory_errors_exit_2(self, exc, monkeypatch, capsys):
+        _raising_command(monkeypatch, exc)
+        assert _code_and_err(["verify", "--model", "m.json"], capsys) == (2, f"error: {exc}\n")
+
+    @pytest.mark.parametrize("cls", [ValueError, RuntimeError, KeyError, TypeError])
+    def test_program_fault_propagates(self, cls, monkeypatch):
+        _raising_command(monkeypatch, cls("fault"))
+        with pytest.raises(cls, match="fault"):
+            main(["verify", "--model", "m.json"])
+
+    @pytest.mark.parametrize("case", UNDER_FILE)
+    def test_path_under_a_regular_file_exits_2(self, case, comp_csv, z5_model_path, tmp_path,
+                                               capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"@": blocker / "x", "COMP": comp_csv, "Z5": z5_model_path,
+                 "OUT": tmp_path / "out"}
+        code, err = _code_and_err([paths.get(a, a) for a in UNDER_FILE[case]], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no output file
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("steps,workers", [(40, 0), (6000, 1)])
+    def test_full_device_exits_2(self, steps, workers, monkeypatch, forks, deadline, capsys):
+        """A write that fails with ENOSPC, from this process and, with a
+        table past twice ``PARALLEL_ENTRIES`` on 2 cores, beside a worker."""
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        code, err = _code_and_err(["generate", "--system", "competition", "--steps", steps,
+                                   "--out", "/dev/full"], capsys)
+        assert code == 2
+        assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+        assert len(forks) == workers
         _assert_no_child()
 
 
