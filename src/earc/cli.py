@@ -158,7 +158,7 @@ def write_series(path, values):
     """CSV with header t,ch1..chn and 17-significant-digit floats."""
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
+    with model_mod.output_file(path) as fh:
         fh.write("t," + ",".join(f"ch{j + 1}" for j in range(n)) + "\n")
         _write_rows(fh, np.arange(values.shape[0]), values)
 
@@ -276,7 +276,7 @@ def _parse_array(spec, ndim):
             n = int(spec[1:])
         except ValueError:  # a digit that is not decimal, or past int's digit limit
             raise ValidationError(f"matrix spec {spec!r} is not a size") from None
-        tensorops._check_entries(n * n, tensorops.ENTRY_CAP)
+        tensorops._check_entries(n * n)
         return np.eye(n)
     what = f"{('vector', 'matrix')[ndim - 1]} spec {spec!r}"
     # an object array keeps the entries as JSON decoded them, for json_numbers
@@ -287,20 +287,20 @@ def _parse_array(spec, ndim):
 
 
 def cmd_generate(args):
+    # only the options given: the config dataclasses hold the defaults
+    kwargs = {} if args.steps is None else {"steps": args.steps}
     if args.system == "hamiltonian":
-        q0, p0 = (systems.PRINTED_HAMILTONIAN_START if args.printed_ic
-                  else (args.q0, args.p0))
-        cfg = systems.HamiltonianConfig(q0=q0, p0=p0, dt=args.dt,
-                                        steps=args.steps if args.steps is not None else 600)
-        values = systems.hamiltonian_generate(cfg)
+        start = systems.PRINTED_HAMILTONIAN_START if args.printed_ic else (args.q0, args.p0)
+        for key, value in zip(("q0", "p0", "dt"), (*start, args.dt)):
+            if value is not None:
+                kwargs[key] = value
+        values = systems.hamiltonian_generate(systems.HamiltonianConfig(**kwargs))
     elif args.system == "competition":
-        kwargs = {"steps": args.steps if args.steps is not None else 425}
         if args.p0_vec is not None:
             kwargs["p0"] = _parse_array(args.p0_vec, 1)
         if args.growth is not None:
             kwargs["r"] = np.full(5, args.growth)
-        cfg = systems.CompetitionConfig(**kwargs)
-        values = systems.competition_generate(cfg)
+        values = systems.competition_generate(systems.CompetitionConfig(**kwargs))
     elif args.system == "linear":
         a = _parse_array(args.matrix, 2)
         x0 = _parse_array(args.x0, 1) if args.x0 is not None else np.ones(a.shape[0])
@@ -460,7 +460,7 @@ def cmd_forecast(args):
         header += [f"err{j + 1}" for j in range(n)]
         columns = np.hstack([fc.values, np.abs(fc.values - reference)])
     base = offset if offset is not None else 1
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with model_mod.output_file(args.out) as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, base + np.arange(fc.steps), columns)
         if fc.diverged:
@@ -508,7 +508,7 @@ def cmd_acf(args):
     table = model_mod.autocorrelation(series, args.max_lag)
     if args.out is not None:
         n = series.shape[1]
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with model_mod.output_file(args.out) as fh:
             fh.write("lag," + ",".join(f"ch{j + 1}" for j in range(n)) + "\n")
             _write_rows(fh, np.arange(1, args.max_lag + 1), table)
         print(f"wrote ACF table to {args.out}")
@@ -520,9 +520,9 @@ def _generate_arguments(gen):
     gen.add_argument("--system", required=True,
                      choices=["hamiltonian", "competition", "linear"])
     gen.add_argument("--steps", type=int)
-    gen.add_argument("--dt", type=float, default=0.01)
-    gen.add_argument("--q0", type=float, default=0.5)
-    gen.add_argument("--p0", type=float, default=0.0)
+    gen.add_argument("--dt", type=float)
+    gen.add_argument("--q0", type=float)
+    gen.add_argument("--p0", type=float)
     gen.add_argument("--printed-ic", action="store_true",
                      help="use the historic (1, 0) start, an equilibrium")
     gen.add_argument("--p0-vec", help="JSON start vector for the competition map")

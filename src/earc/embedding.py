@@ -14,7 +14,6 @@ expansion maps between the two are test oracles (``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations_with_replacement
 
 import numpy as np
@@ -39,7 +38,7 @@ def embed_dim(n, p):
     if n < 1 or p < 1:
         raise ShapeError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     if n == 1:
-        tensorops._check_entries(p + 1, tensorops.ENTRY_CAP)
+        tensorops._check_entries(p + 1)
         return p + 1
     d = power = 1
     for _ in range(p):
@@ -62,6 +61,7 @@ class CompressionPlan:
 
     Features are the monomials of degree 1..p, by degree and within a degree
     in lexicographic order of their sorted variable tuples, then the constant.
+    Every array is read-only.
 
     tuples    : per degree k = 1..p, the (count, k) sorted variable tuples.
     rep_index : (reduced_dim,) coordinate of each monomial in the full
@@ -71,6 +71,11 @@ class CompressionPlan:
         constant.
     parent    : (reduced_dim,) feature of the monomial with the lead variable
         removed; the constant for degree-1 monomials, -1 for the constant.
+    blocks    : per degree k = 1..p, (lo, hi, lead[lo:hi], parent[lo:hi],
+        insert): the half-open feature range of the degree-k monomials, their
+        lead and parent, and for k >= 2 the (d_{k-1}, dim_in) table whose entry
+        [r, v] is the within-degree-k index of degree-(k-1) monomial r times
+        variable v (None for k = 1).
     """
 
     dim_in: int
@@ -80,43 +85,7 @@ class CompressionPlan:
     rep_index: np.ndarray
     lead: np.ndarray
     parent: np.ndarray
-
-    def degree_class_range(self, k):
-        """Half-open feature-index range [lo, hi) of the degree-k monomials."""
-        if k < 1 or k > self.order:
-            raise ShapeError(f"degree {k} outside 1..{self.order}")
-        lo = sum(t.shape[0] for t in self.tuples[:k - 1])
-        return lo, lo + self.tuples[k - 1].shape[0]
-
-    @cached_property
-    def action_tables(self):
-        """Index tables of the degree-k blocks (k = 2..p) of a reduced group action.
-
-        One entry (lo, hi, lead_rows, tail_rows, insert) per degree: the
-        feature range, the lead variable and the within-degree-(k-1) parent
-        of each monomial, and the (d_{k-1}, dim_in) table whose entry [r, v]
-        is the within-degree-k index of degree-(k-1) monomial r times
-        variable v.  The table is found by looking up the base-m code of
-        every grown tuple.  As r is sorted, r with v inserted in order has
-        entry j equal to max(r[j-1], min(r[j], v)), with r[-1] = -inf and
-        r[k-1] = +inf, so the code is built entry by entry, without a sort.
-        """
-        m = self.dim_in
-        v = np.arange(m)
-        tables = []
-        prev_lo = 0
-        for k in range(2, self.order + 1):
-            lo, hi = self.degree_class_range(k)
-            prev = self.tuples[k - 2].T[:, :, None]  # prev[j] = r[j], one row per r
-            code = np.minimum(prev[0], v)
-            for j in range(1, k):
-                code *= m
-                code += np.maximum(prev[j - 1], np.minimum(prev[j], v) if j < k - 1 else v)
-            # the codes of the degree-k tuples ascend, as the tuples are sorted
-            insert = np.searchsorted(_codes(self.tuples[k - 1], m), code)
-            tables.append((lo, hi, self.lead[lo:hi], self.parent[lo:hi] - prev_lo, insert))
-            prev_lo = lo
-        return tables
+    blocks: tuple
 
 
 def compression_plan(dim_in, order):
@@ -125,7 +94,13 @@ def compression_plan(dim_in, order):
     Refuses (DimensionOverflowError) any plan whose full embedding would
     exceed the entry cap, although the full embedding is never built, and any
     whose tuple table would: its sum of k * C(m + k - 1, k) (p(p + 1)/2 at
-    m = 1) is added up term by term before a tuple is built.
+    m = 1) is added up term by term before a tuple is built.  No insert table
+    holds more entries than the tuples of its degree.
+
+    An insert table is found by looking up the base-m code of every grown
+    tuple.  As r is sorted, r with v inserted in order has entry j equal to
+    max(r[j-1], min(r[j], v)), with r[-1] = -inf and r[k-1] = +inf, so the
+    code is built entry by entry, without a sort.
     """
     if dim_in < 1 or order < 1:
         raise ShapeError(f"need dim_in >= 1 and order >= 1, got {dim_in}, {order}")
@@ -142,23 +117,37 @@ def compression_plan(dim_in, order):
                                dtype=np.int64).reshape(-1, k)
                    for k in range(1, order + 1))
     q = sum(t.shape[0] for t in tuples) + 1
-    rep_chunks, parent_chunks = [], [np.full(m, q - 1, dtype=np.int64)]
+    lead = np.concatenate([t[:, 0] for t in tuples] + [np.array([-1], dtype=np.int64)])
+    parent = np.full(q, -1, dtype=np.int64)
+    parent[:m] = q - 1
+    v = np.arange(m)
+    rep_chunks, ranges = [], []
     off = lo = 0
     for k, tups in enumerate(tuples, 1):
-        rep_chunks.append(off + _codes(tups, m))
+        hi = lo + tups.shape[0]
+        codes = _codes(tups, m)
+        rep_chunks.append(off + codes)
+        insert = None
         if k > 1:
-            prev = tuples[k - 2]
-            parent_chunks.append(lo - prev.shape[0] + np.searchsorted(
-                _codes(prev, m), _codes(tups[:, 1:], m)))
+            parent[lo:hi] = prev_lo + np.searchsorted(prev_codes, _codes(tups[:, 1:], m))
+            prev = tuples[k - 2].T[:, :, None]  # prev[j] = r[j], one row per r
+            code = np.minimum(prev[0], v)
+            for j in range(1, k):
+                code *= m
+                code += np.maximum(prev[j - 1], np.minimum(prev[j], v) if j < k - 1 else v)
+            # the codes of the degree-k tuples ascend, as the tuples are sorted
+            insert = np.searchsorted(codes, code)
+        ranges.append((lo, hi, insert))
+        prev_lo, prev_codes = lo, codes
         off += m ** k
-        lo += tups.shape[0]
+        lo = hi
     rep_index = np.concatenate(rep_chunks + [np.array([const], dtype=np.int64)])
-    lead = np.concatenate([t[:, 0] for t in tuples] + [np.array([-1], dtype=np.int64)])
-    parent = np.concatenate(parent_chunks + [np.array([-1], dtype=np.int64)])
-    for arr in tuples + (rep_index, lead, parent):
+    for arr in tuples + (rep_index, lead, parent) + tuple(r[2] for r in ranges[1:]):
         arr.setflags(write=False)
+    # slices of a read-only array are read-only
+    blocks = tuple((lo, hi, lead[lo:hi], parent[lo:hi], insert) for lo, hi, insert in ranges)
     return CompressionPlan(dim_in=m, order=order, reduced_dim=q, tuples=tuples,
-                           rep_index=rep_index, lead=lead, parent=parent)
+                           rep_index=rep_index, lead=lead, parent=parent, blocks=blocks)
 
 
 def compressed_features(plan, windows):
@@ -169,10 +158,9 @@ def compressed_features(plan, windows):
             f"windows must be (rows, {plan.dim_in}), got {windows.shape}"
         )
     out = np.empty((windows.shape[0], plan.reduced_dim))
-    blocks = _kernels.degree_blocks(plan)
     step = max(1, CHUNK_ENTRIES // plan.reduced_dim)
     for r in range(0, windows.shape[0], step):
-        _kernels.fill_features(windows[r:r + step], blocks, out[r:r + step])
+        _kernels.fill_features(windows[r:r + step], plan.blocks, out[r:r + step])
     return out
 
 

@@ -78,7 +78,7 @@ def window_action(g, lag):
     if lag == 1:
         return np.array(g)
     m = g.shape[-1] * lag
-    tensorops._check_entries(g.size * lag * lag, tensorops.ENTRY_CAP)
+    tensorops._check_entries(g.size * lag * lag)
     return (g[..., :, None, :, None] * np.eye(lag)[:, None, :]).reshape(*g.shape[:-2], m, m)
 
 
@@ -115,7 +115,8 @@ def action_rows(elements, lag, plan):
     Degree k is a row-wise sparse product (Gustavson 1978) of h and degree
     k-1, for all E elements at once: A_k[a, c] sums h[lead(a), v] *
     A_{k-1}[tail(a), r] over the entries v of row lead(a) and r of row
-    tail(a) with insert[r, v] = c (the plan's ``action_tables``).  The terms
+    tail(a) with insert[r, v] = c, where tail(a) is the parent of a within
+    degree k-1 (lead, parent and insert from the plan's ``blocks``).  The terms
     of a row are sorted stably by column, so each (a, c) gets them by
     ascending v, as a loop over the distinct variables of c would, and one
     ``np.bincount`` sums them from +0.0.  Rows are padded with +0.0 at their
@@ -131,10 +132,11 @@ def action_rows(elements, lag, plan):
     e = h.shape[0]
     h_cols, h_vals = _row_nonzeros(h)
     blocks = [(0, h_cols, h_vals)]
-    prev_cols, prev_vals = h_cols, h_vals
-    for lo, hi, lead_rows, tail_rows, insert in plan.action_tables:
+    for lo, hi, lead_rows, parent, insert in plan.blocks[1:]:
+        prev_lo, prev_cols, prev_vals = blocks[-1]  # degree k-1
+        tail_rows = parent - prev_lo
         rows, t = e * (hi - lo), h_cols.shape[2] * prev_cols.shape[2]
-        tensorops._check_entries(rows * t, tensorops.ENTRY_CAP)
+        tensorops._check_entries(rows * t)
         # the (h width, prev width) terms of each row, as rows of (rows, t) arrays
         cols = insert[prev_cols[:, tail_rows, None, :], h_cols[:, lead_rows, :, None]]
         terms = h_vals[:, lead_rows, :, None] * prev_vals[:, tail_rows, None, :]
@@ -148,9 +150,7 @@ def action_rows(elements, lag, plan):
         sums = np.bincount(slot.ravel(), np.take(terms, at).ravel(), minlength=rows * width)
         summed = np.repeat(cols[:, :1], width, axis=1)  # the column of each sum
         np.put(summed, slot, cols)
-        prev_cols = summed.reshape(e, hi - lo, width)
-        prev_vals = sums.reshape(e, hi - lo, width)
-        blocks.append((lo, prev_cols, prev_vals))
+        blocks.append((lo, summed.reshape(e, hi - lo, width), sums.reshape(e, hi - lo, width)))
     q = plan.reduced_dim
     width = max(c.shape[2] for _, c, _ in blocks)
     cols = np.full((e, q, width), q - 1)

@@ -15,6 +15,9 @@ identical models.
 
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,7 +114,7 @@ def rollout(model, seed, horizon, mode="consistent"):
         )
     if horizon < 1:
         raise ShapeError(f"horizon must be >= 1, got {horizon}")
-    tensorops._check_entries(horizon * seed.shape[0], tensorops.ENTRY_CAP)
+    tensorops._check_entries(horizon * seed.shape[0])
     if mode not in ("consistent", "free"):
         raise ValidationError(f"unknown rollout mode {mode!r}")
     windows, diverged = _kernels.autoregress(
@@ -158,6 +161,43 @@ def autocorrelation(values, max_lag):
     return out
 
 
+@contextmanager
+def output_file(path):
+    """A text stream for ``path``, written whole or not at all where it can be.
+
+    A missing path or a regular file (through a symbolic link, as ``open``
+    writes) gets a new file beside it, with the mode ``open`` would leave,
+    that replaces it once the ``with`` body has finished; if anything raises
+    first, the new file is removed and an old one is left as it was.  Anything
+    else, such as a device or a FIFO, is written in place.  Errors name ``path``.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError:  # such as a path under a file, which open reports
+        mode = 0
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(os.path.realpath(path))
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(temp, "x", encoding="utf-8")  # mode 0o666 less the umask
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            yield fh
+        os.replace(temp, os.path.join(directory, name))
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def save(model, path):
     """Persist a model to JSON; float entries survive the round trip bit-exactly.
 
@@ -187,7 +227,7 @@ def save(model, path):
         text = json.dumps(payload, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"refusing to persist a model with non-finite values: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(text + "\n")
 
 

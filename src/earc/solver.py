@@ -93,7 +93,7 @@ def constraint_matrix(elements, lag, plan, features):
     """
     e, n = elements.shape[:2]
     u = features.size
-    tensorops._check_entries(e * (n * u) ** 2, tensorops.ENTRY_CAP)
+    tensorops._check_entries(e * (n * u) ** 2)
     _, cols, vals = action_rows(elements, lag, plan)
     elem, row, entry = np.nonzero(vals[:, features])  # skips the +0.0 padding
     col = np.searchsorted(features, cols[elem, features[row], entry])
@@ -139,8 +139,7 @@ def degree_kernel_dims(group, lag, order):
 def basis_features(dims, plan):
     """Ascending feature indices of the degree blocks whose character count in
     ``dims`` is not 0; the degree-1 block always has count lag * <chi, chi> >= 1."""
-    blocks = [np.arange(*plan.degree_class_range(k))
-              for k in range(1, plan.order + 1) if dims[k]]
+    blocks = [np.arange(lo, hi) for k, (lo, hi, *_) in enumerate(plan.blocks, 1) if dims[k]]
     if dims[0]:
         blocks.append(np.array([plan.reduced_dim - 1]))
     return np.concatenate(blocks)
@@ -241,7 +240,7 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
     lag = basis.lag
     # matching pursuit needs the whole design, lag*lag times the entries of A
     held = 1 if sparsify is None else lag * lag
-    tensorops._check_entries(n * h0_fit.shape[1] * k * held, tensorops.ENTRY_CAP)
+    tensorops._check_entries(n * h0_fit.shape[1] * k * held)
     a, rhs = _slot_system(slots, h0_fit, h1_fit)
     if sparsify is None:
         coeffs, rank = tensorops._truncated_solve(a, rhs, tensorops.LSTSQ_RTOL)
@@ -317,7 +316,7 @@ def _commutator_norms(w, elements, lag, plan):
     h, cols, vals = action_rows(np.array(elements), lag, plan)
     e, q, _ = cols.shape
     rows = w.shape[0]
-    tensorops._check_entries(rows * cols.size, tensorops.ENTRY_CAP)
+    tensorops._check_entries(rows * cols.size)
     index = cols[:, None] + np.arange(0, e * rows * q, q).reshape(e, rows, 1, 1)
     w_ghat = np.bincount(index.ravel(), (w[:, :, None] * vals[:, None]).ravel(),
                          minlength=e * rows * q)

@@ -96,7 +96,7 @@ def hamiltonian_generate(cfg):
     dt = float(cfg.dt)
     half = 0.5 * dt
     sixth = dt / 6.0
-    tensorops._check_entries((cfg.steps + 1) * 2, tensorops.ENTRY_CAP)
+    tensorops._check_entries((cfg.steps + 1) * 2)
     rows = np.empty((cfg.steps + 1, 2))
     rows[0] = q, p
     k = 0
@@ -135,7 +135,7 @@ def competition_generate(cfg):
     tested once per ``_kernels.BLOCK_STEPS`` steps, and its first failing row
     (NaN fails too) is reported."""
     p, r, n_matrix = _competition_operands(cfg.p0, cfg.r, cfg.interactions)
-    tensorops._check_entries((cfg.steps + 1) * p.shape[0], tensorops.ENTRY_CAP)
+    tensorops._check_entries((cfg.steps + 1) * p.shape[0])
     rows = np.empty((cfg.steps + 1, p.shape[0]))
     rows[0] = p
     rp, t = np.empty_like(p), np.empty_like(p)
@@ -179,7 +179,7 @@ def planted_linear(a, x0, steps):
         raise ValidationError("matrix and start must be finite")
     if steps < 0:
         raise ShapeError(f"steps must be >= 0, got {steps}")
-    tensorops._check_entries((steps + 1) * x.shape[0], tensorops.ENTRY_CAP)
+    tensorops._check_entries((steps + 1) * x.shape[0])
     rows = np.empty((steps + 1, x.shape[0]))
     rows[0] = x
     for k in range(steps):

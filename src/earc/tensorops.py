@@ -32,10 +32,10 @@ def _as_vector(v, name="vector"):
     return v
 
 
-def _check_entries(count, entry_cap):
-    if count > entry_cap:
+def _check_entries(count):
+    if count > ENTRY_CAP:
         raise DimensionOverflowError(
-            f"result would hold {count} entries, exceeding the cap of {entry_cap}"
+            f"result would hold {count} entries, exceeding the cap of {ENTRY_CAP}"
         )
 
 
@@ -50,7 +50,7 @@ def kron(a, b):
     """Kronecker product of two matrices, block (i, j) equal to a[i, j] * b."""
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
-    _check_entries(a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1], ENTRY_CAP)
+    _check_entries(a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 

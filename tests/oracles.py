@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from earc import _kernels, solver, tensorops
+from earc import solver, tensorops
 from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, NumericalError, ShapeError, ValidationError
 from earc.groups import action_rows, window_action
@@ -76,8 +76,9 @@ def compression_plan_by_enumeration(dim_in, order):
     codes made unique; classes are ordered by degree and code, the constant
     last.  Returns a namespace with the fields of ``CompressionPlan`` that the
     library reads, ``full_dim``, ``class_of`` (the class of every full
-    coordinate), ``degree`` and ``action_tables``, the latter rebuilt from the
-    lead/parent chains.
+    coordinate) and ``degree``.  Its ``blocks`` are rebuilt from the
+    lead/parent chains and hold the passes of ``blocks_by_chain`` where the
+    plan's hold insert tables.
     """
     dim = embed_dim(dim_in, order)
     m, p = dim_in, order
@@ -115,7 +116,7 @@ def compression_plan_by_enumeration(dim_in, order):
         parent=np.concatenate([np.full(m, q - 1)] + parent_chunks + [np.array([-1])]),
         degree=np.concatenate(degree_chunks + [np.array([0])]),
     )
-    plan.action_tables = action_tables_by_chain(plan)
+    plan.blocks = blocks_by_chain(plan)
     return plan
 
 
@@ -129,19 +130,22 @@ def full_dim(plan):
     return embed_dim(plan.dim_in, plan.order)
 
 
-def action_tables_by_chain(plan):
-    """``CompressionPlan.action_tables`` with every class's sorted tuple decoded
-    from its lead/parent chain and the classes of a degree found by its
-    ``degree`` entries."""
+def blocks_by_chain(plan):
+    """``CompressionPlan.blocks`` with every class's sorted tuple decoded from
+    its lead/parent chain and the classes of a degree found by its ``degree``
+    entries.  In place of each insert table, degree k >= 2 holds k passes
+    (cols, variables, rests): the monomials whose t-th variable differs from
+    the one before it, that variable, and the degree-(k-1) monomial left when
+    it is removed."""
     m = plan.dim_in
 
     def class_range(k):
         idx = np.flatnonzero(plan.degree == k)
         return int(idx[0]), int(idx[-1]) + 1
 
-    tables = []
-    prev_lo, prev_hi = class_range(1)
-    prev_code = plan.lead[prev_lo:prev_hi]  # a degree-1 class's code is its variable
+    lo, hi = class_range(1)
+    tables = [(lo, hi, plan.lead[lo:hi], plan.parent[lo:hi], None)]
+    prev_code = plan.lead[lo:hi]  # a degree-1 class's code is its variable
     for k in range(2, plan.order + 1):
         lo, hi = class_range(k)
         cur = np.arange(lo, hi)
@@ -156,9 +160,8 @@ def action_tables_by_chain(plan):
                 digits[:, t] != digits[:, t - 1])
             rests = np.searchsorted(prev_code, np.delete(digits[cols], t, axis=1) @ powers)
             passes.append((cols, digits[cols, t], rests))
-        tables.append((lo, hi, plan.lead[lo:hi], plan.parent[lo:hi] - prev_lo, passes))
+        tables.append((lo, hi, plan.lead[lo:hi], plan.parent[lo:hi], passes))
         prev_code = digits @ (m ** np.arange(k - 1, -1, -1))
-        prev_lo = lo
     return tables
 
 
@@ -281,8 +284,7 @@ def autoregress_by_matmul(coupling, plan, seed, horizon, lag, consistent, norm_c
     w = phi[:m]
     w[:] = seed
     y = np.empty(m)
-    blocks = [(lead, parent, phi[lo:hi])
-              for lo, hi, lead, parent in _kernels.degree_blocks(plan)[1:]]
+    blocks = [(lead, parent, phi[lo:hi]) for lo, hi, lead, parent, _ in plan.blocks[1:]]
     if consistent and lag > 1:
         # per channel: drop the oldest sample, append the predicted newest
         moves = ((w[:-1], w[1:]), (w[lag - 1::lag], y[lag - 1::lag]))
@@ -341,12 +343,12 @@ def reduced_action_by_class(g, lag, plan):
     q = plan.reduced_dim
     out = np.zeros((q, q))
     out[q - 1, q - 1] = 1.0
-    lo, hi = plan.degree_class_range(1)
+    lo, hi = plan.blocks[0][:2]
     out[lo:hi, lo:hi] = h
     prev = h
     prev_lo = lo
     for k in range(2, plan.order + 1):
-        lo, hi = plan.degree_class_range(k)
+        lo, hi = plan.blocks[k - 1][:2]
         nk = hi - lo
         tuples = [class_tuple(plan, lo + c) for c in range(nk)]
         lead_rows = np.array([t[0] for t in tuples])
@@ -372,10 +374,10 @@ def reduced_action_by_class(g, lag, plan):
 def reduced_action_by_passes(g, lag, plan):
     """Reduced action summed by position: per degree k, one vectorised pass per
     position t of the sorted variable tuples over the passes of
-    ``action_tables_by_chain``, each adding h[lead rows, v] * A_{k-1}[tail
-    rows, rest] to the monomials whose t-th variable v differs from the one
-    before it.  The passes build each block's transpose."""
-    tables = compression_plan_by_enumeration(plan.dim_in, plan.order).action_tables
+    ``blocks_by_chain``, each adding h[lead rows, v] * A_{k-1}[tail rows,
+    rest] to the monomials whose t-th variable v differs from the one before
+    it.  The passes build each block's transpose."""
+    tables = compression_plan_by_enumeration(plan.dim_in, plan.order).blocks
     h = window_action(g, lag)
     if h.shape[0] != plan.dim_in:
         raise ShapeError(
@@ -384,12 +386,12 @@ def reduced_action_by_passes(g, lag, plan):
     q = plan.reduced_dim
     out = np.zeros((q, q))
     out[q - 1, q - 1] = 1.0
-    lo, hi = plan.degree_class_range(1)
+    lo, hi = tables[0][:2]
     out[lo:hi, lo:hi] = h
     prev_t = h.T
-    for lo, hi, lead_rows, tail_rows, passes in tables:
+    for (prev_lo, *_), (lo, hi, lead_rows, parent, passes) in zip(tables, tables[1:]):
         lead_t = np.take(h.T, lead_rows, axis=1)
-        tail_t = np.take(prev_t, tail_rows, axis=1)
+        tail_t = np.take(prev_t, parent - prev_lo, axis=1)
         block_t = np.zeros((hi - lo, hi - lo))
         for cols, variables, rests in passes:
             block_t[cols] += lead_t[variables] * tail_t[rests]
@@ -426,11 +428,12 @@ def reduced_action_by_blocks(g, lag, plan):
     q = plan.reduced_dim
     out = np.zeros((q, q))
     out[q - 1, q - 1] = 1.0
-    lo, hi = plan.degree_class_range(1)
+    lo, hi = plan.blocks[0][:2]
     out[lo:hi, lo:hi] = h
     h_cols = prev_cols = _nonzero_columns(h)
     prev = h
-    for lo, hi, lead_rows, tail_rows, insert in plan.action_tables:
+    for (prev_lo, *_), (lo, hi, lead_rows, parent, insert) in zip(plan.blocks, plan.blocks[1:]):
+        tail_rows = parent - prev_lo
         d = hi - lo
         step = max(1, ROW_BLOCK_TERMS // (h_cols.shape[1] * prev_cols.shape[1] + d))
         for s in range(0, d, step):
@@ -476,12 +479,12 @@ def kron_constraint_matrix(g, lag, plan, features=slice(None)):
 
 def insert_tables_by_passes(plan):
     """The (d_{k-1}, dim_in) insert table of each degree k = 2..p of
-    ``CompressionPlan.action_tables``, read off the passes of the enumeration
-    plan's ``action_tables_by_chain``: every (rest, v) pair occurs in exactly
-    one pass, the one at the first position of v in the grown tuple."""
+    ``CompressionPlan.blocks``, read off the passes of the enumeration plan's
+    ``blocks_by_chain``: every (rest, v) pair occurs in exactly one pass, the
+    one at the first position of v in the grown tuple."""
     oracle = compression_plan_by_enumeration(plan.dim_in, plan.order)
     out = []
-    for k, (_, _, _, _, passes) in enumerate(oracle.action_tables, 2):
+    for k, (_, _, _, _, passes) in enumerate(oracle.blocks[1:], 2):
         insert = np.full((np.count_nonzero(oracle.degree == k - 1), plan.dim_in), -1)
         for cols, variables, rests in passes:
             assert np.all(insert[rests, variables] == -1)
@@ -527,12 +530,12 @@ def unvec(v, rows):
     return v.reshape(rows, -1, order="F")
 
 
-def kron_power(x, k, entry_cap=tensorops.ENTRY_CAP):
+def kron_power(x, k):
     """k-fold Kronecker power of a vector: x for k=1, kron(x, kron_power(x, k-1)) above."""
     x = tensorops._as_vector(x, "x")
     if k < 1:
         raise ShapeError(f"power must be >= 1, got {k}")
-    tensorops._check_entries(x.shape[0] ** k, entry_cap)
+    tensorops._check_entries(x.shape[0] ** k)
     out = x
     for _ in range(k - 1):
         out = np.kron(x, out)
@@ -557,7 +560,7 @@ def direct_sum(blocks):
     return out
 
 
-def lifted_action(g, lag, order, entry_cap=tensorops.ENTRY_CAP):
+def lifted_action(g, lag, order):
     """Block-diagonal action on the full embedding.
 
     The degree-k block is the k-fold Kronecker power of g (x) I_lag and the
@@ -566,7 +569,7 @@ def lifted_action(g, lag, order, entry_cap=tensorops.ENTRY_CAP):
     """
     h = window_action(g, lag)
     d = embed_dim(h.shape[0], order)
-    tensorops._check_entries(d * d, entry_cap)
+    tensorops._check_entries(d * d)
     blocks = [h]
     cur = h
     for _ in range(order - 1):

@@ -4,13 +4,16 @@ import json
 import os
 import re
 import signal
+import stat
 import sys
+import threading
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from earc import cli, solver, tensorops
+from earc import cli, solver, systems, tensorops
 from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, PARALLEL_ENTRIES, _write_rows, build_parser,
                       main, read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
@@ -64,6 +67,29 @@ class TestGenerate:
         lines = out.read_text().splitlines()
         assert len(lines) == 602
         assert lines[0] == "t,ch1,ch2"
+
+    @pytest.mark.parametrize("system,explicit", [
+        ("hamiltonian", ["--dt", "0.01", "--q0", "0.5", "--p0", "0.0", "--steps", "600"]),
+        ("competition", ["--steps", "425", "--p0-vec", "[0.2, 0.35, 0.5, 0.65, 0.8]",
+                         "--growth", "0.376"])])
+    def test_no_options_equal_the_config_defaults_given(self, system, explicit, tmp_path):
+        bare, given = tmp_path / "bare.csv", tmp_path / "given.csv"
+        assert main(["generate", "--system", system, "--out", str(bare)]) == 0
+        assert main(["generate", "--system", system, *explicit, "--out", str(given)]) == 0
+        assert bare.read_bytes() == given.read_bytes()
+
+    def test_defaults_come_from_the_config_dataclasses(self, tmp_path, monkeypatch):
+        @dataclass(frozen=True)
+        class Config(systems.HamiltonianConfig):
+            q0: float = 0.25
+            dt: float = 0.02
+            steps: int = 7
+
+        monkeypatch.setattr(systems, "HamiltonianConfig", Config)
+        out = tmp_path / "ham.csv"
+        assert main(["generate", "--system", "hamiltonian", "--out", str(out)]) == 0
+        assert np.array_equal(read_series(out), hamiltonian_generate(Config()))
+        assert read_series(out).shape == (8, 2)
 
     def test_linear_identity_constant_channels(self, tmp_path):
         out = tmp_path / "lin.csv"
@@ -1647,6 +1673,110 @@ class TestFailureBoundary:
         assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
         assert len(forks) == workers
         _assert_no_child()
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+WRITERS = {
+    "generate": ["generate", "--system", "competition", "--steps", 100],
+    "forecast": ["forecast", "--model", "Z5", "--data", "COMP", "--train-count", 31,
+                 "--horizon", 100, "--reference", "COMP"],
+    "acf": ["acf", "--data", "COMP", "--max-lag", 20],
+}
+"""A command of each CSV writer, without its --out."""
+
+
+class TestWholeOutputFiles:
+    """Every output file appears whole or not at all: a regular or missing
+    target is written to a new file beside it and renamed once the last byte
+    and every CSV worker are in, and anything else is written in place."""
+
+    @staticmethod
+    def _argv(command, comp_csv, z5_model_path, out):
+        paths = {"COMP": comp_csv, "Z5": z5_model_path}
+        return [paths.get(a, a) for a in WRITERS[command]] + ["--out", out]
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_failed_worker_leaves_no_file_and_an_old_one_as_it_was(
+            self, command, comp_csv, z5_model_path, tmp_path, monkeypatch, forks, deadline,
+            capsys):
+        _fork_from(monkeypatch, 2, 1)
+        _in_workers(monkeypatch, _raise)
+        out = tmp_path / "fc.csv"
+        argv = self._argv(command, comp_csv, z5_model_path, out)
+        code, err = _code_and_err(argv, capsys)
+        assert code == 2 and re.fullmatch(r"error: CSV worker \d+ sent 0 of \d+ rows\n", err)
+        assert list(tmp_path.iterdir()) == []
+        out.write_bytes(b"t,ch1\n1,2\n")
+        out.chmod(0o640)
+        assert _code_and_err(argv, capsys)[0] == 2
+        assert out.read_bytes() == b"t,ch1\n1,2\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert list(tmp_path.iterdir()) == [out]
+        assert len(forks) == 2
+        _assert_no_child()
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_success_leaves_only_the_file(self, command, comp_csv, z5_model_path, tmp_path,
+                                          monkeypatch, forks, deadline):
+        _fork_from(monkeypatch, 2, 1)
+        out = tmp_path / "out.csv"
+        for _ in range(2):  # a new file, then one that is replaced
+            assert main([str(a) for a in self._argv(command, comp_csv, z5_model_path, out)]) == 0
+            assert list(tmp_path.iterdir()) == [out]
+        _fork_from(monkeypatch, 1, 1)
+        plain = tmp_path / "plain.csv"
+        assert main([str(a) for a in self._argv(command, comp_csv, z5_model_path, plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        assert len(forks) == 2
+        _assert_no_child()
+
+    def test_modes_are_those_of_open(self, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("old")
+        old.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            for out in (new, old):
+                assert main(["generate", "--system", "hamiltonian", "--steps", "5",
+                             "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~0o027
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_fifo_is_written_in_place(self, tmp_path, deadline):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        argv = ["generate", "--system", "hamiltonian", "--steps", "40", "--out"]
+        assert main(argv + [str(fifo)]) == 0
+        reader.join(30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert main(argv + [str(tmp_path / "ham.csv")]) == 0
+        assert got == [(tmp_path / "ham.csv").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ham.csv", "pipe"]
+
+    def test_symbolic_link_is_followed(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old")
+        link.symlink_to(real)
+        argv = ["generate", "--system", "hamiltonian", "--steps", "40", "--out"]
+        assert main(argv + [str(link)]) == 0
+        assert main(argv + [str(tmp_path / "ham.csv")]) == 0
+        assert link.is_symlink() and real.read_bytes() == (tmp_path / "ham.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ham.csv", "link.csv", "real.csv"]
+
+    def test_error_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code, err = _code_and_err(["generate", "--system", "hamiltonian", "--steps", "5",
+                                   "--out", out], capsys)
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+        assert (code, err) == (2, f"error: {missing}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -118,7 +118,7 @@ class TestCompressionPlan:
     def test_degree_one_classes_are_the_window(self, m, p):
         # the rollout keeps its window as the degree-1 block of the features
         plan = compression_plan(m, p)
-        assert plan.degree_class_range(1) == (0, m)
+        assert plan.blocks[0][:2] == (0, m)
         assert np.array_equal(plan.lead[:m], np.arange(m))
         assert np.array_equal(plan.parent[:m], np.full(m, plan.reduced_dim - 1))
 
@@ -136,13 +136,13 @@ class TestCompressionPlan:
         for name in ("rep_index", "lead", "parent"):
             assert np.array_equal(getattr(plan, name), getattr(oracle, name)), name
         for k in range(1, p + 1):
-            lo, hi = plan.degree_class_range(k)
+            lo, hi = plan.blocks[k - 1][:2]
             assert np.array_equal(np.arange(lo, hi), np.flatnonzero(oracle.degree == k))
             assert np.array_equal(plan.tuples[k - 1],
                                   [class_tuple(oracle, c) for c in range(lo, hi)])
-        assert len(plan.action_tables) == len(oracle.action_tables) == p - 1
+        assert len(plan.blocks) == len(oracle.blocks) == p
         inserts = insert_tables_by_passes(plan)
-        for got, want, insert in zip(plan.action_tables, oracle.action_tables, inserts):
+        for got, want, insert in zip(plan.blocks[1:], oracle.blocks[1:], inserts):
             assert got[:2] == want[:2]
             assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
             assert np.array_equal(got[4], insert)
@@ -154,9 +154,24 @@ class TestCompressionPlan:
         m, p = (12, 4) if seed == 0 else (int(rng.integers(1, 13)), int(rng.integers(2, 5)))
         plan = compression_plan(m, p)
         inserts = insert_tables_by_passes(plan)
-        assert len(plan.action_tables) == len(inserts) == p - 1
-        for table, insert in zip(plan.action_tables, inserts):
+        assert len(plan.blocks) == len(inserts) + 1 == p
+        for table, insert in zip(plan.blocks[1:], inserts):
             assert table[4].dtype == np.int64 and np.array_equal(table[4], insert)
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (1, 4), (3, 1), (3, 3), (10, 3)])
+    def test_every_array_is_read_only(self, m, p):
+        # the plan is shared by every call on one model: none may alter it
+        plan = compression_plan(m, p)
+        assert len(plan.blocks) == p and plan.blocks[0][4] is None
+        arrays = [*plan.tuples, plan.rep_index, plan.lead, plan.parent]
+        for k, (lo, hi, lead, parent, insert) in enumerate(plan.blocks, 1):
+            assert np.array_equal(lead, plan.lead[lo:hi])
+            assert np.array_equal(parent, plan.parent[lo:hi])
+            arrays += [lead, parent] + ([insert] if k > 1 else [])
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
 
     @pytest.mark.parametrize("m,p", [(3, 20), (2, 31)])
     def test_overflowing_full_embedding_refused(self, m, p):

@@ -200,7 +200,7 @@ class TestReducedAction:
         g = random_orthogonal(3, 50)
         plan = compression_plan(3, 4)
         out = assembled_action(g, 1, plan)
-        ranges = [plan.degree_class_range(k) for k in range(1, 5)]
+        ranges = [block[:2] for block in plan.blocks]
         assert np.count_nonzero(out) == sum((hi - lo) ** 2 for lo, hi in ranges) + 1
         assert bitwise_equal(out, reduced_action_by_class(g, 1, plan))
         assert bitwise_equal(out, reduced_action_by_passes(g, 1, plan))
@@ -313,7 +313,7 @@ class TestActionRows:
             assert np.count_nonzero(vals1) == np.count_nonzero(vals[e])
             # the nonzeros of a degree-k row are in the degree-k block
             for k in range(1, plan.order + 1):
-                lo, hi = plan.degree_class_range(k)
+                lo, hi = plan.blocks[k - 1][:2]
                 block = cols[e, lo:hi][vals[e, lo:hi] != 0]
                 assert np.all((lo <= block) & (block < hi))
         return cols

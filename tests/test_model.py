@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from earc import _kernels
+from earc import model as model_mod
 from earc.embedding import compression_plan, delay_windows
 from earc.errors import (CorruptModelError, DimensionOverflowError, InsufficientDataError,
                          ModelFormatError, ShapeError, ValidationError)
@@ -357,6 +360,30 @@ class TestPersistence:
         save(z5_model, p1)
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_the_old_file(self, z5_model, tmp_path, monkeypatch):
+        def failing_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+
+            def write(text):  # half the text, then a full disk
+                fh.buffer.write(text[:len(text) // 2].encode())
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = write
+            return fh
+
+        path = tmp_path / "m.json"
+        path.write_text("old model\n")
+        monkeypatch.setattr(model_mod, "open", failing_open, raising=False)
+        for target in (path, tmp_path / "new.json"):
+            with pytest.raises(OSError, match="No space left on device"):
+                save(z5_model, target)
+        assert path.read_text() == "old model\n"
+        assert list(tmp_path.iterdir()) == [path]  # no new file and no temporary one
+        monkeypatch.undo()
+        save(z5_model, path)
+        assert load(path).coupling.shape == (5, 21)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_loaded_model_rolls_out_identically(self, z5_model, comp_series, tmp_path):
         path = tmp_path / "m.json"

@@ -152,7 +152,7 @@ def _degree_features(plan, k):
     """Feature indices of degree block k; 0 is the constant."""
     if k == 0:
         return np.array([plan.reduced_dim - 1])
-    return np.arange(*plan.degree_class_range(k))
+    return np.arange(*plan.blocks[k - 1][:2])
 
 
 def _stacked(rep, lag, plan, features):
@@ -232,7 +232,7 @@ class TestDegreeBlocks:
         plan = compression_plan(10, 4)
         dims = degree_kernel_dims(rep, 5, 4)
         assert dims.tolist() == [0, 10, 0, 220, 0]
-        lo, hi = plan.degree_class_range(3)
+        lo, hi = plan.blocks[2][:2]
         assert np.array_equal(basis_features(dims, plan),
                               np.concatenate([np.arange(10), np.arange(lo, hi)]))
         basis = equivariant_basis(rep, 5, plan)
