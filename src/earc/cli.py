@@ -287,6 +287,14 @@ def _parse_array(spec, ndim):
 
 
 def cmd_generate(args):
+    # the options that one system takes; any other system refuses them
+    own = {"hamiltonian": {"q0", "p0", "dt", "printed_ic"}, "competition": {"p0_vec", "growth"},
+           "linear": {"matrix", "x0"}}
+    given = {key for keys in own.values() for key in keys if getattr(args, key) is not None}
+    foreign = sorted(given - own.get(args.system, set()))
+    if foreign:
+        raise ValidationError(f"--system {args.system} takes no "
+                              + ", ".join("--" + key.replace("_", "-") for key in foreign))
     # only the options given: the config dataclasses hold the defaults
     kwargs = {} if args.steps is None else {"steps": args.steps}
     if args.system == "hamiltonian":
@@ -302,7 +310,7 @@ def cmd_generate(args):
             kwargs["r"] = np.full(5, args.growth)
         values = systems.competition_generate(systems.CompetitionConfig(**kwargs))
     elif args.system == "linear":
-        a = _parse_array(args.matrix, 2)
+        a = _parse_array(args.matrix if args.matrix is not None else "I2", 2)
         x0 = _parse_array(args.x0, 1) if args.x0 is not None else np.ones(a.shape[0])
         values = systems.planted_linear(a, x0, args.steps if args.steps is not None else 100)
     else:
@@ -523,12 +531,11 @@ def _generate_arguments(gen):
     gen.add_argument("--dt", type=float)
     gen.add_argument("--q0", type=float)
     gen.add_argument("--p0", type=float)
-    gen.add_argument("--printed-ic", action="store_true",
+    gen.add_argument("--printed-ic", action="store_true", default=None,
                      help="use the historic (1, 0) start, an equilibrium")
     gen.add_argument("--p0-vec", help="JSON start vector for the competition map")
     gen.add_argument("--growth", type=float, help="uniform competition growth rate")
-    gen.add_argument("--matrix", default="I2",
-                     help='linear-system matrix: "I<n>" or a JSON 2-D array')
+    gen.add_argument("--matrix", help='linear-system matrix: "I<n>" or a JSON 2-D array')
     gen.add_argument("--x0", help="JSON start vector for the linear system")
     gen.add_argument("--out")
 

@@ -8,13 +8,13 @@ assumes exactly this block order.
 
 The order-p embedding [w; w(x)w; ...; w^(x)p; 1] of a window repeats every
 monomial of degree k >= 2 once per ordering of its variables.  Only its
-compressed form is computed: one feature per monomial, listed by the plan's
-table of sorted variable tuples.  The full embedding and the selection and
-expansion maps between the two are test oracles (``tests/oracles.py``).
+compressed form is computed: one feature per monomial, listed by the plan,
+which builds each degree from the one below.  The full embedding and the
+selection and expansion maps between the two are test oracles
+(``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,11 +50,6 @@ def embed_dim(n, p):
     return d
 
 
-def _codes(tuples, m):
-    """Base-m code of each row of a (count, k) array of variable tuples."""
-    return tuples @ m ** np.arange(tuples.shape[1] - 1, -1, -1)
-
-
 @dataclass(frozen=True, eq=False)
 class CompressionPlan:
     """Monomial table of the compressed order-p embedding of a dim_in-vector.
@@ -63,7 +58,6 @@ class CompressionPlan:
     in lexicographic order of their sorted variable tuples, then the constant.
     Every array is read-only.
 
-    tuples    : per degree k = 1..p, the (count, k) sorted variable tuples.
     rep_index : (reduced_dim,) coordinate of each monomial in the full
         embedding [x; x(x)x; ...; 1]: its degree's offset plus the base-m code
         of its sorted tuple.  Model files store it.
@@ -81,7 +75,6 @@ class CompressionPlan:
     dim_in: int
     order: int
     reduced_dim: int
-    tuples: tuple
     rep_index: np.ndarray
     lead: np.ndarray
     parent: np.ndarray
@@ -93,61 +86,57 @@ def compression_plan(dim_in, order):
 
     Refuses (DimensionOverflowError) any plan whose full embedding would
     exceed the entry cap, although the full embedding is never built, and any
-    whose tuple table would: its sum of k * C(m + k - 1, k) (p(p + 1)/2 at
-    m = 1) is added up term by term before a tuple is built.  No insert table
-    holds more entries than the tuples of its degree.
+    whose monomials hold more variable factors in all than the cap: their sum
+    of k * C(m + k - 1, k) (p(p + 1)/2 at m = 1) is added up term by term
+    before a table is built.
 
-    An insert table is found by looking up the base-m code of every grown
-    tuple.  As r is sorted, r with v inserted in order has entry j equal to
-    max(r[j-1], min(r[j], v)), with r[-1] = -inf and r[k-1] = +inf, so the
-    code is built entry by entry, without a sort.
+    Each degree's tables follow from the degree below in a fixed number of
+    numpy calls.  The degree-k monomials with lead a are a times the suffix of
+    degree-(k-1) monomials whose lead is at least a: index s there is index
+    s + shift[a] here.  A monomial's code is lead * m^(k-1) plus its parent's.
+    Monomial r times v is v times r when v <= lead(r), and otherwise lead(r)
+    times the monomial parent(r) times v, found in the previous insert table.
     """
     if dim_in < 1 or order < 1:
         raise ShapeError(f"need dim_in >= 1 and order >= 1, got {dim_in}, {order}")
     const = embed_dim(dim_in, order) - 1  # full coordinate of the constant
     m = dim_in
-    entries = count = 0
+    entries, count, q = 0, 0, 1  # q counts the constant
     for k in range(1, order + 1):
         count = count * (m + k - 1) // k if k > 1 else m  # C(m + k - 1, k)
         entries += k * count
+        q += count
         if entries > tensorops.ENTRY_CAP:
             raise DimensionOverflowError(f"the order-{order} plan of a {m}-vector would table "
                                          f"more than the cap of {tensorops.ENTRY_CAP} entries")
-    tuples = tuple(np.fromiter(chain.from_iterable(combinations_with_replacement(range(m), k)),
-                               dtype=np.int64).reshape(-1, k)
-                   for k in range(1, order + 1))
-    q = sum(t.shape[0] for t in tuples) + 1
-    lead = np.concatenate([t[:, 0] for t in tuples] + [np.array([-1], dtype=np.int64)])
-    parent = np.full(q, -1, dtype=np.int64)
-    parent[:m] = q - 1
+    rep_index, lead, parent = (np.full(q, fill, dtype=np.int64) for fill in (const, -1, -1))
     v = np.arange(m)
-    rep_chunks, ranges = [], []
-    off = lo = 0
-    for k, tups in enumerate(tuples, 1):
-        hi = lo + tups.shape[0]
-        codes = _codes(tups, m)
-        rep_chunks.append(off + codes)
-        insert = None
-        if k > 1:
-            parent[lo:hi] = prev_lo + np.searchsorted(prev_codes, _codes(tups[:, 1:], m))
-            prev = tuples[k - 2].T[:, :, None]  # prev[j] = r[j], one row per r
-            code = np.minimum(prev[0], v)
-            for j in range(1, k):
-                code *= m
-                code += np.maximum(prev[j - 1], np.minimum(prev[j], v) if j < k - 1 else v)
-            # the codes of the degree-k tuples ascend, as the tuples are sorted
-            insert = np.searchsorted(codes, code)
+    lead[:m] = rep_index[:m] = v  # the code of a degree-1 monomial is its variable
+    parent[:m] = q - 1
+    ranges = [(0, m, None)]
+    # degree 1's lead starts, codes and parents in degree 0, whose insert table is v
+    start, code, rest, insert = v, v, np.zeros_like(v), v[None]
+    prev_lo, off, lo = 0, m, m
+    for k in range(2, order + 1):
+        prev_lead = lead[prev_lo:lo]
+        counts = prev_lead.shape[0] - start
+        hi = lo + int(counts.sum())
+        shift = np.cumsum(counts) - counts - start
+        lead[lo:hi] = np.repeat(v, counts)
+        prev_rest, rest = rest, np.arange(hi - lo) - np.repeat(shift, counts)  # within degree k-1
+        parent[lo:hi] = prev_lo + rest
+        code = lead[lo:hi] * m ** (k - 1) + code[rest]
+        rep_index[lo:hi] = off + code
+        insert = np.where(v <= prev_lead[:, None], np.arange(prev_lead.shape[0])[:, None] + shift,
+                          insert[prev_rest] + shift[prev_lead][:, None])
         ranges.append((lo, hi, insert))
-        prev_lo, prev_codes = lo, codes
-        off += m ** k
-        lo = hi
-    rep_index = np.concatenate(rep_chunks + [np.array([const], dtype=np.int64)])
-    for arr in tuples + (rep_index, lead, parent) + tuple(r[2] for r in ranges[1:]):
+        prev_lo, off, lo, start = lo, off + m ** k, hi, start + shift
+    for arr in (rep_index, lead, parent) + tuple(r[2] for r in ranges[1:]):
         arr.setflags(write=False)
     # slices of a read-only array are read-only
     blocks = tuple((lo, hi, lead[lo:hi], parent[lo:hi], insert) for lo, hi, insert in ranges)
-    return CompressionPlan(dim_in=m, order=order, reduced_dim=q, tuples=tuples,
-                           rep_index=rep_index, lead=lead, parent=parent, blocks=blocks)
+    return CompressionPlan(dim_in=m, order=order, reduced_dim=q, rep_index=rep_index,
+                           lead=lead, parent=parent, blocks=blocks)
 
 
 def compressed_features(plan, windows):

@@ -1,6 +1,7 @@
 """Reference implementations that the library's optimised code replaced,
 and constructions that only tests need: the full embedding and its
-selection and expansion maps, dense group actions, single prediction steps,
+selection and expansion maps, the compression plan built from tables of
+sorted variable tuples, dense group actions, single prediction steps,
 the rollout kernels that tested divergence at every step, the Hamiltonian
 field and energy, one competition step, group files and a series read that
 parses every row from row 0.
@@ -13,6 +14,7 @@ import json
 import math
 import warnings
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,6 +120,53 @@ def compression_plan_by_enumeration(dim_in, order):
     )
     plan.blocks = blocks_by_chain(plan)
     return plan
+
+
+def compression_plan_by_tuples(dim_in, order):
+    """``compression_plan`` built from a (count, k) table of sorted variable
+    tuples per degree k, listed by ``combinations_with_replacement``, and the
+    base-m code of every tuple.  A parent is found by searching its tail's
+    code among the degree below, and an insert table by searching the code of
+    every grown tuple: as r is sorted, r with v inserted in order has entry j
+    equal to max(r[j-1], min(r[j], v)), with r[-1] = -inf and r[k-1] = +inf,
+    so the code is built entry by entry.  Returns a namespace with the plan's
+    fields and ``tuples``, the table of each degree."""
+    def codes(tuples):
+        return tuples @ m ** np.arange(tuples.shape[1] - 1, -1, -1)
+
+    m = dim_in
+    const = embed_dim(dim_in, order) - 1
+    tuples = tuple(np.fromiter(chain.from_iterable(combinations_with_replacement(range(m), k)),
+                               dtype=np.int64).reshape(-1, k)
+                   for k in range(1, order + 1))
+    q = sum(t.shape[0] for t in tuples) + 1
+    lead = np.concatenate([t[:, 0] for t in tuples] + [np.array([-1], dtype=np.int64)])
+    parent = np.full(q, -1, dtype=np.int64)
+    parent[:m] = q - 1
+    v = np.arange(m)
+    rep_chunks, ranges = [], []
+    off = lo = 0
+    for k, tups in enumerate(tuples, 1):
+        hi = lo + tups.shape[0]
+        code_k = codes(tups)
+        rep_chunks.append(off + code_k)
+        insert = None
+        if k > 1:
+            parent[lo:hi] = prev_lo + np.searchsorted(prev_codes, codes(tups[:, 1:]))
+            prev = tuples[k - 2].T[:, :, None]  # prev[j] = r[j], one row per r
+            code = np.minimum(prev[0], v)
+            for j in range(1, k):
+                code *= m
+                code += np.maximum(prev[j - 1], np.minimum(prev[j], v) if j < k - 1 else v)
+            insert = np.searchsorted(code_k, code)
+        ranges.append((lo, hi, insert))
+        prev_lo, prev_codes = lo, code_k
+        off += m ** k
+        lo = hi
+    rep_index = np.concatenate(rep_chunks + [np.array([const], dtype=np.int64)])
+    blocks = tuple((lo, hi, lead[lo:hi], parent[lo:hi], insert) for lo, hi, insert in ranges)
+    return SimpleNamespace(dim_in=m, order=order, reduced_dim=q, tuples=tuples,
+                           rep_index=rep_index, lead=lead, parent=parent, blocks=blocks)
 
 
 def class_of(plan):

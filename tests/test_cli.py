@@ -53,6 +53,14 @@ def z5_model_path(comp_csv, tmp_path_factory):
     return path
 
 
+GENERATE_OPTIONS = {"hamiltonian": [["--dt", "0.01"], ["--q0", "0.5"], ["--p0", "0.0"],
+                                    ["--printed-ic"]],
+                    "competition": [["--p0-vec", "[0.2, 0.35, 0.5, 0.65, 0.8]"],
+                                    ["--growth", "0.376"]],
+                    "linear": [["--matrix", "I2"], ["--x0", "[1.0, 1.0]"]]}
+"""The options that only one ``generate --system`` takes, each with a value."""
+
+
 class TestGenerate:
     def test_competition_shape(self, comp_csv):
         lines = comp_csv.read_text().splitlines()
@@ -150,6 +158,22 @@ class TestGenerate:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("system,option", [
+        (system, option) for system in GENERATE_OPTIONS
+        for other, options in GENERATE_OPTIONS.items() if other != system for option in options],
+        ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_option_of_another_system_exits_2(self, tmp_path, capsys, system, option):
+        out = tmp_path / "gen.csv"
+        code, err = _code_and_err(["generate", "--system", system, "--steps", "5", *option,
+                                   "--out", out], capsys)
+        assert code == 2
+        assert err == f"error: --system {system} takes no {option[0]}\n"
+        assert not out.exists()
+        # every option of the system itself is taken
+        own = [arg for given in GENERATE_OPTIONS[system] for arg in given
+               if given != ["--printed-ic"]]
+        assert main(["generate", "--system", system, "--steps", "5", *own, "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("system", ["hamiltonian", "competition", "linear"])
     def test_steps_past_the_entry_cap_exit_2(self, tmp_path, capsys, system):

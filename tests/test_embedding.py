@@ -12,14 +12,37 @@ from earc.groups import window_action
 from earc.systems import builtin_rep
 
 from oracles import (assembled_action, class_of, class_tuple, compress,
-                     compression_plan_by_enumeration, embed, expand, expansion_matrix, full_dim,
+                     compression_plan_by_enumeration, compression_plan_by_tuples, embed, expand,
+                     expansion_matrix, full_dim,
                      insert_tables_by_passes, kron_power, lifted_action,
                      monomial_features_by_column, selection_matrix)
 
 
+ENUMERATED_DIM = 2 * 10**5
+"""Largest full embedding that ``compression_plan_by_enumeration`` lists in a test."""
+
 ORACLE_SIZES = sorted({(m, p) for m in range(1, 9) for p in range(1, 6)
-                       if embed_dim(m, p) <= 2 * 10**5}
+                       if embed_dim(m, p) <= ENUMERATED_DIM}
                       | {(5, 2), (6, 3), (10, 3), (10, 4), (14, 4)})
+
+DEEP_SIZES = [(1, 1), (1, 250), (2, 20), (3, 12), (6, 6), (20, 4)]
+"""Plans past ``ORACLE_SIZES``: one variable to a high order, and deep degrees."""
+
+
+def assert_same_tables(plan, oracle):
+    """Every table of ``plan`` is bitwise ``oracle``'s, of the same dtype."""
+    assert plan.reduced_dim == oracle.reduced_dim
+    for name in ("rep_index", "lead", "parent"):
+        got, want = getattr(plan, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert len(plan.blocks) == len(oracle.blocks) == plan.order
+    for got, want in zip(plan.blocks, oracle.blocks):
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        assert (got[4] is None) == (want[4] is None)
+        if got[4] is not None:
+            assert got[4].dtype == want[4].dtype == np.int64
+            assert np.array_equal(got[4], want[4])
 
 
 class TestEmbedDim:
@@ -128,9 +151,13 @@ class TestCompressionPlan:
             prod = selection_matrix(plan) @ expansion_matrix(plan)
             assert np.array_equal(prod, np.eye(plan.reduced_dim))
 
-    @pytest.mark.parametrize("m,p", ORACLE_SIZES)
+    @pytest.mark.parametrize("m,p", sorted(set(ORACLE_SIZES) | set(DEEP_SIZES)))
     def test_matches_enumeration_oracle(self, m, p):
         plan = compression_plan(m, p)
+        by_tuples = compression_plan_by_tuples(m, p)
+        assert_same_tables(plan, by_tuples)
+        if embed_dim(m, p) > ENUMERATED_DIM:
+            return
         oracle = compression_plan_by_enumeration(m, p)
         assert plan.reduced_dim == oracle.reduced_dim
         for name in ("rep_index", "lead", "parent"):
@@ -138,7 +165,7 @@ class TestCompressionPlan:
         for k in range(1, p + 1):
             lo, hi = plan.blocks[k - 1][:2]
             assert np.array_equal(np.arange(lo, hi), np.flatnonzero(oracle.degree == k))
-            assert np.array_equal(plan.tuples[k - 1],
+            assert np.array_equal(by_tuples.tuples[k - 1],
                                   [class_tuple(oracle, c) for c in range(lo, hi)])
         assert len(plan.blocks) == len(oracle.blocks) == p
         inserts = insert_tables_by_passes(plan)
@@ -149,10 +176,11 @@ class TestCompressionPlan:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_insert_tables_match_the_passes_on_random_plans(self, seed):
-        # the tables are built without sorting the grown tuples
+        # the tables are built from the degree below, without a tuple
         rng = np.random.default_rng(seed)
         m, p = (12, 4) if seed == 0 else (int(rng.integers(1, 13)), int(rng.integers(2, 5)))
         plan = compression_plan(m, p)
+        assert_same_tables(plan, compression_plan_by_tuples(m, p))
         inserts = insert_tables_by_passes(plan)
         assert len(plan.blocks) == len(inserts) + 1 == p
         for table, insert in zip(plan.blocks[1:], inserts):
@@ -163,7 +191,7 @@ class TestCompressionPlan:
         # the plan is shared by every call on one model: none may alter it
         plan = compression_plan(m, p)
         assert len(plan.blocks) == p and plan.blocks[0][4] is None
-        arrays = [*plan.tuples, plan.rep_index, plan.lead, plan.parent]
+        arrays = [plan.rep_index, plan.lead, plan.parent]
         for k, (lo, hi, lead, parent, insert) in enumerate(plan.blocks, 1):
             assert np.array_equal(lead, plan.lead[lo:hi])
             assert np.array_equal(parent, plan.parent[lo:hi])
@@ -181,8 +209,8 @@ class TestCompressionPlan:
 
     @pytest.mark.parametrize("p", [60000, 65535, 65536, 10**5, 10**8])
     def test_single_variable_tuple_table_refused(self, p):
-        # p(p + 1)/2 tuple entries pass the cap from p = 23170 on, although
-        # the embedding has only p + 1 entries
+        # the monomials' p(p + 1)/2 variable factors pass the cap from
+        # p = 23170 on, although the embedding has only p + 1 entries
         with pytest.raises(DimensionOverflowError, match="table more than the cap"):
             compression_plan(1, p)
 
@@ -190,8 +218,8 @@ class TestCompressionPlan:
     def test_tuple_entries_at_and_past_the_cap(self, monkeypatch, m, p):
         entries = sum(k * math.comb(m + k - 1, k) for k in range(1, p + 1))
         monkeypatch.setattr(tensorops, "ENTRY_CAP", entries)
-        plan = compression_plan(m, p)
-        assert sum(t.size for t in plan.tuples) == entries
+        compression_plan(m, p)
+        assert sum(t.size for t in compression_plan_by_tuples(m, p).tuples) == entries
         monkeypatch.setattr(tensorops, "ENTRY_CAP", entries - 1)
         with pytest.raises(DimensionOverflowError, match="table more than the cap"):
             compression_plan(m, p)
