@@ -9,7 +9,8 @@ compression round trips bit-exact.
 The parent of a degree-k monomial has degree k-1, so all features of one
 degree are filled by a single vectorised product once the lower degrees are
 known: p numpy calls per evaluation instead of one per feature, each over one
-entry of the plan's ``blocks``.
+entry of the plan's ``blocks``.  The rollout returns the newest predicted
+sample of each channel per step, not whole windows.
 """
 
 import math
@@ -35,17 +36,16 @@ def fill_features(windows, blocks, out):
 def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     """Iterate the one-step predictor up to ``horizon`` times from ``seed``.
 
-    Returns (windows, diverged) with one window per completed step.  A step
-    whose predicted dilated state is non-finite or has Euclidean norm above
-    ``norm_cap`` is dropped, iteration stops and ``diverged`` is set.
+    Returns (values, diverged): per completed step, the newest predicted sample
+    of each channel.  A step whose predicted dilated state is non-finite or has
+    norm above ``norm_cap`` is dropped, iteration stops and ``diverged`` is set.
 
     Each step computes what ``fill_features`` and ``coupling @ phi`` would, in
     buffers allocated once: the degree-1 features are the window coordinates
     in order (lead c, parent the constant), so the window is kept as
     ``phi[:m]`` and is itself the degree-1 block.  ``coupling.dot`` is the
-    dgemv of ``np.matmul`` without its ufunc dispatch.  Where the window is the
-    whole prediction (free mode, and lag 1) it is predicted into its row of
-    ``windows``, else into a scratch row.
+    dgemv of ``np.matmul`` without its ufunc dispatch.  Both modes predict into
+    a block of scratch rows, whose newest columns are copied out per block.
 
     Divergence is tested once per ``BLOCK_STEPS`` steps: the rows whose
     batched norm is not safely under the cap are tested again in step order
@@ -53,7 +53,8 @@ def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     at the same step.  At most one block is computed past it, without warnings.
     """
     m = seed.shape[0]
-    windows = np.empty((horizon, m))
+    values = np.empty((horizon, m // lag))
+    block = np.empty((min(BLOCK_STEPS, horizon), m))
     phi = np.empty(plan.reduced_dim)
     phi[-1] = 1.0
     w = phi[:m]
@@ -61,30 +62,28 @@ def autoregress(coupling, plan, seed, horizon, lag, consistent, norm_cap):
     blocks = [(lead, parent, phi[lo:hi]) for lo, hi, lead, parent, _ in plan.blocks[1:]]
     shift = consistent and lag > 1
     if shift:  # per channel: drop the oldest sample, append the predicted newest
-        scratch = np.empty((min(BLOCK_STEPS, horizon), m))
         old, new, newest = w[:-1], w[1:], w[lag - 1::lag]
     predict = coupling.dot
     flag_cap = norm_cap * (1.0 - 1e-9)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, horizon, BLOCK_STEPS):
-            rows = windows[start:start + BLOCK_STEPS]
-            ys = scratch[:len(rows)] if shift else rows  # the predictions
+            ys = block[:horizon - start]  # the predictions
             if shift:
-                for y, row in zip(ys, rows):
+                for y in ys:
                     for lead, parent, out in blocks:
                         np.multiply(w[lead], phi[parent], out=out)
                     predict(phi, out=y)
                     old[...] = new
                     newest[...] = y[lag - 1::lag]
-                    row[...] = w
             else:
-                for y in rows:
+                for y in ys:
                     for lead, parent, out in blocks:
                         np.multiply(w[lead], phi[parent], out=out)
                     predict(phi, out=y)
                     w[...] = y
+            values[start:start + len(ys)] = ys[:, lag - 1::lag]
             for i in np.flatnonzero(~(np.linalg.norm(ys, axis=1) <= flag_cap)):
                 y = ys[i]
                 if not math.sqrt(y.dot(y)) <= norm_cap:  # NaN and inf fail too
-                    return windows[:start + i].copy(), True
-    return windows, False
+                    return values[:start + i].copy(), True
+    return values, False

@@ -120,10 +120,8 @@ def _write_rows(fh, index, values):
     """
     table = np.column_stack([index, values])
     row = ",".join(["%d"] + ["%.17g"] * values.shape[1]) + "\n"
-    procs = min(_usable_cores(), table.size // PARALLEL_ENTRIES) if hasattr(os, "fork") else 1
-    if procs < 2:
-        _format_rows(fh.write, table, row)
-        return
+    procs = (max(1, min(_usable_cores(), table.size // PARALLEL_ENTRIES))
+             if hasattr(os, "fork") else 1)
     bounds = [table.shape[0] * i // procs for i in range(procs + 1)]
     parts = [table[a:b] for a, b in zip(bounds, bounds[1:])]
     workers = []  # (read end, pid) for parts[1:], fewer when a fork failed
@@ -298,6 +296,9 @@ def cmd_generate(args):
     # only the options given: the config dataclasses hold the defaults
     kwargs = {} if args.steps is None else {"steps": args.steps}
     if args.system == "hamiltonian":
+        clash = [f"--{key}" for key in ("q0", "p0") if getattr(args, key) is not None]
+        if args.printed_ic and clash:
+            raise ValidationError("--printed-ic takes no " + ", ".join(clash))
         start = systems.PRINTED_HAMILTONIAN_START if args.printed_ic else (args.q0, args.p0)
         for key, value in zip(("q0", "p0", "dt"), (*start, args.dt)):
             if value is not None:

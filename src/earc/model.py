@@ -61,13 +61,12 @@ class EarcModel:
 class Forecast:
     """Autoregressive rollout result; values has one predicted sample per row.
 
-    When the rollout diverges, values/windows hold only the finite prefix and
+    When the rollout diverges, values holds only the finite prefix and
     ``diverged`` is set.
     """
 
     horizon: int
     values: np.ndarray
-    windows: np.ndarray
     diverged: bool
 
     @property
@@ -117,13 +116,11 @@ def rollout(model, seed, horizon, mode="consistent"):
     tensorops._check_entries(horizon * seed.shape[0])
     if mode not in ("consistent", "free"):
         raise ValidationError(f"unknown rollout mode {mode!r}")
-    windows, diverged = _kernels.autoregress(
+    values, diverged = _kernels.autoregress(
         model.coupling, model.plan, seed, horizon, model.lag,
         mode == "consistent", DIVERGENCE_CAP,
     )
-    # the newest sample of each channel closes its block of the window
-    values = windows[:, model.lag - 1::model.lag].copy()
-    return Forecast(horizon=horizon, values=values, windows=windows, diverged=diverged)
+    return Forecast(horizon=horizon, values=values, diverged=diverged)
 
 
 def estimate_lag(values, max_lag):

@@ -41,8 +41,8 @@ CHARACTER_TOL = 1e-6
 """Largest distance from an integer that ``degree_kernel_dims`` accepts in a
 character count.  Each term tr(g) tr(Ghat_g^(k)) is at most n times the block
 size in magnitude, so rounding moves a count by about 1e-16 of that.  Measured
-at lags 1-5 and orders 2-4: exactly 0 for k4 and z5, at most 4.4e-16 for C_3
-and at most 2.1e-14 for k4, z5 and C_3 conjugated by random orthogonal
+at lags 1-5 and orders 2-4: exactly 0 for k4 and z5, at most 7.1e-15 for C_3
+and at most 2.8e-14 for k4, z5 and C_3 conjugated by random orthogonal
 matrices."""
 
 
@@ -110,22 +110,30 @@ def degree_kernel_dims(group, lag, order):
     Entry k (k = 1..order, and 0 for the constant) is the character count
     (1/|G|) sum_g tr(g) tr(Ghat_g^(k)).  The degree-k block of Ghat_g is the
     action of h = g (x) I_lag on degree-k polynomials, Sym^k(h), whose trace is
-    the complete homogeneous polynomial h_k of h's eigenvalues.  Newton's
-    identities k h_k = sum_{j=1..k} p_j h_{k-j} give it from the power sums
-    p_j = tr(h^j) = lag tr(g^j), without eigenvalues or Ghat_g.  A count
-    further than CHARACTER_TOL from an integer raises NumericalError rather
-    than decide whether a block is empty.
+    the complete homogeneous polynomial h_k of h's eigenvalues.  With the
+    signed elementary polynomials s_i = (-1)^(i+1) e_i, which vanish past
+    r = min(order, n lag), h_k = sum_{i=1..min(k, r)} s_i h_{k-i}, and Newton's
+    identities i s_i = p_i - sum_{j<i} p_j s_{i-j} give them from the power
+    sums p_j = tr(h^j) = lag tr(g^j), without eigenvalues or Ghat_g: r matrix
+    powers and O(order r) work per element.  A count further than
+    CHARACTER_TOL from an integer raises NumericalError rather than decide
+    whether a block is empty.
     """
-    powers = np.empty((order, group.order, group.n, group.n))
+    r = min(order, group.n * lag)
+    powers = np.empty((r, group.order, group.n, group.n))
     powers[0] = group.elements
-    for j in range(1, order):
+    for j in range(1, r):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
     traces = powers.trace(axis1=2, axis2=3)  # [j - 1, g] = tr(g^j)
     sums = lag * traces
+    signed = np.empty((r, group.order))  # [i - 1] = s_i
+    for i in range(r):
+        signed[i] = (sums[i] - (sums[:i] * signed[:i][::-1]).sum(axis=0)) / (i + 1)
     complete = np.ones((order + 1, group.order))
     for k in range(1, order + 1):
-        # sum over j = 1..k of p_j h_{k-j}: the rows of h below k, in reverse
-        complete[k] = (sums[:k] * complete[k - 1::-1]).sum(axis=0) / k
+        # sum over i = 1..min(k, r) of s_i h_{k-i}: the rows of h below k, in reverse
+        last = min(k, r)
+        complete[k] = (signed[:last] * complete[k - last:k][::-1]).sum(axis=0)
     counts = complete @ traces[0] / group.order
     dims = np.rint(counts)
     off = float(abs(counts - dims).max())

@@ -322,9 +322,10 @@ def autoregress_by_step(coupling, lead, parent, seed, horizon, n_channels, lag,
 
 
 def autoregress_by_matmul(coupling, plan, seed, horizon, lag, consistent, norm_cap):
-    """The rollout kernel that predicted with ``np.matmul`` and tested
-    divergence at every step; same arguments and result as
-    ``_kernels.autoregress``.
+    """The rollout kernel that predicted with ``np.matmul``, tested divergence
+    at every step and kept each step's window; same arguments as
+    ``_kernels.autoregress``, which returns the newest columns
+    ``windows[:, lag - 1::lag]`` of its (windows, diverged).
     """
     m = seed.shape[0]
     windows = np.empty((horizon, m))

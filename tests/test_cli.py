@@ -175,6 +175,19 @@ class TestGenerate:
                if given != ["--printed-ic"]]
         assert main(["generate", "--system", system, "--steps", "5", *own, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("start", [["--q0", "3"], ["--p0", "0.5"],
+                                       ["--q0", "3", "--p0", "0.5"]],
+                             ids=["q0", "p0", "both"])
+    def test_printed_start_with_a_given_start_exits_2(self, tmp_path, capsys, start):
+        out = tmp_path / "gen.csv"
+        code, err = _code_and_err(["generate", "--system", "hamiltonian", "--printed-ic",
+                                   "--steps", "5", *start, "--out", out], capsys)
+        assert code == 2
+        assert err == "error: --printed-ic takes no " + ", ".join(start[::2]) + "\n"
+        assert not out.exists()
+        assert main(["generate", "--system", "hamiltonian", "--printed-ic", "--dt", "0.02",
+                     "--steps", "5", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("system", ["hamiltonian", "competition", "linear"])
     def test_steps_past_the_entry_cap_exit_2(self, tmp_path, capsys, system):
         out = tmp_path / "gen.csv"
@@ -311,6 +324,48 @@ class TestTrain:
                   "--p", "2", "--train-count", "31", "--out", str(tmp_path / "m.json")])
         assert info.value.code == 2
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("dropped,message", [
+        ("--train-count", "one of --train-count / --train-fraction is required"),
+        ("--group", "one of --group / --group-file is required"),
+        ("--data", "--data is required"),
+    ])
+    def test_missing_required_option_exits_2(self, comp_csv, tmp_path, capsys, dropped,
+                                             message):
+        out = tmp_path / "m.json"
+        options = {"--data": comp_csv, "--group": "z5", "--L": "1", "--p": "2",
+                   "--train-count": "31", "--out": out}
+        del options[dropped]
+        argv = ["train", *(item for pair in options.items() for item in pair)]
+        assert _code_and_err(argv, capsys) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "3", '"z5"', "null"])
+    def test_config_that_is_not_an_object_exits_2(self, comp_csv, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        out = tmp_path / "m.json"
+        code, err = _code_and_err(["train", "--data", comp_csv, "--group", "z5", "--L", "1",
+                                   "--p", "2", "--train-count", "31", "--config", cfg_path,
+                                   "--out", out], capsys)
+        assert (code, err) == (2, f"error: config {cfg_path} must hold a JSON object\n")
+        assert not out.exists()
+
+    def test_config_lag_auto_matches_the_flag(self, comp_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(comp_csv), "group": "z5", "L": "auto",
+                                        "max_lag": 2, "p": 2, "train_count": 31,
+                                        "out": str(out)}))
+        runs = []
+        for argv in (["--config", str(cfg_path)],
+                     ["--data", str(comp_csv), "--group", "z5", "--L", "auto", "--max-lag", "2",
+                      "--p", "2", "--train-count", "31", "--out", str(out)]):
+            assert main(["train", *argv]) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out))
+            out.unlink()
+        assert runs[0] == runs[1]
+        assert "estimated lag L=" in runs[0][1]
 
     def test_undecodable_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -577,6 +632,30 @@ class TestForecast:
         assert f"--seed-csv and {flag} are mutually exclusive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_csv_shorter_than_the_lag_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "lag2.json"
+        save(manual_model(np.zeros((10, 11)), builtin_rep("z5"), 2, 1), model_path)
+        seed_path = tmp_path / "seed.csv"
+        out = tmp_path / "fc.csv"
+        argv = ["forecast", "--model", model_path, "--seed-csv", seed_path, "--horizon", "5",
+                "--out", out]
+        write_series(seed_path, np.ones((1, 5)))
+        assert _code_and_err(argv, capsys) == (
+            2, "error: seed series has 1 rows, need at least 2\n")
+        assert not out.exists()
+        write_series(seed_path, np.ones((2, 5)))
+        assert _code_and_err(argv, capsys) == (0, "")
+
+    @pytest.mark.parametrize("index", [5, -1])
+    def test_group_element_out_of_range_exits_2(self, comp_csv, z5_model_path, tmp_path,
+                                                capsys, index):
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, "--data", comp_csv,
+                                   "--train-count", "31", "--horizon", "5",
+                                   "--apply-group-element", index, "--out", out], capsys)
+        assert (code, err) == (2, f"error: group element index {index} outside 0..4\n")
+        assert not out.exists()
+
     def test_missing_seed_source_exits_2(self, z5_model_path):
         assert main(["forecast", "--model", str(z5_model_path),
                      "--horizon", "5", "--out", "/tmp/ignored.csv"]) == 2
@@ -754,6 +833,16 @@ class TestRowsRead:
             assert code == 2
             assert f"error: {forecast_error}\n" == capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "nan"])
+    def test_train_fraction_outside_the_unit_interval_exits_2(self, comp_csv, z5_model_path,
+                                                              tmp_path, capsys, fraction):
+        out = tmp_path / "out"
+        message = f"error: train fraction must be in (0, 1], got {float(fraction)}\n"
+        for argv in (_train_argv(comp_csv, out, "--train-fraction", fraction),
+                     _forecast_argv(z5_model_path, comp_csv, out, "--train-fraction", fraction)):
+            assert _code_and_err(argv, capsys) == (2, message)
+            assert not out.exists()
+
     def test_comment_and_blank_lines_do_not_count_as_rows(self, comp_csv, z5_model_path,
                                                           tmp_path, capsys):
         lines = comp_csv.read_text().splitlines(keepends=True)
@@ -826,6 +915,30 @@ class TestVerify:
         err = capsys.readouterr().err
         assert str(bad) in err and "monomial representatives" in err
         assert planned == []
+
+    @pytest.mark.parametrize("tamper,message", [
+        ({"L": 0}, "invalid dimensions L=0, p=2"),
+        ({"p": 0}, "invalid dimensions L=1, p=0"),
+        ({"L": -1, "p": -3}, "invalid dimensions L=-1, p=-3"),
+        ("rep_index", "stored monomial representatives do not match the plan"),
+        ("W", "coupling has 104 entries, expected 105"),
+    ], ids=["L=0", "p=0", "both-negative", "swapped-rep_index", "short-W"])
+    def test_invalid_dimensions_or_tables_exit_3(self, z5_model_path, tmp_path, capsys,
+                                                 tamper, message):
+        payload = json.loads(z5_model_path.read_text())
+        if tamper == "rep_index":
+            reps = payload["rep_index"]
+            reps[1], reps[2] = reps[2], reps[1]
+        elif tamper == "W":
+            del payload["W"][-1]
+        else:
+            payload.update(tamper)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(CorruptModelError, match=re.escape(message)):
+            load(bad)
+        assert _code_and_err(["verify", "--model", bad], capsys) == (
+            3, f"numerical failure: {message}\n")
 
     def test_single_channel_order_past_the_tuple_cap_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "huge-p.json"

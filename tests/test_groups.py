@@ -75,6 +75,17 @@ class TestCloseGroup:
         with pytest.raises(ValidationError):
             close_group([np.array([[1.0, 1.0], [0.0, 1.0]])])
 
+    @pytest.mark.parametrize("generators,error,message", [
+        ([np.ones((2, 3))], ShapeError, r"generator 0 has shape \(2, 3\), expected \(2, 2\)"),
+        ([SWAP, np.eye(3)], ShapeError, r"generator 1 has shape \(3, 3\), expected \(2, 2\)"),
+        ([np.diag([np.nan, 1.0])], ValidationError, "generator 0 contains non-finite entries"),
+        ([SWAP, np.diag([1.0, -np.inf])], ValidationError,
+         "generator 1 contains non-finite entries"),
+    ], ids=["non-square", "unlike-the-first", "nan", "inf"])
+    def test_malformed_generator_rejected(self, generators, error, message):
+        with pytest.raises(error, match=message):
+            close_group(generators)
+
     def test_non_finite_closure_rejected(self, monkeypatch):
         monkeypatch.setattr(groups, "MAX_ORDER", 16)
         with pytest.raises(NonFiniteGroupError, match="MAX_ORDER=16"):

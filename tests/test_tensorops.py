@@ -181,6 +181,13 @@ class TestLstsq:
         r = b - a @ x
         assert np.max(np.abs(kept.T @ r)) <= 1e-9 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("rhs_shape", [(6,), (6, 2)], ids=["vector", "matrix"])
+    def test_all_zero_design_solves_to_zeros_of_rank_0(self, rhs_shape):
+        b = np.arange(float(np.prod(rhs_shape))).reshape(rhs_shape)
+        x, rank = T._truncated_solve(np.zeros((6, 4)), b, 1e-12)
+        assert rank == 0
+        assert x.shape == (4,) + rhs_shape[1:] and not np.any(x)
+
     def test_omp_recovers_sparse_solution(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((30, 10))
