@@ -17,8 +17,7 @@ import numpy as np
 from . import model as model_mod
 from . import solver, systems, tensorops
 from .errors import (CorruptModelError, DivergenceError, EarcError, InsufficientDataError,
-                     NonFiniteGroupError, NumericalError, ShapeError, UnknownNameError,
-                     ValidationError)
+                     NonFiniteGroupError, NumericalError, ShapeError, ValidationError)
 from .embedding import as_series
 from .groups import json_numbers, load_group, parse_json, read_json, window_action
 
@@ -289,7 +288,7 @@ def cmd_generate(args):
     own = {"hamiltonian": {"q0", "p0", "dt", "printed_ic"}, "competition": {"p0_vec", "growth"},
            "linear": {"matrix", "x0"}}
     given = {key for keys in own.values() for key in keys if getattr(args, key) is not None}
-    foreign = sorted(given - own.get(args.system, set()))
+    foreign = sorted(given - own[args.system])
     if foreign:
         raise ValidationError(f"--system {args.system} takes no "
                               + ", ".join("--" + key.replace("_", "-") for key in foreign))
@@ -310,12 +309,10 @@ def cmd_generate(args):
         if args.growth is not None:
             kwargs["r"] = np.full(5, args.growth)
         values = systems.competition_generate(systems.CompetitionConfig(**kwargs))
-    elif args.system == "linear":
+    else:
         a = _parse_array(args.matrix if args.matrix is not None else "I2", 2)
         x0 = _parse_array(args.x0, 1) if args.x0 is not None else np.ones(a.shape[0])
         values = systems.planted_linear(a, x0, args.steps if args.steps is not None else 100)
-    else:
-        raise UnknownNameError(f"unknown system {args.system!r}")
     out = args.out if args.out is not None else f"{args.system}.csv"
     write_series(out, values)
     print(f"wrote {values.shape[0]} samples x {values.shape[1]} channels to {out}")
@@ -444,7 +441,7 @@ def cmd_forecast(args):
             )
         seed = window_action(m.group.elements[j], m.lag) @ seed
     fc = model_mod.rollout(m, seed, args.horizon, mode=args.mode)
-    reference = None
+    err = None
     if args.reference is not None:
         start = offset if offset is not None else 0
         # at least one row, for the channel count of a forecast that diverged at once
@@ -461,13 +458,13 @@ def cmd_forecast(args):
                 f"reference has {ref.shape[0]} rows, fewer than the {fc.steps} "
                 "forecast steps"
             )
-        reference = as_series(ref[:fc.steps]) if fc.steps > 0 else ref[:0]
+        err = fc.values - (as_series(ref[:fc.steps]) if fc.steps > 0 else ref[:0])
     n = m.n
     header = ["t"] + [f"ch{j + 1}" for j in range(n)]
     columns = fc.values
-    if reference is not None:
+    if err is not None:
         header += [f"err{j + 1}" for j in range(n)]
-        columns = np.hstack([fc.values, np.abs(fc.values - reference)])
+        columns = np.hstack([fc.values, np.abs(err)])
     base = offset if offset is not None else 1
     with model_mod.output_file(args.out) as fh:
         fh.write(",".join(header) + "\n")
@@ -475,8 +472,7 @@ def cmd_forecast(args):
         if fc.diverged:
             fh.write(f"# diverged after {fc.steps} of {fc.horizon} steps\n")
     print(f"wrote {fc.steps} forecast rows to {args.out}")
-    if reference is not None and fc.steps > 0:
-        err = fc.values - reference
+    if err is not None and fc.steps > 0:
         rmse = np.sqrt(np.mean(err * err, axis=0))
         for j in range(n):
             print(f"rmse ch{j + 1}: {_fmt(rmse[j])}")

@@ -70,13 +70,12 @@ def close_group(generators):
 def window_action(g, lag):
     """Action of a channel-space element on delay windows: g (x) I_lag, as
     the broadcast products g[i, j] * I_lag[s, t] that ``np.kron`` forms, so
-    a negative entry of g leaves -0.0 off the diagonal of its block.  A stack
-    (E, n, n) of elements gives the (E, n*lag, n*lag) stack of their actions."""
+    a negative entry of g leaves -0.0 off the diagonal of its block; at lag 1
+    the products g[i, j] * 1.0 are g bit for bit.  A stack (E, n, n) of
+    elements gives the (E, n*lag, n*lag) stack of their actions."""
     g = np.asarray(g, dtype=np.float64)
     if g.ndim not in (2, 3) or g.size == 0 or g.shape[-1] != g.shape[-2]:
         raise ShapeError(f"group elements must be square and non-empty, got shape {g.shape}")
-    if lag == 1:
-        return np.array(g)
     m = g.shape[-1] * lag
     tensorops._check_entries(g.size * lag * lag)
     return (g[..., :, None, :, None] * np.eye(lag)[:, None, :]).reshape(*g.shape[:-2], m, m)

@@ -256,7 +256,7 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
         rank *= lag
     else:
         # A (x) I_lag is the whole design in vec(h1) row order
-        coeffs = tensorops._omp(tensorops.kron(a, np.eye(lag)), rhs.ravel(), sparsify,
+        coeffs = tensorops._omp(np.kron(a, np.eye(lag)), rhs.ravel(), sparsify,
                                 tensorops.LSTSQ_RTOL)
         rank = int(np.count_nonzero(coeffs))
     w = _combine(basis, coeffs)

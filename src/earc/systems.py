@@ -62,7 +62,8 @@ class HamiltonianConfig:
 
 @dataclass(frozen=True)
 class CompetitionConfig:
-    """Iteration request for the five-species competition map."""
+    """Iteration request for the competition map: a start ``p0`` in (0, 1)^n,
+    n finite growth rates ``r`` and an n x n ``interactions`` matrix."""
 
     p0: np.ndarray = field(default_factory=lambda: DEFAULT_COMPETITION_START.copy())
     r: np.ndarray = field(default_factory=lambda: np.full(5, GROWTH_RATE))
@@ -70,15 +71,18 @@ class CompetitionConfig:
     steps: int = 425
 
     def __post_init__(self):
-        p0 = np.asarray(self.p0, dtype=np.float64)
+        p0, r, n_matrix = (np.asarray(a, dtype=np.float64)
+                           for a in (self.p0, self.r, self.interactions))
         if not np.all((p0 > 0.0) & (p0 < 1.0)):
             raise ValidationError("all start components must lie in (0, 1)")
-        if not np.all(np.isfinite(self.r)):
+        if not np.all(np.isfinite(r)):
             raise ValidationError("growth rates must be finite")
-        if not np.all((np.asarray(self.interactions) >= 0.0) & np.isfinite(self.interactions)):
+        if not np.all((n_matrix >= 0.0) & np.isfinite(n_matrix)):
             raise ValidationError("interaction entries must be nonnegative and finite")
         if self.steps < 0:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
+        if p0.ndim != 1 or p0.size == 0 or r.shape != p0.shape or n_matrix.shape != p0.shape * 2:
+            raise ShapeError(f"inconsistent dims: p {p0.shape}, r {r.shape}, N {n_matrix.shape}")
 
 
 def _hamiltonian_field(q, p):
@@ -117,24 +121,12 @@ def hamiltonian_generate(cfg):
     return rows
 
 
-def _competition_operands(p, r, interactions):
-    """``p``, ``r`` and ``interactions`` as float arrays of matching dims."""
-    p = tensorops._as_vector(p, "p")
-    r = tensorops._as_vector(r, "r")
-    n_matrix = tensorops._as_matrix(interactions, "interactions")
-    if n_matrix.shape != (p.shape[0], p.shape[0]) or r.shape != p.shape:
-        raise ShapeError(
-            f"inconsistent dims: p {p.shape}, r {r.shape}, N {n_matrix.shape}"
-        )
-    return p, r, n_matrix
-
-
 def competition_generate(cfg):
-    """Iterated competition map p + r * p * (1 - N p), returned as a
-    (steps+1, 5) series.  Each step writes straight into its row; the range is
-    tested once per ``_kernels.BLOCK_STEPS`` steps, and its first failing row
-    (NaN fails too) is reported."""
-    p, r, n_matrix = _competition_operands(cfg.p0, cfg.r, cfg.interactions)
+    """Iterated competition map p + r * p * (1 - N p) of a checked config, as
+    a (steps+1, n) series.  Each step writes straight into its row; the range
+    is tested once per ``_kernels.BLOCK_STEPS`` steps, and its first failing
+    row (NaN fails too) is reported."""
+    p, r, n_matrix = (np.asarray(a, dtype=np.float64) for a in (cfg.p0, cfg.r, cfg.interactions))
     tensorops._check_entries((cfg.steps + 1) * p.shape[0])
     rows = np.empty((cfg.steps + 1, p.shape[0]))
     rows[0] = p

@@ -46,14 +46,6 @@ def _svd(a, full_matrices):
         raise NumericalError(f"SVD did not converge on a {a.shape} matrix") from exc
 
 
-def kron(a, b):
-    """Kronecker product of two matrices, block (i, j) equal to a[i, j] * b."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    _check_entries(a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1])
-    return np.kron(a, b)
-
-
 def _truncated_solve(a, b, rel_tol):
     """Truncated-SVD solution and the number of singular values it kept.
 

@@ -24,7 +24,7 @@ from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, NumericalError, ShapeError, ValidationError
 from earc.groups import action_rows, window_action
 from earc.solver import EquivariantBasis, basis_features, degree_kernel_dims
-from earc.systems import COMPETITION_RANGE, _competition_operands, _hamiltonian_field
+from earc.systems import COMPETITION_RANGE, _hamiltonian_field
 
 
 def hamiltonian_vector_field(state):
@@ -40,7 +40,7 @@ def hamiltonian_energy(q, p):
 
 def competition_step(p, r, interactions):
     """One update of the competition recurrence p + r * p * (1 - N p)."""
-    p, r, n_matrix = _competition_operands(p, r, interactions)
+    p, r, n_matrix = (np.asarray(a, dtype=np.float64) for a in (p, r, interactions))
     return p + r * p * (1.0 - n_matrix @ p)
 
 
@@ -524,7 +524,7 @@ def kron_constraint_matrix(g, lag, plan, features=slice(None)):
     ``reduced_action_by_blocks``: the constraint before it was filled from the
     rows of all generators at once."""
     ghat = reduced_action_by_blocks(g, lag, plan)[features][:, features]
-    return tensorops.kron(np.eye(ghat.shape[0]), g) - tensorops.kron(ghat.T, np.eye(g.shape[0]))
+    return np.kron(np.eye(ghat.shape[0]), g) - np.kron(ghat.T, np.eye(g.shape[0]))
 
 
 def insert_tables_by_passes(plan):
@@ -623,7 +623,7 @@ def lifted_action(g, lag, order):
     blocks = [h]
     cur = h
     for _ in range(order - 1):
-        cur = tensorops.kron(h, cur)
+        cur = np.kron(h, cur)
         blocks.append(cur)
     blocks.append(np.ones((1, 1)))
     return direct_sum(blocks)
@@ -743,7 +743,7 @@ def window_constraint_matrix(g, lag, plan):
     h = window_action(g, lag)
     m = h.shape[0]
     q = plan.reduced_dim
-    return tensorops.kron(np.eye(q), h) - tensorops.kron(ghat.T, np.eye(m))
+    return np.kron(np.eye(q), h) - np.kron(ghat.T, np.eye(m))
 
 
 def window_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
@@ -810,7 +810,7 @@ def unreduced_fit(basis, h0r, h1, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
     if sparsify is None:
         coeffs, rank = tensorops._truncated_solve(a, rhs, rel_tol)
         return coeffs.ravel(), rank * lag
-    coeffs = lstsq(tensorops.kron(a, np.eye(lag)), rhs.ravel(), rel_tol, sparsify)
+    coeffs = lstsq(np.kron(a, np.eye(lag)), rhs.ravel(), rel_tol, sparsify)
     return coeffs, int(np.count_nonzero(coeffs))
 
 

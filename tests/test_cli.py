@@ -188,6 +188,27 @@ class TestGenerate:
         assert main(["generate", "--system", "hamiltonian", "--printed-ic", "--dt", "0.02",
                      "--steps", "5", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--system", "competition", "--steps", "-1"], "steps must be >= 0, got -1"),
+        (["--system", "linear", "--steps", "-1"], "steps must be >= 0, got -1"),
+        (["--system", "competition", "--p0-vec", "[0.5, 0.5]"],
+         "inconsistent dims: p (2,), r (5,), N (5, 5)"),
+        (["--system", "competition", "--p0-vec", "[]"],
+         "inconsistent dims: p (0,), r (5,), N (5, 5)"),
+        (["--system", "competition", "--p0-vec", "[[0.5]]"], "vector spec '[[0.5]]' is not 1-D"),
+        (["--system", "linear", "--matrix", "I3", "--x0", "[1, 2]"],
+         "matrix (3, 3) does not act on start of dim 2"),
+        (["--system", "linear", "--x0", "[]"], "x0 must be 1-D and non-empty, got shape (0,)"),
+        (["--system", "linear", "--matrix", "[[]]"],
+         "a must be 2-D and non-empty, got shape (1, 0)"),
+    ], ids=["competition-steps", "linear-steps", "short-p0", "empty-p0", "2-D-p0",
+            "matrix-against-x0", "empty-x0", "empty-matrix"])
+    def test_invalid_steps_or_start_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "gen.csv"
+        assert _code_and_err(["generate", *flags, "--out", out], capsys) == (
+            2, f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("system", ["hamiltonian", "competition", "linear"])
     def test_steps_past_the_entry_cap_exit_2(self, tmp_path, capsys, system):
         out = tmp_path / "gen.csv"
@@ -336,6 +357,19 @@ class TestTrain:
         options = {"--data": comp_csv, "--group": "z5", "--L": "1", "--p": "2",
                    "--train-count": "31", "--out": out}
         del options[dropped]
+        argv = ["train", *(item for pair in options.items() for item in pair)]
+        assert _code_and_err(argv, capsys) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--sparsify", "0", "sparsify must be >= 1, got 0"),
+        ("--L", "0", "need lag >= 1 and order >= 1, got 0, 2"),
+        ("--p", "0", "need lag >= 1 and order >= 1, got 1, 0"),
+    ], ids=["sparsify", "L", "p"])
+    def test_value_below_one_exits_2(self, comp_csv, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "m.json"
+        options = {"--data": comp_csv, "--group": "z5", "--L": "1", "--p": "2",
+                   "--train-count": "31", "--out": out, flag: value}
         argv = ["train", *(item for pair in options.items() for item in pair)]
         assert _code_and_err(argv, capsys) == (2, f"error: {message}\n")
         assert not out.exists()
@@ -523,6 +557,25 @@ class TestForecast:
         expected = predict_step(m, series[30])
         got = read_series(out)[0]
         assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_exits_2(self, comp_csv, z5_model_path, tmp_path, capsys,
+                                       horizon):
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, "--data", comp_csv,
+                                   "--train-count", "31", "--horizon", horizon,
+                                   "--out", out], capsys)
+        assert (code, err) == (2, f"error: horizon must be >= 1, got {horizon}\n")
+        assert not out.exists()
+
+    def test_seed_of_another_channel_count_exits_2(self, comp_csv, tmp_path, capsys):
+        model_path = tmp_path / "k4.json"
+        save(manual_model(np.zeros((10, 11)), builtin_rep("k4"), 5, 1), model_path)
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", model_path, "--seed-csv", comp_csv,
+                                   "--horizon", "5", "--out", out], capsys)
+        assert (code, err) == (2, "error: seed dim 25 does not match n*lag=10\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("horizon", [10**13, 10**30])
     def test_horizon_past_the_entry_cap_exits_2(self, comp_csv, z5_model_path, tmp_path,
@@ -899,6 +952,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "must be an integer" in err and "PASS" not in err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("W", 3, "W must be a JSON list, got int"),
+        ("rep_index", 2**70, "each entry of rep_index must be a finite int64"),
+    ], ids=["scalar-W", "rep_index-past-int64"])
+    def test_malformed_entry_exits_3(self, z5_model_path, tmp_path, capsys, key, value,
+                                     message):
+        payload = json.loads(z5_model_path.read_text())
+        if key == "rep_index":
+            payload[key][0] = value
+        else:
+            payload[key] = value
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(payload))
+        assert _code_and_err(["verify", "--model", bad], capsys) == (
+            3, f"numerical failure: model file {bad} is malformed: {message}\n")
+
     @pytest.mark.parametrize("changes", [{"p": 50}, {"L": 1000000}, {"L": 200, "p": 3},
                                          {"L": 10**9, "p": 10**9}],
                              ids=["p=50", "L=1e6", "L=200", "both-1e9"])
@@ -1169,6 +1238,12 @@ class TestAcf:
         data = tmp_path / "short.csv"
         write_series(data, np.ones((10, 1)))
         assert main(["acf", "--data", str(data), "--max-lag", "10"]) == 2
+
+    def test_max_lag_below_one_exits_2(self, comp_csv, tmp_path, capsys):
+        out = tmp_path / "acf.csv"
+        assert _code_and_err(["acf", "--data", comp_csv, "--max-lag", "0", "--out", out],
+                             capsys) == (2, "error: max_lag must be >= 1, got 0\n")
+        assert not out.exists()
 
 
 NOT_FINITE_NUMBERS = ('"0.5"', "true", "false", "null", "NaN", "Infinity", "-Infinity",

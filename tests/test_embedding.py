@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,10 @@ class TestEmbedDim:
 
     def test_degenerate_single_channel(self):
         assert embed_dim(1, 4) == 5
+
+    def test_empty_input_refused(self):
+        with pytest.raises(ShapeError, match=re.escape("need n >= 1 and p >= 1, got n=0, p=3")):
+            embed_dim(0, 3)
 
     def test_matches_geometric_sum(self):
         for n in range(2, 6):
@@ -109,6 +114,18 @@ class TestDelayWindows:
         with pytest.raises(InsufficientDataError):
             delay_windows(np.ones((2, 1)), 3)
 
+    def test_lag_below_one(self):
+        with pytest.raises(ShapeError, match="lag must be >= 1, got 0"):
+            delay_windows(np.ones((3, 1)), 0)
+
+    def test_one_dimensional_series_is_one_channel(self):
+        out = as_series([1.0, 2.0, 3.0])
+        assert out.shape == (3, 1) and np.array_equal(out[:, 0], [1.0, 2.0, 3.0])
+
+    def test_three_dimensional_series_rejected(self):
+        with pytest.raises(ShapeError, match=re.escape("series must be (T, n), got shape (2, 2, 2)")):
+            as_series(np.ones((2, 2, 2)))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             as_series(np.array([[1.0], [np.nan]]))
@@ -127,6 +144,10 @@ class TestCompressionPlan:
     @pytest.mark.parametrize("m,p,q", [(5, 2, 21), (10, 3, 286)])
     def test_reduced_dims(self, m, p, q):
         assert compression_plan(m, p).reduced_dim == q
+
+    def test_empty_window_refused(self):
+        with pytest.raises(ShapeError, match="need dim_in >= 1 and order >= 1, got 0, 3"):
+            compression_plan(0, 3)
 
     def test_reduced_dim_formula_sweep(self):
         for m in range(1, 7):
@@ -283,6 +304,10 @@ class TestCompressedFeatures:
         expected = monomial_features_by_column(windows, plan.lead, plan.parent)
         assert np.array_equal(compressed_features(plan, windows), expected)
 
+    def test_windows_of_another_width_rejected(self):
+        with pytest.raises(ShapeError, match=re.escape("windows must be (rows, 6), got (4, 5)")):
+            compressed_features(compression_plan(6, 3), np.ones((4, 5)))
+
 
 class TestBuildDataMatrices:
     def test_affine_features(self):
@@ -313,6 +338,11 @@ class TestBuildDataMatrices:
         plan = compression_plan(2, 1)
         with pytest.raises(InsufficientDataError):
             build_data_matrices(np.ones((2, 1)), 2, 1, plan)
+
+    def test_plan_of_another_order_rejected(self):
+        message = "plan is for dim_in=2, order=1; series needs dim_in=2, order=2"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            build_data_matrices(np.ones((10, 1)), 2, 2, compression_plan(2, 1))
 
 
 class TestEmbeddedEquivariance:

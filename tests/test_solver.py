@@ -491,6 +491,17 @@ class TestFitCoefficients:
         _, _, basis = z5_setup
         with pytest.raises(ShapeError):
             fit_coefficients(basis, np.ones((4, 3)), np.ones((5, 3)))
+        with pytest.raises(ShapeError, match="feature and target column counts differ: 3 vs 4"):
+            fit_coefficients(basis, np.ones((basis.reduced_dim, 3)),
+                             np.ones((basis.state_dim, 4)))
+
+    def test_assemble_checks_the_coefficient_count(self, z5_setup):
+        _, _, basis = z5_setup
+        report = solver.FitReport(coefficients=np.ones(basis.size + 1), train_residual=0.0,
+                                  equivariance_residual=0.0, basis_dim=basis.size, rank=1)
+        with pytest.raises(ShapeError, match=f"{basis.size + 1} coefficients for a basis "
+                                             f"of size {basis.size}"):
+            assemble(basis, report)
 
 
 class TestSlotFactoredFit:

@@ -99,8 +99,30 @@ def test_json_has_one_decoder():
 
 def test_kron_only_in_the_sparse_fit():
     """``src/`` forms a Kronecker product only for the matching-pursuit design
-    A (x) I_lag of ``solver.fit_coefficients``, through ``tensorops.kron``: the
-    basis constraint is filled from the rows of ``groups.action_rows``, with no
-    dense Ghat and no Kronecker product."""
+    A (x) I_lag of ``solver.fit_coefficients``: the basis constraint is filled
+    from the rows of ``groups.action_rows``, with no dense Ghat and no
+    Kronecker product."""
     calls = _calls(lambda func: isinstance(func, ast.Attribute) and func.attr == "kron")
-    assert [c.split(":")[0] for c in calls] == ["solver.py", "tensorops.py"], calls
+    assert [c.split(":")[0] for c in calls] == ["solver.py"], calls
+
+
+def test_every_module_import_is_read():
+    """Each name that a top-level ``import`` or ``from ... import`` binds in a
+    module of ``src/earc`` (``__init__.py`` aside, whose imports are its
+    exports) is read somewhere in that module: code that loses its last use
+    of a name loses the import too."""
+    bound, unread = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    bound.append(f"{path.name}: {name}")
+                    if name not in read:
+                        unread.append(bound[-1])
+    assert "cli.py: ValidationError" in bound  # the guard reads the imports
+    assert unread == []

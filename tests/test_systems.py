@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from earc import _kernels
-from earc.errors import (DimensionOverflowError, DivergenceError, UnknownNameError,
-                         ValidationError)
+from earc.errors import (DimensionOverflowError, DivergenceError, ShapeError,
+                         UnknownNameError, ValidationError)
 from earc.systems import (DEFAULT_COMPETITION_START, GROWTH_RATE, INTERACTION_MATRIX,
                           CompetitionConfig, HamiltonianConfig, builtin_rep,
                           competition_generate, hamiltonian_generate, planted_linear)
@@ -154,6 +155,31 @@ class TestCompetition:
             CompetitionConfig(p0=np.array([0.0, 0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(ValidationError):
             CompetitionConfig(interactions=-INTERACTION_MATRIX)
+
+    @pytest.mark.parametrize("fields,shapes", [
+        ({"p0": np.full((1, 5), 0.5)}, "p (1, 5), r (5,), N (5, 5)"),
+        ({"p0": np.zeros(0)}, "p (0,), r (5,), N (5, 5)"),
+        ({"p0": [0.5, 0.5]}, "p (2,), r (5,), N (5, 5)"),
+        ({"r": np.full(4, GROWTH_RATE)}, "p (5,), r (4,), N (5, 5)"),
+        ({"interactions": INTERACTION_MATRIX[:, :4]}, "p (5,), r (5,), N (5, 4)"),
+        # dims that agree with each other, so only the rank or size test refuses them
+        ({"p0": np.full((1, 1), 0.5), "r": np.ones((1, 1)), "interactions": np.ones((1,) * 4)},
+         "p (1, 1), r (1, 1), N (1, 1, 1, 1)"),
+        ({"p0": [], "r": [], "interactions": np.zeros((0, 0))}, "p (0,), r (0,), N (0, 0)"),
+    ], ids=["2-D-p0", "empty-p0", "short-p0", "short-r", "non-square-N", "all-2-D", "all-empty"])
+    def test_inconsistent_dims_rejected_by_the_config(self, fields, shapes):
+        with pytest.raises(ShapeError, match=re.escape(f"inconsistent dims: {shapes}")):
+            CompetitionConfig(**fields)
+
+    def test_config_operands_of_any_matching_dim_are_iterated(self):
+        # two species, given as lists: the config checks them, generate converts them
+        series = competition_generate(CompetitionConfig(p0=[0.25, 0.5], r=[0.5, 0.5],
+                                                        interactions=[[1.0, 0.0], [0.0, 1.0]],
+                                                        steps=3))
+        expected = [[0.25, 0.5]]
+        for _ in range(3):
+            expected.append(competition_step(expected[-1], [0.5, 0.5], np.eye(2)))
+        assert np.array_equal(series, expected)
 
     @pytest.mark.parametrize("field,value", [
         ("p0", [0.2, math.nan, 0.5, 0.65, 0.8]), ("r", np.full(5, math.nan)),
