@@ -1,16 +1,16 @@
 """Hot numeric kernels: monomial feature evaluation and autoregressive rollout.
 
-Monomial features are evaluated through the (lead, parent) chains of a
-compression plan: feature c equals window[lead[c]] times feature parent[c],
-with the constant feature (last index) pinned to 1.  Every duplicate of a
-monomial therefore shares one canonical product order, which is what makes
-compression round trips bit-exact.
+Monomial features are evaluated one degree at a time from the plan's
+``blocks``: in the block (lo, hi, lead, parent, _) of degree k, feature
+lo + i is window[lead[i]] times feature parent[i], and the constant feature
+(last index) is pinned to 1.  Every duplicate of a monomial therefore shares
+one canonical product order, which is what makes compression round trips
+bit-exact.
 
 The parent of a degree-k monomial has degree k-1, so all features of one
 degree are filled by a single vectorised product once the lower degrees are
-known: p numpy calls per evaluation instead of one per feature, each over one
-entry of the plan's ``blocks``.  The rollout returns the newest predicted
-sample of each channel per step, not whole windows.
+known: p numpy calls per evaluation instead of one per feature.  The rollout
+returns the newest predicted sample of each channel per step, not whole windows.
 """
 
 import math

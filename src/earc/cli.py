@@ -18,7 +18,7 @@ from . import model as model_mod
 from . import solver, systems, tensorops
 from .errors import (CorruptModelError, DivergenceError, EarcError, InsufficientDataError,
                      NonFiniteGroupError, NumericalError, ShapeError, ValidationError)
-from .embedding import as_series
+from .embedding import as_series, delay_windows
 from .groups import json_numbers, load_group, parse_json, read_json, window_action
 
 EXIT_OK = 0
@@ -151,13 +151,20 @@ def _write_rows(fh, index, values):
                                     f"{os.waitstatus_to_exitcode(status)}")
 
 
+def _write_table(path, header, index, values, trailer=""):
+    """CSV file of the ``header`` line of column names, the ``_write_rows``
+    rows of ``index`` and ``values``, then the ``trailer`` text."""
+    with model_mod.output_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        _write_rows(fh, index, values)
+        fh.write(trailer)
+
+
 def write_series(path, values):
     """CSV with header t,ch1..chn and 17-significant-digit floats."""
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[1]
-    with model_mod.output_file(path) as fh:
-        fh.write("t," + ",".join(f"ch{j + 1}" for j in range(n)) + "\n")
-        _write_rows(fh, np.arange(values.shape[0]), values)
+    header = ["t"] + [f"ch{j + 1}" for j in range(values.shape[1])]
+    _write_table(path, header, np.arange(values.shape[0]), values)
 
 
 SCAN_BLOCK_CHARS = 1 << 16
@@ -432,7 +439,7 @@ def _seed_window(args, m):
 def cmd_forecast(args):
     m = model_mod.load(args.model)
     rows, offset = _seed_window(args, m)
-    seed = as_series(rows).T.ravel()
+    seed = delay_windows(rows, m.lag)[-1]
     if args.apply_group_element is not None:
         j = args.apply_group_element
         if not 0 <= j < m.group.order:
@@ -466,11 +473,8 @@ def cmd_forecast(args):
         header += [f"err{j + 1}" for j in range(n)]
         columns = np.hstack([fc.values, np.abs(err)])
     base = offset if offset is not None else 1
-    with model_mod.output_file(args.out) as fh:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, base + np.arange(fc.steps), columns)
-        if fc.diverged:
-            fh.write(f"# diverged after {fc.steps} of {fc.horizon} steps\n")
+    trailer = f"# diverged after {fc.steps} of {fc.horizon} steps\n" if fc.diverged else ""
+    _write_table(args.out, header, base + np.arange(fc.steps), columns, trailer)
     print(f"wrote {fc.steps} forecast rows to {args.out}")
     if err is not None and fc.steps > 0:
         rmse = np.sqrt(np.mean(err * err, axis=0))
@@ -512,10 +516,8 @@ def cmd_acf(args):
     lag = model_mod.estimate_lag(series, args.max_lag)
     table = model_mod.autocorrelation(series, args.max_lag)
     if args.out is not None:
-        n = series.shape[1]
-        with model_mod.output_file(args.out) as fh:
-            fh.write("lag," + ",".join(f"ch{j + 1}" for j in range(n)) + "\n")
-            _write_rows(fh, np.arange(1, args.max_lag + 1), table)
+        header = ["lag"] + [f"ch{j + 1}" for j in range(series.shape[1])]
+        _write_table(args.out, header, np.arange(1, args.max_lag + 1), table)
         print(f"wrote ACF table to {args.out}")
     print(f"recommended lag: {lag}")
     return EXIT_OK

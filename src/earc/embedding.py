@@ -61,23 +61,18 @@ class CompressionPlan:
     rep_index : (reduced_dim,) coordinate of each monomial in the full
         embedding [x; x(x)x; ...; 1]: its degree's offset plus the base-m code
         of its sorted tuple.  Model files store it.
-    lead      : (reduced_dim,) first variable of each monomial, -1 for the
-        constant.
-    parent    : (reduced_dim,) feature of the monomial with the lead variable
-        removed; the constant for degree-1 monomials, -1 for the constant.
-    blocks    : per degree k = 1..p, (lo, hi, lead[lo:hi], parent[lo:hi],
-        insert): the half-open feature range of the degree-k monomials, their
-        lead and parent, and for k >= 2 the (d_{k-1}, dim_in) table whose entry
+    blocks    : per degree k = 1..p, (lo, hi, lead, parent, insert): the
+        half-open feature range of the degree-k monomials; the first variable
+        of each; the feature of each with that variable removed (the constant
+        for k = 1); and for k >= 2 the (d_{k-1}, dim_in) table whose entry
         [r, v] is the within-degree-k index of degree-(k-1) monomial r times
-        variable v (None for k = 1).
+        variable v (None for k = 1).  The constant, last, is in no block.
     """
 
     dim_in: int
     order: int
     reduced_dim: int
     rep_index: np.ndarray
-    lead: np.ndarray
-    parent: np.ndarray
     blocks: tuple
 
 
@@ -90,12 +85,13 @@ def compression_plan(dim_in, order):
     of k * C(m + k - 1, k) (p(p + 1)/2 at m = 1) is added up term by term
     before a table is built.
 
-    Each degree's tables follow from the degree below in a fixed number of
-    numpy calls.  The degree-k monomials with lead a are a times the suffix of
-    degree-(k-1) monomials whose lead is at least a: index s there is index
-    s + shift[a] here.  A monomial's code is lead * m^(k-1) plus its parent's.
-    Monomial r times v is v times r when v <= lead(r), and otherwise lead(r)
-    times the monomial parent(r) times v, found in the previous insert table.
+    Each degree's arrays are built once, from the degree below, in a fixed
+    number of numpy calls.  The degree-k monomials with lead a are a times
+    the suffix of degree-(k-1) monomials whose lead is at least a: index s
+    there is index s + shift[a] here.  A monomial's code is lead * m^(k-1)
+    plus its parent's.  Monomial r times v is v times r when v <= lead(r),
+    and otherwise lead(r) times the monomial parent(r) times v, found in the
+    previous insert table.
     """
     if dim_in < 1 or order < 1:
         raise ShapeError(f"need dim_in >= 1 and order >= 1, got {dim_in}, {order}")
@@ -109,34 +105,29 @@ def compression_plan(dim_in, order):
         if entries > tensorops.ENTRY_CAP:
             raise DimensionOverflowError(f"the order-{order} plan of a {m}-vector would table "
                                          f"more than the cap of {tensorops.ENTRY_CAP} entries")
-    rep_index, lead, parent = (np.full(q, fill, dtype=np.int64) for fill in (const, -1, -1))
     v = np.arange(m)
-    lead[:m] = rep_index[:m] = v  # the code of a degree-1 monomial is its variable
-    parent[:m] = q - 1
-    ranges = [(0, m, None)]
-    # degree 1's lead starts, codes and parents in degree 0, whose insert table is v
-    start, code, rest, insert = v, v, np.zeros_like(v), v[None]
+    blocks = [(0, m, v, np.full(m, q - 1), None)]  # the constant is each variable's parent
+    codes = [v]  # the code of a degree-1 monomial is its variable
+    # degree 1's leads, lead starts, codes and parents in degree 0, whose insert table is v
+    lead, start, code, rest, insert = v, v, v, np.zeros_like(v), v[None]
     prev_lo, off, lo = 0, m, m
     for k in range(2, order + 1):
-        prev_lead = lead[prev_lo:lo]
-        counts = prev_lead.shape[0] - start
+        counts = lead.shape[0] - start
         hi = lo + int(counts.sum())
         shift = np.cumsum(counts) - counts - start
-        lead[lo:hi] = np.repeat(v, counts)
+        prev_lead, lead = lead, np.repeat(v, counts)
         prev_rest, rest = rest, np.arange(hi - lo) - np.repeat(shift, counts)  # within degree k-1
-        parent[lo:hi] = prev_lo + rest
-        code = lead[lo:hi] * m ** (k - 1) + code[rest]
-        rep_index[lo:hi] = off + code
+        code = lead * m ** (k - 1) + code[rest]
+        codes.append(off + code)
         insert = np.where(v <= prev_lead[:, None], np.arange(prev_lead.shape[0])[:, None] + shift,
                           insert[prev_rest] + shift[prev_lead][:, None])
-        ranges.append((lo, hi, insert))
+        blocks.append((lo, hi, lead, prev_lo + rest, insert))
         prev_lo, off, lo, start = lo, off + m ** k, hi, start + shift
-    for arr in (rep_index, lead, parent) + tuple(r[2] for r in ranges[1:]):
+    rep_index = np.concatenate(codes + [np.array([const], dtype=np.int64)])
+    for arr in [rep_index] + [a for block in blocks for a in block[2:] if a is not None]:
         arr.setflags(write=False)
-    # slices of a read-only array are read-only
-    blocks = tuple((lo, hi, lead[lo:hi], parent[lo:hi], insert) for lo, hi, insert in ranges)
     return CompressionPlan(dim_in=m, order=order, reduced_dim=q, rep_index=rep_index,
-                           lead=lead, parent=parent, blocks=blocks)
+                           blocks=tuple(blocks))
 
 
 def compressed_features(plan, windows):

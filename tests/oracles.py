@@ -1,10 +1,10 @@
 """Reference implementations that the library's optimised code replaced,
 and constructions that only tests need: the full embedding and its
 selection and expansion maps, the compression plan built from tables of
-sorted variable tuples, dense group actions, single prediction steps,
-the rollout kernels that tested divergence at every step, the Hamiltonian
-field and energy, one competition step, group files and a series read that
-parses every row from row 0.
+sorted variable tuples, the whole-plan lead/parent chains, dense group
+actions, single prediction steps, the rollout kernels that tested
+divergence at every step, the Hamiltonian field and energy, one competition
+step, group files and a series read that parses every row from row 0.
 
 They are kept only as test oracles: the library must reproduce them bit for
 bit, or, where the arithmetic changed, within the tolerance a test states.
@@ -282,8 +282,17 @@ def competition_generate_by_step(cfg):
     return rows
 
 
-def monomial_features_by_column(windows, lead, parent):
-    """Compressed monomial features of each window row, one column at a time."""
+def plan_chains(plan):
+    """(lead, parent) of every feature of ``plan``: its blocks' per-degree
+    arrays joined, then -1 for the constant, which has neither."""
+    return tuple(np.concatenate([block[i] for block in plan.blocks] + [np.array([-1])])
+                 for i in (2, 3))
+
+
+def monomial_features_by_column(windows, plan):
+    """Compressed monomial features of each window row, one column at a time,
+    along the chains of ``plan_chains``."""
+    lead, parent = plan_chains(plan)
     q = lead.shape[0]
     out = np.empty((windows.shape[0], q))
     out[:, q - 1] = 1.0
@@ -292,8 +301,8 @@ def monomial_features_by_column(windows, lead, parent):
     return out
 
 
-def autoregress_by_step(coupling, lead, parent, seed, horizon, n_channels, lag,
-                        consistent, norm_cap):
+def autoregress_by_step(coupling, plan, seed, horizon, n_channels, lag, consistent,
+                        norm_cap):
     """Column-by-column features and a per-channel window shift at every step.
 
     Returns (values, windows, steps, diverged) with all ``horizon`` rows
@@ -304,7 +313,7 @@ def autoregress_by_step(coupling, lead, parent, seed, horizon, n_channels, lag,
     windows = np.zeros((horizon, m))
     w = seed.copy()
     for k in range(horizon):
-        phi = monomial_features_by_column(w[None, :], lead, parent)
+        phi = monomial_features_by_column(w[None, :], plan)
         y = coupling @ phi[0]
         if not np.all(np.isfinite(y)) or np.sqrt(np.sum(y * y)) > norm_cap:
             return values, windows, k, True
@@ -378,11 +387,12 @@ def read_series_from_row_0(path, max_rows=None, first_row=0):
 
 
 def class_tuple(plan, c):
-    """Sorted variable tuple of class c, decoded from the lead/parent chain."""
+    """Sorted variable tuple of class c, decoded from its ``plan_chains`` chain."""
+    lead, parent = plan_chains(plan)
     out = []
-    while plan.lead[c] >= 0:
-        out.append(int(plan.lead[c]))
-        c = int(plan.parent[c])
+    while lead[c] >= 0:
+        out.append(int(lead[c]))
+        c = int(parent[c])
     return tuple(out)
 
 
@@ -390,6 +400,7 @@ def reduced_action_by_class(g, lag, plan):
     """Reduced action built one monomial class and one distinct variable at a time:
     A_k[:, c] += h[lead rows, v] * A_{k-1}[tail rows, class of c without v]."""
     h = window_action(g, lag)
+    parent = plan_chains(plan)[1]
     q = plan.reduced_dim
     out = np.zeros((q, q))
     out[q - 1, q - 1] = 1.0
@@ -402,7 +413,7 @@ def reduced_action_by_class(g, lag, plan):
         nk = hi - lo
         tuples = [class_tuple(plan, lo + c) for c in range(nk)]
         lead_rows = np.array([t[0] for t in tuples])
-        tail_rows = np.array([plan.parent[lo + c] - prev_lo for c in range(nk)])
+        tail_rows = np.array([parent[lo + c] - prev_lo for c in range(nk)])
         block = np.zeros((nk, nk))
         # class index of a sorted tuple within the previous degree
         prev_pos = {class_tuple(plan, prev_lo + c): c for c in range(prev.shape[0])}

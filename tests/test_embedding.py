@@ -16,7 +16,7 @@ from oracles import (assembled_action, class_of, class_tuple, compress,
                      compression_plan_by_enumeration, compression_plan_by_tuples, embed, expand,
                      expansion_matrix, full_dim,
                      insert_tables_by_passes, kron_power, lifted_action,
-                     monomial_features_by_column, selection_matrix)
+                     monomial_features_by_column, plan_chains, selection_matrix)
 
 
 ENUMERATED_DIM = 2 * 10**5
@@ -33,13 +33,13 @@ DEEP_SIZES = [(1, 1), (1, 250), (2, 20), (3, 12), (6, 6), (20, 4)]
 def assert_same_tables(plan, oracle):
     """Every table of ``plan`` is bitwise ``oracle``'s, of the same dtype."""
     assert plan.reduced_dim == oracle.reduced_dim
-    for name in ("rep_index", "lead", "parent"):
-        got, want = getattr(plan, name), getattr(oracle, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    got, want = plan.rep_index, oracle.rep_index
+    assert got.dtype == want.dtype and np.array_equal(got, want)
     assert len(plan.blocks) == len(oracle.blocks) == plan.order
     for got, want in zip(plan.blocks, oracle.blocks):
         assert got[:2] == want[:2]
-        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        for i in (2, 3):  # lead, parent
+            assert got[i].dtype == want[i].dtype and np.array_equal(got[i], want[i])
         assert (got[4] is None) == (want[4] is None)
         if got[4] is not None:
             assert got[4].dtype == want[4].dtype == np.int64
@@ -163,8 +163,8 @@ class TestCompressionPlan:
         # the rollout keeps its window as the degree-1 block of the features
         plan = compression_plan(m, p)
         assert plan.blocks[0][:2] == (0, m)
-        assert np.array_equal(plan.lead[:m], np.arange(m))
-        assert np.array_equal(plan.parent[:m], np.full(m, plan.reduced_dim - 1))
+        assert np.array_equal(plan.blocks[0][2], np.arange(m))
+        assert np.array_equal(plan.blocks[0][3], np.full(m, plan.reduced_dim - 1))
 
     def test_selection_times_expansion_is_identity(self):
         for m, p in [(2, 2), (3, 3), (5, 2)]:
@@ -181,8 +181,9 @@ class TestCompressionPlan:
             return
         oracle = compression_plan_by_enumeration(m, p)
         assert plan.reduced_dim == oracle.reduced_dim
-        for name in ("rep_index", "lead", "parent"):
-            assert np.array_equal(getattr(plan, name), getattr(oracle, name)), name
+        assert np.array_equal(plan.rep_index, oracle.rep_index)
+        lead, parent = plan_chains(plan)
+        assert np.array_equal(lead, oracle.lead) and np.array_equal(parent, oracle.parent)
         for k in range(1, p + 1):
             lo, hi = plan.blocks[k - 1][:2]
             assert np.array_equal(np.arange(lo, hi), np.flatnonzero(oracle.degree == k))
@@ -212,10 +213,9 @@ class TestCompressionPlan:
         # the plan is shared by every call on one model: none may alter it
         plan = compression_plan(m, p)
         assert len(plan.blocks) == p and plan.blocks[0][4] is None
-        arrays = [plan.rep_index, plan.lead, plan.parent]
+        arrays = [plan.rep_index]
         for k, (lo, hi, lead, parent, insert) in enumerate(plan.blocks, 1):
-            assert np.array_equal(lead, plan.lead[lo:hi])
-            assert np.array_equal(parent, plan.parent[lo:hi])
+            assert lead.shape == parent.shape == (hi - lo,)
             arrays += [lead, parent] + ([insert] if k > 1 else [])
         for arr in arrays:
             assert not arr.flags.writeable
@@ -301,7 +301,7 @@ class TestCompressedFeatures:
         plan = compression_plan(m, p)
         rng = np.random.default_rng(13)
         windows = rng.standard_normal((300, m))  # several row blocks at (10, 3)
-        expected = monomial_features_by_column(windows, plan.lead, plan.parent)
+        expected = monomial_features_by_column(windows, plan)
         assert np.array_equal(compressed_features(plan, windows), expected)
 
     def test_windows_of_another_width_rejected(self):

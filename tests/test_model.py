@@ -157,8 +157,8 @@ def assert_matches_step_loop(model, seed, horizon, mode):
         warnings.simplefilter("error")
         fc = rollout(model, seed, horizon, mode=mode)
     values, _, steps, diverged = autoregress_by_step(
-        model.coupling, model.plan.lead, model.plan.parent, seed, horizon,
-        model.n, model.lag, mode == "consistent", DIVERGENCE_CAP)
+        model.coupling, model.plan, seed, horizon, model.n, model.lag, mode == "consistent",
+        DIVERGENCE_CAP)
     assert (fc.steps, fc.diverged) == (steps, diverged)
     assert np.array_equal(fc.values, values[:steps])
     windows, diverged = autoregress_by_matmul(model.coupling, model.plan, seed, horizon,
@@ -472,10 +472,10 @@ class TestPersistence:
         assert np.array_equal(old.coupling, trained.coupling)
         for a, b in zip(old.group.generators, new.group.generators, strict=True):
             assert np.array_equal(a, b)
-        for key in ("rep_index", "lead", "parent"):
-            assert np.array_equal(getattr(old.plan, key), getattr(new.plan, key))
+        assert np.array_equal(old.plan.rep_index, new.plan.rep_index)
         for a, b in zip(old.plan.blocks, new.plan.blocks, strict=True):
             assert a[:2] == b[:2] and (a[4] is None) == (b[4] is None)
+            assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
             assert a[4] is None or np.array_equal(a[4], b[4])
         assert vars(old.fit) == vars(new.fit)
         save(old, resaved)
