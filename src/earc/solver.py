@@ -15,8 +15,10 @@ call, the sparse rows of Ghat_g; nothing here forms a dense Ghat_g.
 Ghat_g never mixes monomial degrees, so the kernel is a direct sum over degree
 blocks, and the dimension of block k's share is the character count
 (1/|G|) sum_g tr(g) tr(Ghat_g^(k)) (Serre, *Linear Representations of Finite
-Groups*, 1977).  The unknowns of blocks whose count is 0 are left out of the
-one SVD: every even degree of k4, for instance, because -I is in the group.
+Groups*, 1977).  The unknowns of blocks whose count is 0 are left out: every
+even degree of k4, for instance, because -I is in the group.  The rest split
+further, into the connected components of the generators' Ghat pattern, and
+the kernel is found by one stacked SVD per component size, not one SVD.
 """
 
 from dataclasses import dataclass
@@ -34,8 +36,11 @@ the constant stays only for the benchmark's ``normal_eq_margin``."""
 
 KERNEL_RTOL = 1e-10
 """Relative singular-value bound of the basis's count check, not a cutoff that
-selects the kernel.  Measured gap on k4, z5 and C_3 (some conjugated): dropped
-values at most 1.2e-15 of the largest, kept ones at least 0.33 of it."""
+selects the kernel; each component's values are taken relative to that
+component's largest.  Measured gap on k4, z5 and C_3 and their conjugates by
+a random orthogonal matrix, at lags 1-5 and orders 2-4 where the constraint
+has at most 3e7 entries: dropped values at most 1.9e-15, kept ones at least
+0.205 (z5 conjugated, order 4)."""
 
 CHARACTER_TOL = 1e-6
 """Largest distance from an integer that ``degree_kernel_dims`` accepts in a
@@ -156,13 +161,20 @@ def basis_features(dims, plan):
 def equivariant_basis(group, lag, plan):
     """Basis of coupling matrices commuting with every group generator.
 
-    Its size is the sum d of the character counts: the last d right singular
-    vectors of one SVD of the vertically stacked one-slot constraints
-    (stacking avoids squaring the condition number, as sum(K^T K) would).
-    NumericalError is raised unless exactly d singular values are at most
-    KERNEL_RTOL times the largest.  The SVD sees only the unknowns of
-    ``basis_features``, and the rows of Ghat_g are built in one
-    ``constraint_matrix`` call for all generators.  The kernel of
+    Its size is the sum d of the character counts.  The stacked one-slot
+    constraints of all generators are built in one ``constraint_matrix`` call
+    on the unknowns of ``basis_features`` (stacking avoids squaring the
+    condition number, as sum(K^T K) would).  Feature c's unknowns meet feature
+    r's only where some generator has Ghat_g[r, c] != 0, so the constraint is
+    block-diagonal over the connected components of that pattern: monomial
+    orbits for a signed permutation group; for a dense group, at most the
+    monomials of one degree on one multiset of lag slots, which no element
+    mixes.  Each component's kernel is the last right singular vectors of its
+    own block, from one stacked SVD per component size.  NumericalError is raised
+    unless, in every degree block, the components hold exactly the block's
+    character count of singular values at most KERNEL_RTOL times their own
+    largest.  The basis lists the components by their smallest feature, each
+    component's kernel vectors in LAPACK's order.  The kernel of
     K'_g (x) I_lag is the one-slot kernel (x) I_lag, so only the one-slot
     matrices are kept, zero on the left-out features.
     """
@@ -171,21 +183,66 @@ def equivariant_basis(group, lag, plan):
             f"plan dim_in={plan.dim_in} does not match n*lag={group.n * lag}"
         )
     dims = degree_kernel_dims(group, lag, plan.order)
-    size = int(dims.sum())
     features = basis_features(dims, plan)
-    stacked = constraint_matrix(np.array(group.generators), lag, plan, features)
-    # at least as many rows as unknowns, so vt holds every right singular vector
-    _, s, vt = tensorops._svd(stacked, full_matrices=False)
-    found = int(np.count_nonzero(s <= KERNEL_RTOL * s[0]))
-    if found != size:
-        raise NumericalError(f"{found} singular values of the stacked constraint are at most "
-                             f"{KERNEL_RTOL:.0e} of the largest, not the character count {size}")
-    kernel = vt[vt.shape[0] - size:]
-    # unvec of every row, in C order: the fit's summation order depends on it
-    slots = np.zeros((size, group.n, plan.reduced_dim))
-    slots[:, :, features] = kernel.reshape(-1, features.size, group.n).transpose(0, 2, 1)
+    n, u, e = group.n, features.size, len(group.generators)
+    full = constraint_matrix(np.array(group.generators), lag, plan, features)
+    full = full.reshape(e, u, n, u, n)
+    # Ghat_e[r, c] is subtracted at (c, i, r, i) for every channel i, and off
+    # the diagonal blocks from zero, so channel 0 shows the whole pattern
+    component = _components(full[:, :, 0, :, 0].any(axis=0))
+    sizes = np.bincount(component)
+    members = np.argsort(component, kind="stable")  # ascending within each component
+    starts = np.cumsum(sizes) - sizes
+    found = np.zeros(sizes.size, dtype=np.int64)
+    rows, slots = [], []
+    for size in np.unique(sizes):
+        comps = np.flatnonzero(sizes == size)
+        idx = members[starts[comps, None] + np.arange(size)]  # (C, size) features
+        # each component's own (e*n*size, n*size) constraint; as many rows as
+        # unknowns at least, so vt holds every right singular vector
+        stack = full[:, idx[:, :, None], :, idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
+        _, s, vt = tensorops._svd(stack.reshape(comps.size, e * n * size, n * size),
+                                  full_matrices=False)
+        found[comps] = np.count_nonzero(s <= KERNEL_RTOL * s[:, :1], axis=1)
+        kept = np.arange(n * size) >= n * size - found[comps, None]
+        piece = np.zeros((int(found[comps].sum()), n, plan.reduced_dim))
+        on = features[np.repeat(idx, found[comps], axis=0)]
+        piece[np.arange(piece.shape[0])[:, None], :, on] = vt[kept].reshape(-1, size, n)
+        rows.append(np.repeat(comps, found[comps]))
+        slots.append(piece)
+    # the degree of each component's smallest feature; the constant, past the
+    # last block, wraps to 0
+    degree = np.searchsorted([hi for _, hi, *_ in plan.blocks], features[members[starts]],
+                             side="right") + 1
+    kernel = np.bincount(degree % (plan.order + 1), found, minlength=dims.size)
+    wrong = np.flatnonzero(kernel != dims)
+    if wrong.size:
+        k = wrong[0]
+        raise NumericalError(
+            f"{int(kernel[k])} singular values of the degree-{k} block's components are at "
+            f"most {KERNEL_RTOL:.0e} of their component's largest, not the character count "
+            f"{dims[k]}")
+    # unvec of every kernel vector, in component order: the fit's summation
+    # order depends on it
+    order = np.argsort(np.concatenate(rows), kind="stable")
     return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
-                            slot_matrices=slots)
+                            slot_matrices=np.concatenate(slots)[order])
+
+
+def _components(coupled):
+    """Connected component of each feature under the (u, u) pattern ``coupled``
+    and its transpose, numbered by the components' smallest features: label
+    propagation to the smallest feature reachable, with pointer jumping."""
+    a, b = np.nonzero(coupled | coupled.T)
+    label = np.arange(coupled.shape[0])
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, a, label[b])
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    return np.searchsorted(np.flatnonzero(label == np.arange(label.size)), label)
 
 
 def fit_coefficients(basis, h0r, h1, sparsify=None):

@@ -2,9 +2,11 @@
 and constructions that only tests need: the full embedding and its
 selection and expansion maps, the compression plan built from tables of
 sorted variable tuples, the whole-plan lead/parent chains, dense group
-actions, single prediction steps, the rollout kernels that tested
-divergence at every step, the Hamiltonian field and energy, one competition
-step, group files and a series read that parses every row from row 0.
+actions, the equivariant basis from one SVD of the whole constraint and the
+components of the generators' Ghat pattern, single prediction steps, the
+rollout kernels that tested divergence at every step, the Hamiltonian field
+and energy, one competition step, group files and a series read that parses
+every row from row 0.
 
 They are kept only as test oracles: the library must reproduce them bit for
 bit, or, where the arithmetic changed, within the tolerance a test states.
@@ -725,26 +727,68 @@ def cutoff_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
                             slot_matrices=slots)
 
 
+def one_svd_equivariant_basis(group, lag, plan):
+    """``solver.equivariant_basis`` before it split the constraint into the
+    connected components of the generators' Ghat pattern: the last d right
+    singular vectors of one SVD of the whole stacked one-slot constraint on the
+    ``basis_features`` unknowns, d the sum of the character counts, checked
+    against KERNEL_RTOL times the largest singular value.  It calls
+    ``solver.constraint_matrix`` and ``tensorops._svd`` through their modules,
+    so a test can swap either."""
+    dims = degree_kernel_dims(group, lag, plan.order)
+    size = int(dims.sum())
+    features = basis_features(dims, plan)
+    stacked = solver.constraint_matrix(np.array(group.generators), lag, plan, features)
+    # at least as many rows as unknowns, so vt holds every right singular vector
+    _, s, vt = tensorops._svd(stacked, full_matrices=False)
+    found = int(np.count_nonzero(s <= solver.KERNEL_RTOL * s[0]))
+    if found != size:
+        raise NumericalError(f"{found} singular values of the stacked constraint are at most "
+                             f"{solver.KERNEL_RTOL:.0e} of the largest, not the character "
+                             f"count {size}")
+    kernel = vt[vt.shape[0] - size:]
+    slots = np.zeros((size, group.n, plan.reduced_dim))
+    slots[:, :, features] = kernel.reshape(-1, features.size, group.n).transpose(0, 2, 1)
+    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
+                            slot_matrices=slots)
+
+
 def lower_plan_equivariant_basis(group, lag, plan):
-    """``solver.equivariant_basis`` with the rows of Ghat_g built on the plan
+    """``one_svd_equivariant_basis`` with the rows of Ghat_g built on the plan
     that stops at the highest degree whose character count is not 0.  That
     plan's constant sits lower, but is kept only when the group fixes a
     channel vector v, and then every degree holds a kernel vector, so the
     lower plan is ``plan`` itself."""
     dims = degree_kernel_dims(group, lag, plan.order)
-    size = int(dims.sum())
     top = int(np.flatnonzero(dims[1:])[-1]) + 1
-    lower = compression_plan(plan.dim_in, top)
-    features = basis_features(dims, lower)
-    stacked = solver.constraint_matrix(np.array(group.generators), lag, lower, features)
-    _, s, vt = tensorops._svd(stacked, full_matrices=False)
-    if np.count_nonzero(s <= solver.KERNEL_RTOL * s[0]) != size:
-        raise NumericalError("the stacked constraint's kernel is not the character count")
-    slots = np.zeros((size, group.n, plan.reduced_dim))
-    slots[:, :, features] = vt[vt.shape[0] - size:].reshape(
-        -1, features.size, group.n).transpose(0, 2, 1)
+    lower = one_svd_equivariant_basis(group, lag, compression_plan(plan.dim_in, top))
+    slots = np.zeros(lower.slot_matrices.shape[:2] + (plan.reduced_dim,))
+    slots[:, :, :lower.reduced_dim] = lower.slot_matrices
     return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
                             slot_matrices=slots)
+
+
+def feature_components(group, lag, plan, features):
+    """The connected components of the generators' Ghat pattern over
+    ``features``: two features are joined when some generator's dense Ghat
+    has a nonzero entry at either of their (row, column) pairs.  Each
+    component is an ascending array of positions in ``features``, and the
+    list is ordered by their first entries (a breadth-first search)."""
+    pattern = np.any([assembled_action(g, lag, plan) != 0 for g in group.generators], axis=0)
+    joined = (pattern | pattern.T)[np.ix_(features, features)]
+    seen = np.zeros(features.size, dtype=bool)
+    components = []
+    for first in range(features.size):
+        if seen[first]:
+            continue
+        seen[first] = True
+        queue = [first]
+        for a in queue:  # the queue grows while it is read
+            for b in np.flatnonzero(joined[a] & ~seen):
+                seen[b] = True
+                queue.append(int(b))
+        components.append(np.sort(queue))
+    return components
 
 
 def window_constraint_matrix(g, lag, plan):

@@ -18,9 +18,10 @@ from tests.test_groups import named_rep, rotation
 from tests.test_model import manual_model
 
 from oracles import (assembled_action, cutoff_equivariant_basis, degree_kernel_dims_by_lists,
-                     dense_fit, dense_matrices, full_width_qr_fit, kron_constraint_matrix,
-                     lower_plan_equivariant_basis, null_space, svd_rank, unconstrained_fit,
-                     unreduced_fit, whole_equivariant_basis, window_equivariant_basis)
+                     dense_fit, dense_matrices, feature_components, full_width_qr_fit,
+                     kron_constraint_matrix, lower_plan_equivariant_basis, null_space,
+                     one_svd_equivariant_basis, svd_rank, unconstrained_fit, unreduced_fit,
+                     whole_equivariant_basis, window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -171,6 +172,13 @@ def _projector(basis):
     return flat.T @ flat
 
 
+def _assert_agrees(basis, oracle):
+    """The library's basis spans the oracle's: equal sizes, projectors within
+    1e-13."""
+    assert basis.size == oracle.size
+    assert np.max(np.abs(_projector(basis) - _projector(oracle))) <= 1e-13
+
+
 COUNT_CASES = ([("k4", lag, order) for lag in (2, 3, 4, 5) for order in (3, 4)]
                + [("z5", lag, order) for lag in (1, 2) for order in (2, 3)]
                + [("c3", 1, 3), ("c3", 2, 2), ("k4Q", 2, 3), ("k4Q", 3, 4), ("z5Q", 1, 3),
@@ -188,8 +196,10 @@ def _rep(name):
 
 
 class TestDegreeBlocks:
-    """The basis SVD runs on the degree blocks whose character count is not 0;
-    the one SVD of the whole one-slot constraint is the oracle."""
+    """The basis SVDs run on the degree blocks whose character count is not 0;
+    the one SVD of the whole one-slot constraint is the oracle, and the
+    one-SVD oracle on those blocks (``one_svd_equivariant_basis``) is what the
+    library's per-component basis is held to by projector."""
 
     @pytest.mark.parametrize("rep,lag", [(builtin_rep("z5"), 1), (builtin_rep("z5"), 2),
                                          (C3_CYCLE, 1), (C3_CYCLE, 2)],
@@ -198,10 +208,12 @@ class TestDegreeBlocks:
         plan = compression_plan(rep.n * lag, 2)
         assert np.array_equal(basis_features(degree_kernel_dims(rep, lag, 2), plan),
                               np.arange(plan.reduced_dim))
+        oracle = one_svd_equivariant_basis(rep, lag, plan)
+        assert np.array_equal(oracle.slot_matrices,
+                              whole_equivariant_basis(rep, lag, plan).slot_matrices)
         basis = equivariant_basis(rep, lag, plan)
-        oracle = whole_equivariant_basis(rep, lag, plan)
         assert basis.slot_matrices.flags.c_contiguous
-        assert np.array_equal(basis.slot_matrices, oracle.slot_matrices)
+        _assert_agrees(basis, oracle)
 
     @pytest.mark.parametrize("name,lag,order", [("k4", lag, 3) for lag in (2, 3, 4, 5)]
                              + [("c3", 2, 2), ("c3", 1, 3)])
@@ -292,10 +304,12 @@ class TestDegreeBlocks:
     def test_count_selects_the_cutoff_oracles_basis(self, name, lag, order):
         rep = _rep(name)
         plan = compression_plan(rep.n * lag, order)
+        oracle = one_svd_equivariant_basis(rep, lag, plan)
+        assert np.array_equal(oracle.slot_matrices,
+                              cutoff_equivariant_basis(rep, lag, plan).slot_matrices)
         basis = equivariant_basis(rep, lag, plan)
-        oracle = cutoff_equivariant_basis(rep, lag, plan)
         assert basis.slot_matrices.flags.c_contiguous
-        assert np.array_equal(basis.slot_matrices, oracle.slot_matrices)
+        _assert_agrees(basis, oracle)
 
     @pytest.mark.parametrize("name,block", [("z5", 1), ("z5", 2), ("k4", 1), ("k4", 0),
                                             ("k4", 2)])
@@ -327,23 +341,94 @@ class TestDegreeBlocks:
             equivariant_basis(rep, 5, plan)
 
 
+def _components(rep, lag, plan):
+    """The basis features and their components, by ``feature_components``."""
+    features = basis_features(degree_kernel_dims(rep, lag, plan.order), plan)
+    return features, feature_components(rep, lag, plan, features)
+
+
+class TestComponents:
+    """The basis is solved per connected component of the generators' Ghat
+    pattern, one stacked SVD per component size; the components come from a
+    breadth-first search over the dense actions (``feature_components``)."""
+
+    @pytest.mark.parametrize("name,lag,order", COUNT_CASES)
+    def test_each_element_lies_on_one_component(self, name, lag, order):
+        rep = _rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        features, components = _components(rep, lag, plan)
+        owner = np.full(plan.reduced_dim, -1)
+        for k, c in enumerate(components):
+            owner[features[c]] = k
+        basis = equivariant_basis(rep, lag, plan)
+        on = [np.unique(owner[np.flatnonzero(m.any(axis=0))]) for m in basis.slot_matrices]
+        assert all(o.size == 1 and o[0] >= 0 for o in on)
+        # the elements are listed by component, components by smallest feature
+        assert np.all(np.diff([o[0] for o in on]) >= 0)
+
+    @pytest.mark.parametrize("name,lag,order", [("k4", 5, 3), ("k4", 3, 4), ("z5", 2, 3),
+                                                ("c3", 2, 2), ("k4Q", 2, 3), ("z5Q", 1, 3),
+                                                ("c3Q", 2, 3)])
+    def test_stacked_svd_is_each_components_own(self, name, lag, order, monkeypatch):
+        rep = _rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        features, components = _components(rep, lag, plan)
+        calls = []
+        svd = tensorops._svd
+
+        def recorded(a, full_matrices):
+            calls.append((a, svd(a, full_matrices)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(tensorops, "_svd", recorded)
+        equivariant_basis(rep, lag, plan)
+        sizes = sorted({c.size for c in components})
+        assert [a.shape[0] for a, _ in calls] == [sum(c.size == s for c in components)
+                                                  for s in sizes]
+        for (stack, factors), size in zip(calls, sizes):
+            for k, c in enumerate([c for c in components if c.size == size]):
+                own = _stacked(rep, lag, plan, features[c])
+                assert stack[k].tobytes() == own.tobytes()
+                for got, alone in zip(factors, np.linalg.svd(own, full_matrices=False)):
+                    assert got[k].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("name,lag,order", MARGIN_CASES)
+    def test_null_space_cutoff_has_margin(self, name, lag, order):
+        # every singular value of each component's stack sits far from the
+        # KERNEL_RTOL bound of the count check; measured: dropped <= 2.1e-16,
+        # kept >= 0.618 of the component's largest
+        rep = _rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        features, components = _components(rep, lag, plan)
+        found = 0
+        for c in components:
+            own = _stacked(rep, lag, plan, features[c])
+            ratio = np.linalg.svd(own, compute_uv=False)
+            ratio /= ratio[0]
+            assert np.all((ratio <= 1e-14) | (ratio >= 0.5))
+            found += _kernel_dim(own)
+        assert found == sum(degree_kernel_dims(rep, lag, order))
+
+
 def _kron_stack(elements, lag, plan, features):
     """The stacked one-slot constraint as one Kronecker form per element."""
     return np.vstack([kron_constraint_matrix(g, lag, plan, features) for g in elements])
 
 
 class TestConstraintFromRows:
-    """The stacked constraint that ``equivariant_basis`` fills from one
+    """The stacked constraint that ``constraint_matrix`` fills from one
     ``action_rows`` call against the per-generator Kronecker products it
-    replaced: equal values (the signs of zeros differ), SVD factors and a
-    basis bitwise equal; and the basis against the one built on the plan
-    that stops at the highest kept degree.  CI also runs this class at one
-    BLAS thread."""
+    replaced: equal values (the signs of zeros differ), and the one-SVD
+    oracle's SVD factors and basis bitwise equal on either; and that basis
+    against the one built on the plan that stops at the highest kept degree.
+    The library's per-component basis agrees with the oracle's by projector.
+    CI also runs this class at one BLAS thread."""
 
     @staticmethod
     def build(rep, lag, order, monkeypatch):
-        """The stacked constraint, its SVD factors and the basis, once from the
-        rows and once from the Kronecker oracle."""
+        """The stacked constraint, its SVD factors and the one-SVD oracle's
+        basis, once from the rows and once from the Kronecker oracle; the
+        library's basis is checked against that basis."""
         plan = compression_plan(rep.n * lag, order)
         svd = tensorops._svd
         out = []
@@ -361,11 +446,12 @@ class TestConstraintFromRows:
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "constraint_matrix", stacked)
                 patch.setattr(tensorops, "_svd", factors)
-                run["basis"] = equivariant_basis(rep, lag, plan).slot_matrices
+                run["basis"] = one_svd_equivariant_basis(rep, lag, plan)
             out.append(run)
         got, oracle = out
         assert np.array_equal(got["stack"], oracle["stack"])
-        assert got["basis"].tobytes() == oracle["basis"].tobytes()
+        assert got["basis"].slot_matrices.tobytes() == oracle["basis"].slot_matrices.tobytes()
+        _assert_agrees(equivariant_basis(rep, lag, plan), got["basis"])
         return got["factors"], oracle["factors"]
 
     @pytest.mark.parametrize("name,lag,order", [("k4", 5, 3), ("z5", 1, 2), ("k4", 3, 3),
@@ -392,16 +478,28 @@ class TestConstraintFromRows:
 
     def test_one_action_rows_call_on_the_models_plan(self, monkeypatch):
         # k4 at p=4 keeps degrees 1 and 3: one action_rows call builds the
-        # rows of both generators, on the order-4 plan the basis is for
-        built = []
+        # rows of both generators, on the order-4 plan the basis is for, and
+        # one SVD factorises every component, all of two features
+        rep, plan = builtin_rep("k4"), compression_plan(10, 4)
+        features = basis_features(degree_kernel_dims(rep, 5, 4), plan)
+        sizes = {c.size for c in feature_components(rep, 5, plan, features)}
+        assert sizes == {2}
+        built, factored = [], []
+        svd = tensorops._svd
 
         def recorded(elements, lag, plan):
             built.append((len(elements), plan.order))
             return action_rows(elements, lag, plan)
 
+        def counted(a, full_matrices):
+            factored.append(a.shape)
+            return svd(a, full_matrices)
+
         monkeypatch.setattr(solver, "action_rows", recorded)
-        basis = equivariant_basis(builtin_rep("k4"), 5, compression_plan(10, 4))
+        monkeypatch.setattr(tensorops, "_svd", counted)
+        basis = equivariant_basis(rep, 5, plan)
         assert built == [(2, 4)]
+        assert factored == [(115, 2 * 2 * 2, 2 * 2)]  # 115 components, 2 generators
         assert basis.size == 230 * 5
 
     @pytest.mark.parametrize("name", ["k4", "k4'"])
@@ -414,9 +512,10 @@ class TestConstraintFromRows:
         if name == "k4'":
             rep = test_groups.TestRandomFiniteGroups.conjugated("k4", 64)
         plan = compression_plan(rep.n * lag, order)
-        got = equivariant_basis(rep, lag, plan).slot_matrices
-        oracle = lower_plan_equivariant_basis(rep, lag, plan).slot_matrices
-        assert got.tobytes() == oracle.tobytes()
+        got = one_svd_equivariant_basis(rep, lag, plan)
+        oracle = lower_plan_equivariant_basis(rep, lag, plan)
+        assert got.slot_matrices.tobytes() == oracle.slot_matrices.tobytes()
+        _assert_agrees(equivariant_basis(rep, lag, plan), got)
 
 
 class TestFitCoefficients:
