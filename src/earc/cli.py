@@ -4,13 +4,17 @@ Exit codes: 0 success, 1 failed verification, 2 validation, input or I/O error,
 3 numerical failure or corrupt model, 4 forecast divergence.  All commands are
 deterministic; repeated runs on identical inputs produce byte-identical
 outputs, whatever the number of usable cores: a large CSV table is formatted
-by forked processes, one row slice each, into the same bytes.
+by forked processes, one row slice each, into the same bytes, and a forecast
+whose table is that large parses its reference in a forked process while the
+rollout runs, into the same rows.
 """
 
 import argparse
 import os
+import signal
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -42,8 +46,10 @@ benchmark runs peaked 19 MB (15%) higher; with 64 rows none of 8 did, as with
 ``np.savetxt``."""
 
 PARALLEL_ENTRIES = 1 << 14
-"""Table entries per process from which :func:`_write_rows` forks: a table of
-e entries is formatted by min(usable cores, e // PARALLEL_ENTRIES) processes.
+"""Table entries per process from which work is shared with forked processes
+(:func:`_processes`): a table of e entries is formatted by min(usable cores,
+e // PARALLEL_ENTRIES) processes, and a forecast whose table will hold e
+entries reads its reference in a second process when that count is above one.
 On a 2-core host at a process size of 90 MB (medians of 31 interleaved calls
 on random doubles), two processes lost below about 16,000 entries (11,000:
 6.4 vs 9.0-9.5 ms) and won from there on, by 1-20% at 33,000 entries and 35%
@@ -61,6 +67,14 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
+def _processes(entries):
+    """Processes that share a task of ``entries`` table entries: one per usable
+    core and per ``PARALLEL_ENTRIES`` entries, and one without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cores(), entries // PARALLEL_ENTRIES))
+
+
 def _format_rows(write, table, row):
     """``write`` the text of ``table`` in blocks of ``CSV_BLOCK_ROWS`` rows."""
     for r in range(0, table.shape[0], CSV_BLOCK_ROWS):
@@ -68,15 +82,23 @@ def _format_rows(write, table, row):
         write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def _start_worker(part, row, readers):
-    """Fork a process that writes the text of ``part`` into a new pipe and
-    exits.  Returns the pipe's read end and the pid, or None when no process
-    can be started; ``readers`` are the read ends of the earlier workers."""
+def _rows_bytes(table, row):
+    """The text of ``table`` that :func:`_format_rows` writes, as ASCII bytes."""
+    text = []
+    _format_rows(text.append, table, row)
+    return "".join(text).encode("ascii")
+
+
+def _start_worker(produce, readers):
+    """Fork a process that writes the bytes ``produce()`` returns into a new
+    pipe and exits, with code 1 when anything raises.  Returns the pipe's read
+    end and the pid, or None when no process can be started; ``readers`` are
+    the read ends of the earlier workers."""
     rfd, wfd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on fork when other threads exist, which
-            # OpenBLAS's pool is.  The child only formats, writes and leaves
+            # OpenBLAS's pool is.  The child only produces, writes and leaves
             # through os._exit, and OpenBLAS stops its pool at fork.
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork",
                                     DeprecationWarning)
@@ -90,11 +112,9 @@ def _start_worker(part, row, readers):
         try:
             for fd in readers + [rfd]:  # the parent's EOF and EPIPE need them closed
                 os.close(fd)
-            # all text before the first write: a worker that wrote as it went
+            # all bytes before the first write: a worker that wrote as it went
             # would block on the pipe until the parent reads it, and run serially
-            text = []
-            _format_rows(text.append, part, row)
-            data = memoryview("".join(text).encode("ascii"))
+            data = memoryview(produce())
             while data:
                 data = data[os.write(wfd, data):]
             code = 0
@@ -104,6 +124,14 @@ def _start_worker(part, row, readers):
             os._exit(code)
     os.close(wfd)
     return rfd, pid
+
+
+def _reap(worker):
+    """Close a worker's read end, so that a worker blocked on its pipe stops,
+    wait for it and return its exit code."""
+    fd, pid = worker
+    os.close(fd)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _write_rows(fh, index, values):
@@ -119,14 +147,13 @@ def _write_rows(fh, index, values):
     """
     table = np.column_stack([index, values])
     row = ",".join(["%d"] + ["%.17g"] * values.shape[1]) + "\n"
-    procs = (max(1, min(_usable_cores(), table.size // PARALLEL_ENTRIES))
-             if hasattr(os, "fork") else 1)
+    procs = _processes(table.size)
     bounds = [table.shape[0] * i // procs for i in range(procs + 1)]
     parts = [table[a:b] for a, b in zip(bounds, bounds[1:])]
     workers = []  # (read end, pid) for parts[1:], fewer when a fork failed
     try:
         for part in parts[1:]:
-            worker = _start_worker(part, row, [fd for fd, _ in workers])
+            worker = _start_worker(partial(_rows_bytes, part, row), [fd for fd, _ in workers])
             if worker is None:
                 break
             workers.append(worker)
@@ -142,13 +169,10 @@ def _write_rows(fh, index, values):
         for part in parts[1 + len(workers):]:
             _format_rows(fh.write, part, row)
     finally:
-        for fd, _ in workers:  # first, so that a worker blocked on its pipe stops
-            os.close(fd)
-        statuses = [(pid, os.waitpid(pid, 0)[1]) for _, pid in workers]
-    for pid, status in statuses:
-        if status != 0:
-            raise ChildProcessError(f"CSV worker {pid} exited with code "
-                                    f"{os.waitstatus_to_exitcode(status)}")
+        codes = [(worker[1], _reap(worker)) for worker in workers]
+    for pid, code in codes:
+        if code != 0:
+            raise ChildProcessError(f"CSV worker {pid} exited with code {code}")
 
 
 def _write_table(path, header, index, values, trailer=""):
@@ -246,6 +270,37 @@ def read_series(path, max_rows=None, first_row=0):
             pass  # the read from row 0 reports it
     stop = None if max_rows is None else first_row + max_rows
     return _parse_series(path, path, 1, stop)[first_row:]
+
+
+def _series_bytes(path, max_rows, first_row):
+    """The :func:`read_series` rows as :func:`_receive_rows` reads them: their
+    (rows, columns) shape as int64, then their float64 bytes.  A warning
+    fails the read, so that a read that warns is made again, and warns, in
+    the process that reads these bytes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = read_series(path, max_rows, first_row)
+    return np.array(rows.shape, dtype=np.int64).tobytes() + rows.tobytes()
+
+
+def _receive_rows(fd):
+    """The rows that :func:`_series_bytes` made, read from ``fd`` straight
+    into the result; None when the pipe ends early."""
+    shape = np.empty(2, dtype=np.int64)
+    if not _read_into(fd, shape):
+        return None
+    rows = np.empty(tuple(shape.tolist()))
+    return rows if _read_into(fd, rows) else None
+
+
+def _read_into(fd, array):
+    """Fill ``array`` from ``fd``; False when the pipe ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        if not (got := os.readv(fd, [view])):
+            return False
+        view = view[got:]
+    return True
 
 
 def read_prefix(path, count=None, fraction=None):
@@ -447,12 +502,32 @@ def cmd_forecast(args):
                 f"group element index {j} outside 0..{m.group.order - 1}"
             )
         seed = window_action(m.group.elements[j], m.lag) @ seed
-    fc = model_mod.rollout(m, seed, args.horizon, mode=args.mode)
+    start = offset if offset is not None else 0
+    reader = None
+    if args.reference is not None and _processes(args.horizon * (m.n + 1)) > 1:
+        # A reference as large as a table that forks is parsed by a worker
+        # while the rollout runs, once the rollout has passed its checks.  The
+        # worker parses the rows of every step, so also rows past the last
+        # step of a forecast that diverges, whose rows are then read here;
+        # they are read here as before too when the worker fails in any way.
+        model_mod.check_rollout(m, seed, args.horizon, args.mode)
+        reader = _start_worker(partial(_series_bytes, args.reference, args.horizon, start), [])
+    sent = None
+    try:
+        fc = model_mod.rollout(m, seed, args.horizon, mode=args.mode)
+        if reader is not None and not fc.diverged:
+            sent = _receive_rows(reader[0])
+    finally:
+        if reader is not None:
+            if sent is None:  # no wait for a parse whose rows are not read
+                os.kill(reader[1], signal.SIGKILL)
+            if _reap(reader) != 0:
+                sent = None
     err = None
     if args.reference is not None:
-        start = offset if offset is not None else 0
         # at least one row, for the channel count of a forecast that diverged at once
-        ref = read_series(args.reference, max(fc.steps, 1), first_row=start)
+        ref = (sent if sent is not None
+               else read_series(args.reference, max(fc.steps, 1), first_row=start))
         if ref.shape[0] < fc.steps:
             # too short for rows start onward: compared from its first rows
             ref = read_series(args.reference, start + fc.steps)

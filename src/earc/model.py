@@ -106,6 +106,17 @@ def rollout(model, seed, horizon, mode="consistent"):
     mode="free" feeds the whole predicted dilated state back, which is the
     literal iteration of the identified difference equation.
     """
+    seed = check_rollout(model, seed, horizon, mode)
+    values, diverged = _kernels.autoregress(
+        model.coupling, model.plan, seed, horizon, model.lag,
+        mode == "consistent", DIVERGENCE_CAP,
+    )
+    return Forecast(horizon=horizon, values=values, diverged=diverged)
+
+
+def check_rollout(model, seed, horizon, mode):
+    """The seed window as the vector that :func:`rollout` iterates, after every
+    check it makes, so that a caller can refuse a rollout before other work."""
     seed = tensorops._as_vector(seed, "seed")
     if seed.shape[0] != model.n * model.lag:
         raise ShapeError(
@@ -116,11 +127,7 @@ def rollout(model, seed, horizon, mode="consistent"):
     tensorops._check_entries(horizon * seed.shape[0])
     if mode not in ("consistent", "free"):
         raise ValidationError(f"unknown rollout mode {mode!r}")
-    values, diverged = _kernels.autoregress(
-        model.coupling, model.plan, seed, horizon, model.lag,
-        mode == "consistent", DIVERGENCE_CAP,
-    )
-    return Forecast(horizon=horizon, values=values, diverged=diverged)
+    return seed
 
 
 def estimate_lag(values, max_lag):

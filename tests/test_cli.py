@@ -5,10 +5,13 @@ import os
 import re
 import signal
 import stat
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1591,7 +1594,8 @@ class TestCsvRows:
 
     def test_commands_forked(self, special_csv, z5_model_path, tmp_path, monkeypatch, forks):
         """generate, forecast and acf write the bytes of the one-process writer,
-        including the header buffered in the file before the workers start."""
+        including the header buffered in the file before the workers start.
+        The forecast forks twice: once to read its reference, once to write."""
         runs = [["generate", "--system", "competition", "--steps", "300"],
                 ["forecast", "--model", z5_model_path, "--data", special_csv,
                  "--train-count", "31", "--horizon", "300", "--reference", special_csv],
@@ -1605,7 +1609,7 @@ class TestCsvRows:
         for i in range(len(runs)):
             assert (tmp_path / f"{i}-True.csv").read_bytes() == \
                 (tmp_path / f"{i}-False.csv").read_bytes()
-        assert len(forks) == len(runs)
+        assert len(forks) == len(runs) + 1
         _assert_no_child()
 
 
@@ -1760,6 +1764,232 @@ class TestCsvWorkers:
         _assert_no_child()
 
 
+def _reference_worker_raises(path, max_rows, first_row):
+    raise RuntimeError("worker failure")
+
+
+def _reference_worker_exits_1(monkeypatch):
+    """Make the reference worker exit 1 after it has sent every byte."""
+    produce, leave, state = cli._series_bytes, os._exit, {}
+
+    def marked(*args):
+        state["reader"] = True  # set in the worker's memory only
+        return produce(*args)
+
+    monkeypatch.setattr(cli, "_series_bytes", marked)
+    monkeypatch.setattr(os, "_exit", lambda code: leave(1 if state else code))
+
+
+def _refuse_fork():
+    raise BlockingIOError("fork: resource temporarily unavailable")
+
+
+def _reference_case(name, comp_csv, z5_model_path, tmp_path):
+    """The argv, without --out, of a forecast with a reference named by a key
+    of ``TestReferenceWorker.CASES``: the reference cases of the classes above,
+    and a forecast that diverges partway, whose reference turns malformed
+    after its last step."""
+    series = read_series(comp_csv)
+    reference = tmp_path / "ref.csv"
+    argv = ["forecast", "--model", z5_model_path, "--data", comp_csv, "--train-count", 31,
+            "--horizon", 50, "--reference", reference]
+    if name.startswith("channels-"):
+        write_series(reference, series[:, :int(name[-1])])
+    elif name.startswith("short-"):  # fewer than the 31 + 50 rows of the window
+        write_series(reference, series[:int(name[-2:])])
+    elif name == "non-finite":
+        series[33, 0] = np.nan
+        write_series(reference, series)
+    elif name == "malformed":
+        lines = comp_csv.read_text().splitlines(keepends=True)
+        reference.write_text("".join(lines[:46] + ["x,y\n"] + lines[47:]))
+    else:  # the exploding model from a seed file, compared from row 0
+        model = TestForecast._exploding_model(tmp_path)
+        start = np.full((1, 5), 0.9 * DIVERGENCE_CAP if name == "diverged-at-once" else 0.9)
+        seed = tmp_path / "seed.csv"
+        write_series(seed, start)
+        steps = rollout(load(model), start[0], 50).steps
+        assert (steps == 0) == (name == "diverged-at-once") and steps < 50
+        reference = _series_copies(comp_csv, steps, tmp_path)[2] if steps else comp_csv
+        argv = ["forecast", "--model", model, "--seed-csv", seed, "--horizon", 50,
+                "--reference", reference]
+    return argv, reference
+
+
+class TestReferenceWorker:
+    """A forecast whose table reaches twice ``PARALLEL_ENTRIES`` entries on
+    more than one usable core parses its reference in a forked worker while
+    the rollout runs.  Its exit code, output and messages are those of the
+    read in this process, which is made instead whenever the worker fails."""
+
+    CASES = {"channels-1": 2, "channels-2": 2, "short-60": 0, "short-40": 2, "non-finite": 2,
+             "malformed": 2, "diverged-at-once": 4, "diverged-partway": 4}
+    """Each case of ``_reference_case`` and its exit code."""
+
+    FALLBACK = {"malformed", "diverged-at-once", "diverged-partway"}
+    """The cases whose rows are read here: the worker of the first fails on a
+    malformed row, and a forecast that diverges compares fewer rows than the
+    worker parses (in the last, up to a malformed row past those compared)."""
+
+    @staticmethod
+    def _run(argv, out, capfd):
+        """(exit code, stdout, stderr, output bytes or None) of one command;
+        the streams are read at the descriptors, so a worker's output shows."""
+        code = main([str(a) for a in argv] + ["--out", str(out)])
+        captured = capfd.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        if written is not None:
+            out.unlink()
+        return code, captured.out, captured.err, written
+
+    @staticmethod
+    def _reads_here(monkeypatch, path):
+        """The (max_rows, first_row) of every ``read_series`` of ``path`` that
+        this process makes; a worker's reads are not recorded."""
+        reads, parent, read = [], os.getpid(), cli.read_series
+
+        def recorded(source, max_rows=None, first_row=0):
+            if os.getpid() == parent and os.fspath(source) == os.fspath(path):
+                reads.append((max_rows, first_row))
+            return read(source, max_rows, first_row)
+
+        monkeypatch.setattr(cli, "read_series", recorded)
+        return reads
+
+    def _serial(self, argv, reference, out, monkeypatch, capfd):
+        """The outcome and this process's reference reads on one usable core."""
+        _fork_from(monkeypatch, 1, 1)
+        reads = self._reads_here(monkeypatch, reference)
+        return self._run(argv, out, capfd), list(reads)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_worker_gives_the_serial_outcome(self, case, comp_csv, z5_model_path, tmp_path,
+                                             monkeypatch, forks, deadline, capfd):
+        argv, reference = _reference_case(case, comp_csv, z5_model_path, tmp_path)
+        out = tmp_path / "fc.csv"
+        serial, serial_reads = self._serial(argv, reference, out, monkeypatch, capfd)
+        assert serial[0] == self.CASES[case] and forks == []
+        _fork_from(monkeypatch, 2, 1)
+        reads = self._reads_here(monkeypatch, reference)
+        assert self._run(argv, out, capfd) == serial
+        # the worker's rows replace the first read here, unless the worker failed
+        assert reads == (serial_reads if case in self.FALLBACK else serial_reads[1:])
+        assert forks  # the reader, and the CSV worker of an output
+        _assert_no_child()
+
+    FAILURES = {
+        "raises": lambda mp: mp.setattr(cli, "_series_bytes", _reference_worker_raises),
+        "short-payload": lambda mp: mp.setattr(
+            cli, "_series_bytes", lambda *args, produce=cli._series_bytes: produce(*args)[:-8]),
+        "exits-1-after-sending": _reference_worker_exits_1,
+        "no-fork": lambda mp: mp.setattr(os, "fork", _refuse_fork),
+    }
+    """Ways the reference worker fails, each set up by monkeypatching."""
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_failed_worker_reads_here(self, failure, comp_csv, z5_model_path, tmp_path,
+                                      monkeypatch, forks, deadline, capfd):
+        reference = tmp_path / "ref.csv"
+        reference.write_bytes(comp_csv.read_bytes())
+        argv = ["forecast", "--model", z5_model_path, "--data", comp_csv, "--train-count", 31,
+                "--horizon", 300, "--reference", reference]
+        out = tmp_path / "fc.csv"
+        serial, serial_reads = self._serial(argv, reference, out, monkeypatch, capfd)
+        assert serial[0] == 0 and len(serial_reads) == 1
+        _fork_from(monkeypatch, 2, 1)
+        self.FAILURES[failure](monkeypatch)
+        reads = self._reads_here(monkeypatch, reference)
+        assert self._run(argv, out, capfd) == serial
+        assert reads == serial_reads
+        assert len(forks) == (0 if failure == "no-fork" else 2)
+        _assert_no_child()
+
+    def test_failed_rollout_reaps_the_worker(self, comp_csv, z5_model_path, tmp_path,
+                                             monkeypatch, forks, deadline, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        _fork_from(monkeypatch, 2, 1)
+        monkeypatch.setattr("earc.model.rollout", fail)
+        out = tmp_path / "fc.csv"
+        code, err = _code_and_err(["forecast", "--model", z5_model_path, "--data", comp_csv,
+                                   "--train-count", 31, "--horizon", 300, "--reference",
+                                   comp_csv, "--out", out], capsys)
+        assert (code, err) == (2, "error: Unable to allocate 16.0 GiB\n")
+        assert len(forks) == 1 and not out.exists()
+        _assert_no_child()
+
+    def test_a_warning_shows_once(self, comp_csv, z5_model_path, tmp_path):
+        """A worker's read that warns is made again here, so that its warning
+        shows once, as on one core.  Run in fresh processes, where warnings
+        are printed rather than collected by the test runner."""
+        reference = tmp_path / "header.csv"
+        reference.write_text("t,ch1,ch2,ch3,ch4,ch5\n")
+        script = ("import sys; from earc import cli; cli.PARALLEL_ENTRIES = 1; "
+                  "cli._usable_cores = lambda: int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        runs = []
+        for cores in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, cores, "forecast", "--model", str(z5_model_path),
+                 "--data", str(comp_csv), "--train-count", "31", "--horizon", "50",
+                 "--reference", str(reference), "--out", str(tmp_path / "fc.csv")],
+                env=env, capture_output=True, text=True, timeout=60)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0][0] == 2 and runs[0][2].count("input contained no data") == 1
+        assert runs[1] == runs[0]
+
+    def test_diverged_forecast_stops_the_worker(self, comp_csv, tmp_path, monkeypatch, forks,
+                                                 deadline, capsys):
+        """The rows of a forecast that diverges are read here at once: its
+        worker is stopped, not waited for."""
+        argv = _reference_case("diverged-partway", comp_csv, None, tmp_path)[0]
+        _fork_from(monkeypatch, 2, 1)
+        monkeypatch.setattr(cli, "_series_bytes", lambda *args: time.sleep(50))
+        start = time.monotonic()
+        code, err = _code_and_err(argv + ["--out", tmp_path / "fc.csv"], capsys)
+        assert time.monotonic() - start < 25
+        assert code == 4 and err.startswith("forecast diverged after")
+        assert len(forks) == 2  # the reader and a CSV worker
+        _assert_no_child()
+
+    @pytest.mark.parametrize("horizon,expected", [(9, 1), (10, 2)])
+    def test_forks_from_twice_the_threshold(self, horizon, expected, comp_csv, z5_model_path,
+                                            tmp_path, monkeypatch, forks, deadline):
+        """With the index and 5 channels, 10 steps are 2 * 30 entries; the
+        forecast table, 11 columns wide, forks its CSV worker either way."""
+        _fork_from(monkeypatch, 2, 30)
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
+                     "--train-count", "31", "--horizon", str(horizon), "--reference",
+                     str(comp_csv), "--out", str(out)]) == 0
+        assert len(forks) == expected
+        _assert_no_child()
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--horizon", 10**13, "exceeding the cap"),
+        ("--apply-group-element", 5, "error: group element index 5 outside 0..4\n"),
+        ("--mode", "bad", "invalid choice: 'bad'")])
+    def test_refused_forecast_starts_no_worker(self, option, value, message, comp_csv,
+                                               z5_model_path, tmp_path, monkeypatch, forks,
+                                               capsys):
+        _fork_from(monkeypatch, 2, 1)
+        out = tmp_path / "fc.csv"
+        options = {"--horizon": 50, option: value}
+        argv = ["forecast", "--model", z5_model_path, "--data", comp_csv, "--train-count", 31,
+                "--reference", comp_csv, "--out", out]
+        argv += [str(a) for item in options.items() for a in item]
+        if option == "--mode":  # argparse refuses it
+            with pytest.raises(SystemExit) as exc:
+                main([str(a) for a in argv])
+            code, err = exc.value.code, capsys.readouterr().err
+        else:
+            code, err = _code_and_err(argv, capsys)
+        assert code == 2 and message in err
+        assert forks == [] and not out.exists()
+        _assert_no_child()
+
+
 def _earc_error_classes(base=EarcError):
     """Every subclass of ``base``, recursively."""
     for cls in base.__subclasses__():
@@ -1897,6 +2127,10 @@ WRITERS = {
 }
 """A command of each CSV writer, without its --out."""
 
+WRITER_FORKS = {"generate": 1, "forecast": 2, "acf": 1}
+"""Processes that each ``WRITERS`` command forks from one table entry per
+process: one CSV worker, and for the forecast a reader of its reference."""
+
 
 class TestWholeOutputFiles:
     """Every output file appears whole or not at all: a regular or missing
@@ -1925,7 +2159,7 @@ class TestWholeOutputFiles:
         assert out.read_bytes() == b"t,ch1\n1,2\n"
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert list(tmp_path.iterdir()) == [out]
-        assert len(forks) == 2
+        assert len(forks) == 2 * WRITER_FORKS[command]
         _assert_no_child()
 
     @pytest.mark.parametrize("command", WRITERS)
@@ -1940,7 +2174,7 @@ class TestWholeOutputFiles:
         plain = tmp_path / "plain.csv"
         assert main([str(a) for a in self._argv(command, comp_csv, z5_model_path, plain)]) == 0
         assert out.read_bytes() == plain.read_bytes()
-        assert len(forks) == 2
+        assert len(forks) == 2 * WRITER_FORKS[command]
         _assert_no_child()
 
     def test_modes_are_those_of_open(self, tmp_path):
