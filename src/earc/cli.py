@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 failed verification, 2 validation, input or I/O error,
 3 numerical failure or corrupt model, 4 forecast divergence.  All commands are
 deterministic; repeated runs on identical inputs produce byte-identical
-outputs, whatever the number of usable cores: a large CSV table is formatted
-by forked processes, one row slice each, into the same bytes, and a forecast
-whose table is that large parses its reference in a forked process while the
-rollout runs, into the same rows.
+outputs, whatever the number of usable cores.  CSV text is made by numpy
+operations on chunks of rows (:mod:`earc._csvtext`), byte for byte as
+Python's ``%d`` for the index and ``%.17g`` for the values; a large table is
+formatted by forked processes, one row slice each, into the same bytes, and a
+forecast whose table is that large parses its reference in a forked process
+while the rollout runs, into the same rows.
 """
 
 import argparse
@@ -19,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import model as model_mod
-from . import solver, systems, tensorops
+from . import _csvtext, solver, systems, tensorops
 from .errors import (CorruptModelError, DivergenceError, EarcError, InsufficientDataError,
                      NonFiniteGroupError, NumericalError, ShapeError, ValidationError)
 from .embedding import as_series, delay_windows
@@ -38,26 +40,29 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-CSV_BLOCK_ROWS = 64
-"""Rows formatted by one ``%`` operation.  Speed is flat from 32 to 1024 rows
-per block, but the larger blocks' transient strings changed the heap layout
-under later large allocations: with 256 or 1024 rows, about half of the k4-long
-benchmark runs peaked 19 MB (15%) higher; with 64 rows none of 8 did, as with
-``np.savetxt``."""
+CSV_CHUNK_ENTRIES = 1 << 12
+"""Table entries formatted by one call of :func:`_csvtext.rows_text` (whole
+rows, at least one).  On a 2-core host (medians of 9 calls in one process),
+z5's 10,000x11 forecast table took 23.9, 17.6, 14.6, 14.4 and 13.6 ms in
+chunks of 2^10 to 2^14 entries, against 58 ms for ``%`` in blocks of 64 rows.
+A chunk's transients add to the peak of a process that writes a large
+table: in perfbench, z5-rollout peaked 0.2 MB above the ``%`` writer with
+2^12 entries and 1 MB above it with 2^13, and k4-long 0.1-0.3 MB above it
+in 4 of 4 runs with either 2^11 or 2^12."""
 
-PARALLEL_ENTRIES = 1 << 14
+PARALLEL_ENTRIES = 1 << 15
 """Table entries per process from which work is shared with forked processes
 (:func:`_processes`): a table of e entries is formatted by min(usable cores,
 e // PARALLEL_ENTRIES) processes, and a forecast whose table will hold e
 entries reads its reference in a second process when that count is above one.
 On a 2-core host at a process size of 90 MB (medians of 31 interleaved calls
-on random doubles), two processes lost below about 16,000 entries (11,000:
-6.4 vs 9.0-9.5 ms) and won from there on, by 1-20% at 33,000 entries and 35%
-at 66,000.  One fork, exit and wait took 2.3-3.4 ms at 30-180 MB, more in a
-larger process, as fork copies the page tables.  So the smallest table that
-forks, 2^15 entries, is twice that crossover: z5's generated series (60,192
-entries) and forecasts (110,000) fork, the k4 forecasts (5,000 at most) do
-not."""
+on random doubles in rows of 11), two processes lost below about 65,000
+entries (32,768: 5.5 vs 7.2 ms; 65,536: 10.4 vs 10.4 ms) and won from there
+on, by 8% at 98,304 entries and 13% at 131,072.  One fork, exit and wait took
+2.3-3.4 ms at 30-180 MB, more in a larger process, as fork copies the page
+tables.  So the smallest table that forks, 2^16 entries, is about that
+crossover: z5's forecasts (110,000 entries) fork, its generated series
+(60,192) and the k4 forecasts (5,000 at most) do not."""
 
 
 def _usable_cores():
@@ -75,18 +80,22 @@ def _processes(entries):
     return max(1, min(_usable_cores(), entries // PARALLEL_ENTRIES))
 
 
-def _format_rows(write, table, row):
-    """``write`` the text of ``table`` in blocks of ``CSV_BLOCK_ROWS`` rows."""
-    for r in range(0, table.shape[0], CSV_BLOCK_ROWS):
-        block = table[r:r + CSV_BLOCK_ROWS]
-        write(row * block.shape[0] % tuple(block.ravel().tolist()))
+def _text_chunks(table):
+    """The CSV text of the rows of ``table``, ``CSV_CHUNK_ENTRIES`` entries at a time."""
+    rows = max(1, CSV_CHUNK_ENTRIES // table.shape[1])
+    for r in range(0, table.shape[0], rows):
+        yield _csvtext.rows_text(table[r:r + rows])
 
 
-def _rows_bytes(table, row):
+def _format_rows(write, table):
+    """``write`` the text of ``table`` chunk by chunk."""
+    for text in _text_chunks(table):
+        write(text.decode("ascii"))
+
+
+def _rows_bytes(table):
     """The text of ``table`` that :func:`_format_rows` writes, as ASCII bytes."""
-    text = []
-    _format_rows(text.append, table, row)
-    return "".join(text).encode("ascii")
+    return b"".join(_text_chunks(table))
 
 
 def _start_worker(produce, readers):
@@ -138,26 +147,26 @@ def _write_rows(fh, index, values):
     """One CSV row per index entry: the integer, then the values as in ``_fmt``.
 
     The bytes equal ``np.savetxt`` with formats %d and %.17g, which formats
-    one row at a time.  A table of at least twice ``PARALLEL_ENTRIES``
-    entries is cut into contiguous row slices, one per usable core and per
+    one row at a time; :mod:`earc._csvtext` makes them for a chunk of rows at
+    a time.  A table of at least twice ``PARALLEL_ENTRIES`` entries is cut
+    into contiguous row slices, one per usable core and per
     ``PARALLEL_ENTRIES`` entries: this process writes the first, forked
     processes format the others, and their text is copied into ``fh`` in
     order.  A worker that fails or sends too few rows raises
     ``ChildProcessError``; every worker is waited for.
     """
     table = np.column_stack([index, values])
-    row = ",".join(["%d"] + ["%.17g"] * values.shape[1]) + "\n"
     procs = _processes(table.size)
     bounds = [table.shape[0] * i // procs for i in range(procs + 1)]
     parts = [table[a:b] for a, b in zip(bounds, bounds[1:])]
     workers = []  # (read end, pid) for parts[1:], fewer when a fork failed
     try:
         for part in parts[1:]:
-            worker = _start_worker(partial(_rows_bytes, part, row), [fd for fd, _ in workers])
+            worker = _start_worker(partial(_rows_bytes, part), [fd for fd, _ in workers])
             if worker is None:
                 break
             workers.append(worker)
-        _format_rows(fh.write, parts[0], row)
+        _format_rows(fh.write, parts[0])
         for part, (fd, pid) in zip(parts[1:], workers):
             lines = 0
             while chunk := os.read(fd, 1 << 16):  # one pipe's capacity at a time
@@ -167,7 +176,7 @@ def _write_rows(fh, index, values):
                 raise ChildProcessError(f"CSV worker {pid} sent {lines} of "
                                         f"{part.shape[0]} rows")
         for part in parts[1 + len(workers):]:
-            _format_rows(fh.write, part, row)
+            _format_rows(fh.write, part)
     finally:
         codes = [(worker[1], _reap(worker)) for worker in workers]
     for pid, code in codes:
@@ -236,8 +245,9 @@ def _parse_series(source, path, skiprows, max_rows):
     text stream already at the first line to parse."""
     try:
         with warnings.catch_warnings():
-            # numpy warns when a comment or blank line is not counted in max_rows
-            warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
+            # numpy warns when a comment or blank line is not counted in max_rows,
+            # and when no row is read, which the check below reports
+            warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data",
                                     UserWarning)
             data = np.loadtxt(source, delimiter=",", skiprows=skiprows, ndmin=2,
                               comments="#", max_rows=max_rows)
@@ -504,12 +514,13 @@ def cmd_forecast(args):
         seed = window_action(m.group.elements[j], m.lag) @ seed
     start = offset if offset is not None else 0
     reader = None
-    if args.reference is not None and _processes(args.horizon * (m.n + 1)) > 1:
-        # A reference as large as a table that forks is parsed by a worker
-        # while the rollout runs, once the rollout has passed its checks.  The
-        # worker parses the rows of every step, so also rows past the last
-        # step of a forecast that diverges, whose rows are then read here;
-        # they are read here as before too when the worker fails in any way.
+    if args.reference is not None and _processes(args.horizon * (2 * m.n + 1)) > 1:
+        # The reference of a forecast whose table (the index, the values and
+        # their errors) forks is parsed by a worker while the rollout runs,
+        # once the rollout has passed its checks.  The worker parses the rows
+        # of every step, so also rows past the last step of a forecast that
+        # diverges, whose rows are then read here; they are read here as
+        # before too when the worker fails in any way.
         model_mod.check_rollout(m, seed, args.horizon, args.mode)
         reader = _start_worker(partial(_series_bytes, args.reference, args.horizon, start), [])
     sent = None

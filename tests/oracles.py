@@ -5,8 +5,8 @@ sorted variable tuples, the whole-plan lead/parent chains, dense group
 actions, the equivariant basis from one SVD of the whole constraint and the
 components of the generators' Ghat pattern, single prediction steps, the
 rollout kernels that tested divergence at every step, the Hamiltonian field
-and energy, one competition step, group files and a series read that parses
-every row from row 0.
+and energy, one competition step, group files, CSV rows formatted by
+Python's ``%`` and a series read that parses every row from row 0.
 
 They are kept only as test oracles: the library must reproduce them bit for
 bit, or, where the arithmetic changed, within the tolerance a test states.
@@ -369,13 +369,29 @@ def write_rows_by_value(fh, index, values):
         fh.write(str(int(i)) + "," + ",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
+PERCENT_BLOCK_ROWS = 64
+"""Rows per ``%`` operation of :func:`rows_bytes_by_percent`."""
+
+
+def rows_bytes_by_percent(table):
+    """The CSV rows of a float table, its first column as ``%d`` and the others
+    as ``%.17g``, formatted by Python's ``%`` in blocks of rows: the CSV text
+    of ``cli._write_rows`` before ``earc._csvtext``."""
+    row = ",".join(["%d"] + ["%.17g"] * (table.shape[1] - 1)) + "\n"
+    text = []
+    for r in range(0, table.shape[0], PERCENT_BLOCK_ROWS):
+        block = table[r:r + PERCENT_BLOCK_ROWS]
+        text.append(row * block.shape[0] % tuple(block.ravel().tolist()))
+    return "".join(text).encode("ascii")
+
+
 def read_series_from_row_0(path, max_rows=None, first_row=0):
     """``cli.read_series`` as a parse from row 0 up to its last row, then a
     slice: the rows before ``first_row`` are parsed and checked too."""
     stop = None if max_rows is None else first_row + max_rows
     try:
         with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
+            warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data",
                                     UserWarning)
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments="#",
                               max_rows=stop)

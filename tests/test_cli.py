@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from earc import cli, solver, systems, tensorops
-from earc.cli import (_CONFIG_TYPES, CSV_BLOCK_ROWS, PARALLEL_ENTRIES, _write_rows, build_parser,
-                      main, read_series, write_series)
+from earc.cli import (_CONFIG_TYPES, PARALLEL_ENTRIES, _write_rows, build_parser, main,
+                      read_series, write_series)
 from earc.embedding import build_data_matrices, compression_plan
 from earc.errors import (CorruptModelError, DivergenceError, EarcError, NonFiniteGroupError,
                          NumericalError, ValidationError)
@@ -1488,7 +1488,7 @@ class TestCsvRows:
         write_rows_by_value(expected, index, values)
         assert fh.getvalue() == expected.getvalue()
 
-    @pytest.mark.parametrize("rows", [0, CSV_BLOCK_ROWS, 2500])
+    @pytest.mark.parametrize("rows", [0, 64, 2500])
     def test_row_blocks(self, rows):
         values = np.random.default_rng(rows).standard_normal((rows, 3))
         index = np.arange(rows)
@@ -1538,10 +1538,11 @@ class TestCsvRows:
         assert len(forks) == cores - 1
 
     @pytest.mark.parametrize("cores", [2, 3])
-    @pytest.mark.parametrize("rows,first", [(0, 0), (1, 0), (2, 0), (CSV_BLOCK_ROWS, 0),
+    @pytest.mark.parametrize("rows,first", [(0, 0), (1, 0), (2, 0), (64, 0),
                                             (2500, 0), (2501, 31)])
     def test_row_blocks_forked(self, rows, first, cores, monkeypatch, forks):
-        """Row counts of 0, 1, fewer than the processes, one block and not
+        """Row counts of 0, 1, fewer than the processes, less than a chunk and
+        more than one (``CSV_CHUNK_ENTRIES`` is 1024 rows of 4 entries), not
         divisible by 2 or 3, and an index that does not start at 0."""
         _fork_from(monkeypatch, cores, 1)
         values = np.random.default_rng(rows).standard_normal((rows, 3))
@@ -1668,23 +1669,23 @@ def deadline():
 
 
 def _in_workers(monkeypatch, action):
-    """Make each CSV worker run ``action(write, table, row)`` in place of
-    ``cli._format_rows``; this process formats as before."""
-    parent, format_rows = os.getpid(), cli._format_rows
+    """Make each CSV worker run ``action(table)`` in place of
+    ``cli._text_chunks``; this process formats as before."""
+    parent, text_chunks = os.getpid(), cli._text_chunks
 
-    def patched(write, table, row):
+    def patched(table):
         if os.getpid() == parent:
-            return format_rows(write, table, row)
-        return action(write, table, row)
+            return text_chunks(table)
+        return action(table)
 
-    monkeypatch.setattr(cli, "_format_rows", patched)
+    monkeypatch.setattr(cli, "_text_chunks", patched)
 
 
-def _raise(write, table, row):
+def _raise(table):
     raise RuntimeError("worker failure")
 
 
-FORMAT_ROWS = cli._format_rows
+TEXT_CHUNKS = cli._text_chunks
 
 
 class TestCsvWorkers:
@@ -1707,7 +1708,7 @@ class TestCsvWorkers:
     @pytest.mark.parametrize("action,message", [
         (_raise, "sent 0 of"),
         # exits 0, but without the last row of its slice
-        (lambda write, table, row: FORMAT_ROWS(write, table[:-1], row), r"sent \d+ of")])
+        (lambda table: TEXT_CHUNKS(table[:-1]), r"sent \d+ of")])
     def test_worker_failure_raises(self, cores, action, message, monkeypatch, forks,
                                    deadline):
         _fork_from(monkeypatch, cores, 1000)
@@ -1919,10 +1920,11 @@ class TestReferenceWorker:
         assert len(forks) == 1 and not out.exists()
         _assert_no_child()
 
-    def test_a_warning_shows_once(self, comp_csv, z5_model_path, tmp_path):
-        """A worker's read that warns is made again here, so that its warning
-        shows once, as on one core.  Run in fresh processes, where warnings
-        are printed rather than collected by the test runner."""
+    def test_header_only_reference_warns_nothing(self, comp_csv, z5_model_path, tmp_path):
+        """A reference of a header alone exits 2 with one error line and no
+        warning from numpy, on one core and when a worker reads it.  Run in
+        fresh processes, where warnings are printed rather than collected by
+        the test runner."""
         reference = tmp_path / "header.csv"
         reference.write_text("t,ch1,ch2,ch3,ch4,ch5\n")
         script = ("import sys; from earc import cli; cli.PARALLEL_ENTRIES = 1; "
@@ -1936,7 +1938,8 @@ class TestReferenceWorker:
                  "--reference", str(reference), "--out", str(tmp_path / "fc.csv")],
                 env=env, capture_output=True, text=True, timeout=60)
             runs.append((done.returncode, done.stdout, done.stderr))
-        assert runs[0][0] == 2 and runs[0][2].count("input contained no data") == 1
+        assert runs[0][0] == 2 and "input contained no data" not in runs[0][2]
+        assert runs[0][2] == f"error: series CSV {reference} has no channel columns\n"
         assert runs[1] == runs[0]
 
     def test_diverged_forecast_stops_the_worker(self, comp_csv, tmp_path, monkeypatch, forks,
@@ -1953,12 +1956,12 @@ class TestReferenceWorker:
         assert len(forks) == 2  # the reader and a CSV worker
         _assert_no_child()
 
-    @pytest.mark.parametrize("horizon,expected", [(9, 1), (10, 2)])
+    @pytest.mark.parametrize("horizon,expected", [(9, 0), (10, 2)])
     def test_forks_from_twice_the_threshold(self, horizon, expected, comp_csv, z5_model_path,
                                             tmp_path, monkeypatch, forks, deadline):
-        """With the index and 5 channels, 10 steps are 2 * 30 entries; the
-        forecast table, 11 columns wide, forks its CSV worker either way."""
-        _fork_from(monkeypatch, 2, 30)
+        """With the index, 5 channels and 5 error columns, 10 steps are
+        2 * 55 entries: the reference worker starts with the CSV worker."""
+        _fork_from(monkeypatch, 2, 55)
         out = tmp_path / "fc.csv"
         assert main(["forecast", "--model", str(z5_model_path), "--data", str(comp_csv),
                      "--train-count", "31", "--horizon", str(horizon), "--reference",
@@ -2108,8 +2111,9 @@ class TestFailureBoundary:
     @pytest.mark.parametrize("steps,workers", [(40, 0), (6000, 1)])
     def test_full_device_exits_2(self, steps, workers, monkeypatch, forks, deadline, capsys):
         """A write that fails with ENOSPC, from this process and, with a
-        table past twice ``PARALLEL_ENTRIES`` on 2 cores, beside a worker."""
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        table past twice ``PARALLEL_ENTRIES`` (here 2**14) on 2 cores, beside
+        a worker."""
+        _fork_from(monkeypatch, 2, 1 << 14)
         code, err = _code_and_err(["generate", "--system", "competition", "--steps", steps,
                                    "--out", "/dev/full"], capsys)
         assert code == 2
@@ -2270,8 +2274,8 @@ def _write_lines(path, lines, rng, ending):
     path.write_bytes(text.encode())
 
 
-# numpy warns on a read of max_rows=0 ("." stands for the ":" the filter syntax reserves)
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+# a read of max_rows=0, where numpy warns that it read no data, warns nothing
+@pytest.mark.filterwarnings("error::UserWarning")
 class TestSeekRead:
     """``read_series`` with a first row skips the lines before it unparsed, and
     returns what a read from row 0 followed by a slice returns."""
