@@ -9,16 +9,17 @@ Enforcing the equation for the generators suffices.  Under column-stacking
 vectorisation its matrix is K_g = I_q (x) g (x) I_lag - Ghat_g^T (x) I_n (x) I_lag
 = K'_g (x) I_lag with the one-lag-slot constraint K'_g = I_q (x) g - Ghat_g^T (x) I_n,
 so the kernel is solved for the n*q unknowns of one slot and repeated on every slot.
-The stacked K'_g of all generators is filled from one ``groups.action_rows``
-call, the sparse rows of Ghat_g; nothing here forms a dense Ghat_g.
+One ``groups.action_rows`` call gives the sparse rows of every generator's
+Ghat_g; nothing here forms a dense Ghat_g, nor the whole stack of the K'_g.
 
 Ghat_g never mixes monomial degrees, so the kernel is a direct sum over degree
 blocks, and the dimension of block k's share is the character count
 (1/|G|) sum_g tr(g) tr(Ghat_g^(k)) (Serre, *Linear Representations of Finite
 Groups*, 1977).  The unknowns of blocks whose count is 0 are left out: every
 even degree of k4, for instance, because -I is in the group.  The rest split
-further, into the connected components of the generators' Ghat pattern, and
-the kernel is found by one stacked SVD per component size, not one SVD.
+further, into the connected components of the generators' Ghat pattern.  Each
+component's block of the stacked K'_g is filled straight from the rows, and
+the kernel is found by one stacked SVD of the blocks per component size.
 """
 
 from dataclasses import dataclass
@@ -87,28 +88,6 @@ class FitReport:
     rank: int | None
 
 
-def constraint_matrix(elements, lag, plan, features):
-    """Vec form of the intertwiner equation on one lag slot for a stack of E
-    elements, on the unknowns of the u ascending ``features`` (a union of
-    degree blocks, which Ghat maps to itself): the (E*n*u, n*u) vertical
-    stack of K'_e = I_u (x) g_e - Ghat_e^T (x) I_n.  It is filled from one
-    ``action_rows`` call: g_e on the u diagonal blocks, then each nonzero
-    Ghat_e[r, c] subtracted at row (c, i) and column (r, i) for every channel
-    i, so each entry is the Kronecker form's value up to the sign of a zero.
-    """
-    e, n = elements.shape[:2]
-    u = features.size
-    tensorops._check_entries(e * (n * u) ** 2)
-    _, cols, vals = action_rows(elements, lag, plan)
-    elem, row, entry = np.nonzero(vals[:, features])  # skips the +0.0 padding
-    col = np.searchsorted(features, cols[elem, features[row], entry])
-    out = np.zeros((e, u, n, u, n))
-    out[:, np.arange(u), :, np.arange(u), :] = elements
-    i = np.arange(n)
-    out[elem[:, None], col[:, None], i, row[:, None], i] -= vals[elem, features[row], entry, None]
-    return out.reshape(e * n * u, n * u)
-
-
 def degree_kernel_dims(group, lag, order):
     """Kernel dimension of the one-slot constraint on each degree block.
 
@@ -161,20 +140,28 @@ def basis_features(dims, plan):
 def equivariant_basis(group, lag, plan):
     """Basis of coupling matrices commuting with every group generator.
 
-    Its size is the sum d of the character counts.  The stacked one-slot
-    constraints of all generators are built in one ``constraint_matrix`` call
-    on the unknowns of ``basis_features`` (stacking avoids squaring the
-    condition number, as sum(K^T K) would).  Feature c's unknowns meet feature
-    r's only where some generator has Ghat_g[r, c] != 0, so the constraint is
-    block-diagonal over the connected components of that pattern: monomial
-    orbits for a signed permutation group; for a dense group, at most the
-    monomials of one degree on one multiset of lag slots, which no element
-    mixes.  Each component's kernel is the last right singular vectors of its
-    own block, from one stacked SVD per component size.  NumericalError is raised
+    Its size is the sum d of the character counts.  Feature c's unknowns
+    meet feature r's only where some generator has Ghat_g[r, c] != 0, so the
+    generators' stacked one-slot constraints on the unknowns of
+    ``basis_features`` are block-diagonal over the connected components of
+    that pattern: monomial orbits for a signed permutation group; for a dense
+    group, at most the monomials of one degree on one multiset of lag slots,
+    which no element mixes.  One ``action_rows`` call gives the pattern's
+    nonzero (row, column) pairs, which label the components, and the entries
+    of each component's (E*n*s, n*s) block.  Each component size gets one
+    zeroed stack of its blocks: g on the diagonal blocks, then each nonzero
+    Ghat_g[r, c] subtracted at row (c, i) and column (r, i) for every channel
+    i, bit for bit the entries of the whole stacked constraint, which is
+    never formed.  (Stacking avoids squaring the condition number, as
+    sum(K^T K) would.)
+
+    Each component's kernel is the last right singular vectors of its block,
+    from one stacked SVD per component size.  NumericalError is raised
     unless, in every degree block, the components hold exactly the block's
     character count of singular values at most KERNEL_RTOL times their own
-    largest.  The basis lists the components by their smallest feature, each
-    component's kernel vectors in LAPACK's order.  The kernel of
+    largest.  Only then are the slot matrices allocated, once, and each
+    kernel vector is written to its row: the components by their smallest
+    feature, each component's vectors in LAPACK's order.  The kernel of
     K'_g (x) I_lag is the one-slot kernel (x) I_lag, so only the one-slot
     matrices are kept, zero on the left-out features.
     """
@@ -184,32 +171,36 @@ def equivariant_basis(group, lag, plan):
         )
     dims = degree_kernel_dims(group, lag, plan.order)
     features = basis_features(dims, plan)
-    n, u, e = group.n, features.size, len(group.generators)
-    full = constraint_matrix(np.array(group.generators), lag, plan, features)
-    full = full.reshape(e, u, n, u, n)
-    # Ghat_e[r, c] is subtracted at (c, i, r, i) for every channel i, and off
-    # the diagonal blocks from zero, so channel 0 shows the whole pattern
-    component = _components(full[:, :, 0, :, 0].any(axis=0))
+    elements = np.array(group.generators)
+    e, n = elements.shape[:2]
+    _, cols, vals = action_rows(elements, lag, plan)
+    # each nonzero Ghat_e[features[row], features[col]]; the +0.0 padding is
+    # skipped, and Ghat maps the kept degree blocks to themselves
+    elem, row, entry = np.nonzero(vals[:, features])
+    ghat = vals[elem, features[row], entry]
+    col = np.searchsorted(features, cols[elem, features[row], entry])
+    component = _components(features.size, row, col)
     sizes = np.bincount(component)
     members = np.argsort(component, kind="stable")  # ascending within each component
     starts = np.cumsum(sizes) - sizes
+    position = np.empty_like(members)  # of each feature within its component
+    position[members] = np.arange(features.size) - starts[component[members]]
     found = np.zeros(sizes.size, dtype=np.int64)
-    rows, slots = [], []
+    kernels = []
     for size in np.unique(sizes):
         comps = np.flatnonzero(sizes == size)
-        idx = members[starts[comps, None] + np.arange(size)]  # (C, size) features
-        # each component's own (e*n*size, n*size) constraint; as many rows as
-        # unknowns at least, so vt holds every right singular vector
-        stack = full[:, idx[:, :, None], :, idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
+        tensorops._check_entries(comps.size * e * (n * size) ** 2)
+        stack = np.zeros((comps.size, e, size, n, size, n))
+        stack[:, :, np.arange(size), :, np.arange(size), :] = elements
+        on = np.flatnonzero(sizes[component[row]] == size)
+        i = np.arange(n)
+        stack[np.searchsorted(comps, component[row[on]])[:, None], elem[on, None],
+              position[col[on], None], i, position[row[on], None], i] -= ghat[on, None]
+        # as many rows as unknowns at least, so vt holds every right singular vector
         _, s, vt = tensorops._svd(stack.reshape(comps.size, e * n * size, n * size),
                                   full_matrices=False)
         found[comps] = np.count_nonzero(s <= KERNEL_RTOL * s[:, :1], axis=1)
-        kept = np.arange(n * size) >= n * size - found[comps, None]
-        piece = np.zeros((int(found[comps].sum()), n, plan.reduced_dim))
-        on = features[np.repeat(idx, found[comps], axis=0)]
-        piece[np.arange(piece.shape[0])[:, None], :, on] = vt[kept].reshape(-1, size, n)
-        rows.append(np.repeat(comps, found[comps]))
-        slots.append(piece)
+        kernels.append(vt[np.arange(n * size) >= n * size - found[comps, None]])
     # the degree of each component's smallest feature; the constant, past the
     # last block, wraps to 0
     degree = np.searchsorted([hi for _, hi, *_ in plan.blocks], features[members[starts]],
@@ -222,19 +213,26 @@ def equivariant_basis(group, lag, plan):
             f"{int(kernel[k])} singular values of the degree-{k} block's components are at "
             f"most {KERNEL_RTOL:.0e} of their component's largest, not the character count "
             f"{dims[k]}")
-    # unvec of every kernel vector, in component order: the fit's summation
-    # order depends on it
-    order = np.argsort(np.concatenate(rows), kind="stable")
+    # unvec of every kernel vector into its row, in component order: the
+    # fit's summation order depends on it
+    owner = np.repeat(np.arange(sizes.size), found)
+    tensorops._check_entries(owner.size * n * plan.reduced_dim)
+    slots = np.zeros((owner.size, n, plan.reduced_dim))
+    for vectors in kernels:
+        size = vectors.shape[1] // n
+        at = np.flatnonzero(sizes[owner] == size)
+        on = features[members[starts[owner[at], None] + np.arange(size)]]
+        slots[at[:, None], :, on] = vectors.reshape(-1, size, n)
     return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
-                            slot_matrices=np.concatenate(slots)[order])
+                            slot_matrices=slots)
 
 
-def _components(coupled):
-    """Connected component of each feature under the (u, u) pattern ``coupled``
-    and its transpose, numbered by the components' smallest features: label
-    propagation to the smallest feature reachable, with pointer jumping."""
-    a, b = np.nonzero(coupled | coupled.T)
-    label = np.arange(coupled.shape[0])
+def _components(count, a, b):
+    """Connected component of each of ``count`` features under the edges
+    (a, b) and their reverses, numbered by the components' smallest features:
+    label propagation to the smallest feature reachable, with pointer jumping."""
+    a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    label = np.arange(count)
     while True:
         lower = label.copy()
         np.minimum.at(lower, a, label[b])
@@ -242,7 +240,7 @@ def _components(coupled):
         if np.array_equal(lower, label):
             break
         label = lower
-    return np.searchsorted(np.flatnonzero(label == np.arange(label.size)), label)
+    return np.searchsorted(np.flatnonzero(label == np.arange(count)), label)
 
 
 def fit_coefficients(basis, h0r, h1, sparsify=None):
@@ -271,9 +269,8 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
     ``train_residual`` is always measured on the caller's data.
 
     Either way A has fewer than 2 n (q + n*lag) rows and at most n*q columns,
-    under four times the entries of the one-slot constraint block that
-    ``equivariant_basis`` factorises, so there is no fallback solver: a
-    design above ``tensorops.ENTRY_CAP`` raises before it is built.
+    so there is no fallback solver: a design above ``tensorops.ENTRY_CAP``
+    raises before it is built.
     """
     h0r = tensorops._as_matrix(h0r, "h0r")
     h1 = tensorops._as_matrix(h1, "h1")

@@ -8,6 +8,7 @@ included as a test oracle.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,40 +86,41 @@ class CompetitionConfig:
             raise ShapeError(f"inconsistent dims: p {p0.shape}, r {r.shape}, N {n_matrix.shape}")
 
 
-def _hamiltonian_field(q, p):
-    """(dq/dt, dp/dt) = (p^3 - p, q^3 - q) of scalar coordinates."""
-    return p ** 3 - p, q ** 3 - q
-
-
 def hamiltonian_generate(cfg):
     """Classical fixed-step RK4 trajectory, returned as a (steps+1, 2) series.
 
     The state is stepped as two Python floats: the same operations in the same
-    order as on a length-2 array, without numpy's per-call cost.
+    order as on a length-2 array, without numpy's per-call cost.  Each stage
+    evaluates the field (dq/dt, dp/dt) = (p^3 - p, q^3 - q) inline, and the
+    states are appended to one flat float64 ``array.array``, which the
+    returned series views without a copy.
     """
     q, p = float(cfg.q0), float(cfg.p0)
     dt = float(cfg.dt)
     half = 0.5 * dt
     sixth = dt / 6.0
     tensorops._check_entries((cfg.steps + 1) * 2)
-    rows = np.empty((cfg.steps + 1, 2))
-    rows[0] = q, p
+    series = array("d", (q, p))
     k = 0
     try:
         for k in range(1, cfg.steps + 1):
-            a1, b1 = _hamiltonian_field(q, p)
-            a2, b2 = _hamiltonian_field(q + half * a1, p + half * b1)
-            a3, b3 = _hamiltonian_field(q + half * a2, p + half * b2)
-            a4, b4 = _hamiltonian_field(q + dt * a3, p + dt * b3)
+            a1, b1 = p ** 3 - p, q ** 3 - q
+            q2, p2 = q + half * a1, p + half * b1
+            a2, b2 = p2 ** 3 - p2, q2 ** 3 - q2
+            q3, p3 = q + half * a2, p + half * b2
+            a3, b3 = p3 ** 3 - p3, q3 ** 3 - q3
+            q4, p4 = q + dt * a3, p + dt * b3
+            a4, b4 = p4 ** 3 - p4, q4 ** 3 - q4
             q = q + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             p = p + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             if not (math.isfinite(q) and math.isfinite(p)):
                 raise DivergenceError(f"integration diverged at step {k}")
-            rows[k] = q, p
+            series.append(q)
+            series.append(p)
     except OverflowError:
         # float ** 3 raises where numpy's power returned inf
         raise DivergenceError(f"integration diverged at step {k}") from None
-    return rows
+    return np.frombuffer(series).reshape(-1, 2)
 
 
 def competition_generate(cfg):

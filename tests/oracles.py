@@ -2,8 +2,9 @@
 and constructions that only tests need: the full embedding and its
 selection and expansion maps, the compression plan built from tables of
 sorted variable tuples, the whole-plan lead/parent chains, dense group
-actions, the equivariant basis from one SVD of the whole constraint and the
-components of the generators' Ghat pattern, single prediction steps, the
+actions, the whole stacked basis constraint, the equivariant basis from one
+SVD of it and from the component blocks sliced out of it, the components of
+the generators' Ghat pattern, single prediction steps, the
 rollout kernels that tested divergence at every step, the Hamiltonian field
 and energy, one competition step, group files, CSV rows formatted by
 Python's ``%`` and a series read that parses every row from row 0.
@@ -26,13 +27,13 @@ from earc.embedding import compressed_features, compression_plan, embed_dim
 from earc.errors import DivergenceError, NumericalError, ShapeError, ValidationError
 from earc.groups import action_rows, window_action
 from earc.solver import EquivariantBasis, basis_features, degree_kernel_dims
-from earc.systems import COMPETITION_RANGE, _hamiltonian_field
+from earc.systems import COMPETITION_RANGE
 
 
 def hamiltonian_vector_field(state):
     """(dq/dt, dp/dt) = (p^3 - p, q^3 - q)."""
     q, p = state
-    return np.array(_hamiltonian_field(q, p))
+    return np.array([p ** 3 - p, q ** 3 - q])
 
 
 def hamiltonian_energy(q, p):
@@ -743,18 +744,108 @@ def cutoff_equivariant_basis(group, lag, plan, rel_tol=NULLSPACE_RTOL):
                             slot_matrices=slots)
 
 
+def constraint_matrix(elements, lag, plan, features):
+    """Vec form of the intertwiner equation on one lag slot for a stack of E
+    elements, on the unknowns of the u ascending ``features`` (a union of
+    degree blocks, which Ghat maps to itself): the (E*n*u, n*u) vertical
+    stack of K'_e = I_u (x) g_e - Ghat_e^T (x) I_n.  It is filled from one
+    ``action_rows`` call: g_e on the u diagonal blocks, then each nonzero
+    Ghat_e[r, c] subtracted at row (c, i) and column (r, i) for every channel
+    i, so each entry is the Kronecker form's value up to the sign of a zero.
+    The library builds only its component blocks, bit for bit these entries.
+    """
+    e, n = elements.shape[:2]
+    u = features.size
+    tensorops._check_entries(e * (n * u) ** 2)
+    _, cols, vals = action_rows(elements, lag, plan)
+    elem, row, entry = np.nonzero(vals[:, features])  # skips the +0.0 padding
+    col = np.searchsorted(features, cols[elem, features[row], entry])
+    out = np.zeros((e, u, n, u, n))
+    out[:, np.arange(u), :, np.arange(u), :] = elements
+    i = np.arange(n)
+    out[elem[:, None], col[:, None], i, row[:, None], i] -= vals[elem, features[row], entry, None]
+    return out.reshape(e * n * u, n * u)
+
+
+def pattern_components(coupled):
+    """Connected component of each feature under the (u, u) pattern ``coupled``
+    and its transpose, numbered by the components' smallest features: label
+    propagation to the smallest feature reachable, with pointer jumping."""
+    a, b = np.nonzero(coupled | coupled.T)
+    label = np.arange(coupled.shape[0])
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, a, label[b])
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    return np.searchsorted(np.flatnonzero(label == np.arange(label.size)), label)
+
+
+def whole_constraint_equivariant_basis(group, lag, plan):
+    """``solver.equivariant_basis`` before it built the component blocks
+    straight from the action rows: the whole stacked constraint from one
+    ``constraint_matrix`` call, its channel-0 pattern's components, each
+    size group's blocks sliced out of it for one stacked SVD, and per-size
+    pieces concatenated and reordered into component order."""
+    if group.n * lag != plan.dim_in:
+        raise ShapeError(
+            f"plan dim_in={plan.dim_in} does not match n*lag={group.n * lag}"
+        )
+    dims = degree_kernel_dims(group, lag, plan.order)
+    features = basis_features(dims, plan)
+    n, u, e = group.n, features.size, len(group.generators)
+    full = constraint_matrix(np.array(group.generators), lag, plan, features)
+    full = full.reshape(e, u, n, u, n)
+    # Ghat_e[r, c] is subtracted at (c, i, r, i) for every channel i, and off
+    # the diagonal blocks from zero, so channel 0 shows the whole pattern
+    component = pattern_components(full[:, :, 0, :, 0].any(axis=0))
+    sizes = np.bincount(component)
+    members = np.argsort(component, kind="stable")  # ascending within each component
+    starts = np.cumsum(sizes) - sizes
+    found = np.zeros(sizes.size, dtype=np.int64)
+    rows, slots = [], []
+    for size in np.unique(sizes):
+        comps = np.flatnonzero(sizes == size)
+        idx = members[starts[comps, None] + np.arange(size)]  # (C, size) features
+        stack = full[:, idx[:, :, None], :, idx[:, None, :]].transpose(0, 3, 1, 4, 2, 5)
+        _, s, vt = tensorops._svd(stack.reshape(comps.size, e * n * size, n * size),
+                                  full_matrices=False)
+        found[comps] = np.count_nonzero(s <= solver.KERNEL_RTOL * s[:, :1], axis=1)
+        kept = np.arange(n * size) >= n * size - found[comps, None]
+        piece = np.zeros((int(found[comps].sum()), n, plan.reduced_dim))
+        on = features[np.repeat(idx, found[comps], axis=0)]
+        piece[np.arange(piece.shape[0])[:, None], :, on] = vt[kept].reshape(-1, size, n)
+        rows.append(np.repeat(comps, found[comps]))
+        slots.append(piece)
+    degree = np.searchsorted([hi for _, hi, *_ in plan.blocks], features[members[starts]],
+                             side="right") + 1
+    kernel = np.bincount(degree % (plan.order + 1), found, minlength=dims.size)
+    wrong = np.flatnonzero(kernel != dims)
+    if wrong.size:
+        k = wrong[0]
+        raise NumericalError(
+            f"{int(kernel[k])} singular values of the degree-{k} block's components are at "
+            f"most {solver.KERNEL_RTOL:.0e} of their component's largest, not the character "
+            f"count {dims[k]}")
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    return EquivariantBasis(state_dim=plan.dim_in, reduced_dim=plan.reduced_dim, lag=lag,
+                            slot_matrices=np.concatenate(slots)[order])
+
+
 def one_svd_equivariant_basis(group, lag, plan):
     """``solver.equivariant_basis`` before it split the constraint into the
     connected components of the generators' Ghat pattern: the last d right
     singular vectors of one SVD of the whole stacked one-slot constraint on the
     ``basis_features`` unknowns, d the sum of the character counts, checked
-    against KERNEL_RTOL times the largest singular value.  It calls
-    ``solver.constraint_matrix`` and ``tensorops._svd`` through their modules,
-    so a test can swap either."""
+    against KERNEL_RTOL times the largest singular value.  It looks up
+    ``constraint_matrix`` and ``tensorops._svd`` when called, so a test can
+    swap either."""
     dims = degree_kernel_dims(group, lag, plan.order)
     size = int(dims.sum())
     features = basis_features(dims, plan)
-    stacked = solver.constraint_matrix(np.array(group.generators), lag, plan, features)
+    stacked = constraint_matrix(np.array(group.generators), lag, plan, features)
     # at least as many rows as unknowns, so vt holds every right singular vector
     _, s, vt = tensorops._svd(stacked, full_matrices=False)
     found = int(np.count_nonzero(s <= solver.KERNEL_RTOL * s[0]))

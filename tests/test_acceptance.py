@@ -10,14 +10,13 @@ from earc.cli import main
 from earc.embedding import build_data_matrices, compression_plan, delay_windows
 from earc.groups import close_group, window_action
 from earc.model import load, rollout, save, train
-from earc.solver import (assemble, constraint_matrix, equivariant_basis,
-                         fit_coefficients)
+from earc.solver import assemble, equivariant_basis, fit_coefficients
 from earc.systems import (GROWTH_RATE, INTERACTION_MATRIX, CompetitionConfig,
                           builtin_rep, competition_generate, planted_linear)
 
-from oracles import (competition_step, compress, dense_matrices, embed, expand,
-                     expansion_matrix, hamiltonian_energy, lifted_action, predict_step,
-                     selection_matrix, unconstrained_fit, vec)
+from oracles import (competition_step, compress, constraint_matrix, dense_matrices, embed,
+                     expand, expansion_matrix, hamiltonian_energy, lifted_action,
+                     predict_step, selection_matrix, unconstrained_fit, vec)
 
 
 def _report(num, ok, detail):

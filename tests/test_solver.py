@@ -7,9 +7,9 @@ from earc import solver, tensorops
 from earc.embedding import build_data_matrices, compression_plan, delay_windows
 from earc.errors import DimensionOverflowError, NumericalError, ShapeError
 from earc.groups import GroupRep, action_rows, close_group, window_action
-from earc.solver import (EquivariantBasis, assemble, basis_features, constraint_matrix,
-                         degree_kernel_dims, equivariance_residual, equivariant_basis,
-                         fit_coefficients, generator_residuals)
+from earc.solver import (EquivariantBasis, assemble, basis_features, degree_kernel_dims,
+                         equivariance_residual, equivariant_basis, fit_coefficients,
+                         generator_residuals)
 from earc.model import rollout, train
 from earc.systems import (CompetitionConfig, HamiltonianConfig, builtin_rep,
                           competition_generate, hamiltonian_generate)
@@ -17,11 +17,13 @@ from tests import test_groups
 from tests.test_groups import named_rep, rotation
 from tests.test_model import manual_model
 
-from oracles import (assembled_action, cutoff_equivariant_basis, degree_kernel_dims_by_lists,
-                     dense_fit, dense_matrices, feature_components, full_width_qr_fit,
-                     kron_constraint_matrix, lower_plan_equivariant_basis, null_space,
-                     one_svd_equivariant_basis, svd_rank, unconstrained_fit, unreduced_fit,
-                     whole_equivariant_basis, window_equivariant_basis)
+import oracles
+from oracles import (assembled_action, constraint_matrix, cutoff_equivariant_basis,
+                     degree_kernel_dims_by_lists, dense_fit, dense_matrices, feature_components,
+                     full_width_qr_fit, kron_constraint_matrix, lower_plan_equivariant_basis,
+                     null_space, one_svd_equivariant_basis, svd_rank, unconstrained_fit,
+                     unreduced_fit, whole_constraint_equivariant_basis, whole_equivariant_basis,
+                     window_equivariant_basis)
 
 TRIVIAL_2 = close_group([np.eye(2)])
 SIGN_GROUP = close_group([-np.eye(2)])  # {I, -I} acting on the plane
@@ -329,16 +331,26 @@ class TestDegreeBlocks:
         with pytest.raises(NumericalError, match="not the character count"):
             equivariant_basis(rep, 2, plan)
 
-    def test_entry_cap_counts_the_restricted_matrix(self, monkeypatch):
+    def test_entry_cap_counts_the_slot_matrices(self, monkeypatch):
+        # the 230 one-slot matrices of 2 channels by 286 features are the
+        # largest array the basis allocates: its 115 two-feature component
+        # blocks hold 115 * 2 * 4 * 4 = 3,680 entries
         rep = builtin_rep("k4")
         plan = compression_plan(10, 3)
-        restricted = 2 * (2 * 230) ** 2  # two generators, 460 unknowns
-        assert restricted < 2 * (2 * plan.reduced_dim) ** 2
-        monkeypatch.setattr(tensorops, "ENTRY_CAP", restricted)
-        assert equivariant_basis(rep, 5, plan).size == 1150
-        monkeypatch.setattr(tensorops, "ENTRY_CAP", restricted - 1)
-        with pytest.raises(DimensionOverflowError):
-            equivariant_basis(rep, 5, plan)
+        slots = 230 * 2 * plan.reduced_dim
+        assert slots == 131_560
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", slots)
+        assert equivariant_basis(rep, 5, plan).slot_matrices.size == slots
+        monkeypatch.setattr(tensorops, "ENTRY_CAP", slots - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverflowError, match=f"{slots} entries"):
+                equivariant_basis(rep, 5, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused before the slot matrices' 1,052,480 bytes; measured 150 kB
+        assert peak < slots * 8 // 2
 
 
 def _components(rep, lag, plan):
@@ -415,14 +427,21 @@ def _kron_stack(elements, lag, plan, features):
     return np.vstack([kron_constraint_matrix(g, lag, plan, features) for g in elements])
 
 
+RANDOM_LAG_ORDERS = [(lag, order) for lag in range(1, 4) for order in range(1, 4)
+                     if lag + order < 6]
+"""(lag, order) pairs run on each random group; lag 3 at order 3 takes seconds
+per group and is left out."""
+
+
 class TestConstraintFromRows:
-    """The stacked constraint that ``constraint_matrix`` fills from one
-    ``action_rows`` call against the per-generator Kronecker products it
+    """The stacked constraint that ``constraint_matrix`` (the whole-constraint
+    oracle, whose entries the library's component blocks repeat) fills from
+    one ``action_rows`` call against the per-generator Kronecker products it
     replaced: equal values (the signs of zeros differ), and the one-SVD
     oracle's SVD factors and basis bitwise equal on either; and that basis
     against the one built on the plan that stops at the highest kept degree.
     The library's per-component basis agrees with the oracle's by projector.
-    CI also runs this class at one BLAS thread."""
+    CI also runs this class at one and at two BLAS threads."""
 
     @staticmethod
     def build(rep, lag, order, monkeypatch):
@@ -444,7 +463,7 @@ class TestConstraintFromRows:
                 return run["factors"]
 
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "constraint_matrix", stacked)
+                patch.setattr(oracles, "constraint_matrix", stacked)
                 patch.setattr(tensorops, "_svd", factors)
                 run["basis"] = one_svd_equivariant_basis(rep, lag, plan)
             out.append(run)
@@ -463,12 +482,10 @@ class TestConstraintFromRows:
     @pytest.mark.parametrize("kind", ["signed", "conjugated", "rotation+flip"])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_groups(self, kind, seed, monkeypatch):
-        # lag 3 at order 3 takes seconds per group and is left out.  For the
-        # rotation (+) flip at lag 2 or 3, the right singular vectors outside
-        # the kernel can differ in the sign of a zero; the kernel never does
+        # for the rotation (+) flip at lag 2 or 3, the right singular vectors
+        # outside the kernel can differ in the sign of a zero; the kernel never does
         rep = test_groups.TestBitwiseOnRandomGroups.random_group(kind, seed)
-        for lag, order in [(lag, order) for lag in range(1, 4) for order in range(1, 4)
-                           if lag + order < 6]:
+        for lag, order in RANDOM_LAG_ORDERS:
             (u, s, vt), (ou, os, ovt) = self.build(rep, lag, order, monkeypatch)
             assert u.tobytes() == ou.tobytes() and s.tobytes() == os.tobytes()
             if kind == "rotation+flip":
@@ -516,6 +533,51 @@ class TestConstraintFromRows:
         oracle = lower_plan_equivariant_basis(rep, lag, plan)
         assert got.slot_matrices.tobytes() == oracle.slot_matrices.tobytes()
         _assert_agrees(equivariant_basis(rep, lag, plan), got)
+
+
+BYTEWISE_CASES = ([("k4", lag, 3) for lag in range(2, 8)] + [("k4", 6, 4)]
+                  + [("z5", lag, order) for lag in (1, 2, 3) for order in (2, 3)]
+                  + [("c3", 2, 3), ("c3", 1, 3)])
+
+
+class TestBasisFromRows:
+    """The library fills each component-size group's blocks straight from the
+    action rows and writes each kernel vector into its final row; the oracle
+    ``whole_constraint_equivariant_basis`` slices the same blocks out of the
+    whole stacked constraint.  The slot matrices are bytewise equal.  CI also
+    runs this class at one and at two BLAS threads."""
+
+    @pytest.mark.parametrize("name,lag,order", BYTEWISE_CASES)
+    def test_bitwise_equal_to_whole_constraint_oracle(self, name, lag, order):
+        rep = named_rep(name)
+        plan = compression_plan(rep.n * lag, order)
+        got = equivariant_basis(rep, lag, plan).slot_matrices
+        oracle = whole_constraint_equivariant_basis(rep, lag, plan).slot_matrices
+        assert got.flags.c_contiguous
+        assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("kind", ["signed", "conjugated", "rotation+flip"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_groups(self, kind, seed):
+        rep = test_groups.TestBitwiseOnRandomGroups.random_group(kind, seed)
+        for lag, order in RANDOM_LAG_ORDERS:
+            plan = compression_plan(rep.n * lag, order)
+            got = equivariant_basis(rep, lag, plan).slot_matrices
+            oracle = whole_constraint_equivariant_basis(rep, lag, plan).slot_matrices
+            assert got.tobytes() == oracle.tobytes()
+
+    def test_traced_peak_within_one_and_a_half_slot_matrices(self):
+        # the whole constraint alone is 133 MB here, five times the 26.6 MB
+        # slot matrices; measured 1.11-1.15 times them without it
+        rep = builtin_rep("z5")
+        plan = compression_plan(15, 3)
+        tracemalloc.start()
+        try:
+            basis = equivariant_basis(rep, 3, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * basis.slot_matrices.nbytes
 
 
 class TestFitCoefficients:
