@@ -6,9 +6,9 @@ deterministic; repeated runs on identical inputs produce byte-identical
 outputs, whatever the number of usable cores.  CSV text is made by numpy
 operations on chunks of rows (:mod:`earc._csvtext`), byte for byte as
 Python's ``%d`` for the index and ``%.17g`` for the values; a large table is
-formatted by forked processes, one row slice each, into the same bytes, and a
-forecast whose table is that large parses its reference in a forked process
-while the rollout runs, into the same rows.
+formatted in two row halves, the second by a forked process, into the same
+bytes, and a forecast whose table is that large parses its reference in a
+forked process while the rollout runs, into the same rows.
 """
 
 import argparse
@@ -51,18 +51,19 @@ table: in perfbench, z5-rollout peaked 0.2 MB above the ``%`` writer with
 in 4 of 4 runs with either 2^11 or 2^12."""
 
 PARALLEL_ENTRIES = 1 << 15
-"""Table entries per process from which work is shared with forked processes
-(:func:`_processes`): a table of e entries is formatted by min(usable cores,
-e // PARALLEL_ENTRIES) processes, and a forecast whose table will hold e
-entries reads its reference in a second process when that count is above one.
-On a 2-core host at a process size of 90 MB (medians of 31 interleaved calls
-on random doubles in rows of 11), two processes lost below about 65,000
-entries (32,768: 5.5 vs 7.2 ms; 65,536: 10.4 vs 10.4 ms) and won from there
-on, by 8% at 98,304 entries and 13% at 131,072.  One fork, exit and wait took
-2.3-3.4 ms at 30-180 MB, more in a larger process, as fork copies the page
-tables.  So the smallest table that forks, 2^16 entries, is about that
-crossover: z5's forecasts (110,000 entries) fork, its generated series
-(60,192) and the k4 forecasts (5,000 at most) do not."""
+"""Table entries per process from which work is shared with a forked process
+(:func:`_forks`): a table of at least twice this many entries is formatted by
+two processes, a row half each, and a forecast whose table will hold that
+many entries reads its reference in a second process.  On a 2-core host at
+a process size of 90 MB (medians of 31 interleaved calls on random doubles
+in rows of 11), two processes lost below about 65,000 entries (32,768: 5.5
+vs 7.2 ms; 65,536: 10.4 vs 10.4 ms) and won from there on, by 8% at 98,304
+entries and 13% at 131,072.  One fork, exit and wait took 2.3-3.4 ms at
+30-180 MB, more in a larger process, as fork copies the page tables.  So the
+smallest table that forks, 2^16 entries, is about that crossover: z5's
+forecasts (110,000 entries) fork, its generated series (60,192) and the k4
+forecasts (5,000 at most) do not.  A third process is never started: no
+host that measured this crossover had more than two cores."""
 
 
 def _usable_cores():
@@ -72,12 +73,11 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _processes(entries):
-    """Processes that share a task of ``entries`` table entries: one per usable
-    core and per ``PARALLEL_ENTRIES`` entries, and one without ``os.fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cores(), entries // PARALLEL_ENTRIES))
+def _forks(entries):
+    """Whether a task of ``entries`` table entries is shared with a forked
+    process: from twice ``PARALLEL_ENTRIES`` entries, on two or more usable
+    cores, where ``os.fork`` exists."""
+    return entries >= 2 * PARALLEL_ENTRIES and _usable_cores() >= 2 and hasattr(os, "fork")
 
 
 def _text_chunks(table):
@@ -87,22 +87,15 @@ def _text_chunks(table):
         yield _csvtext.rows_text(table[r:r + rows])
 
 
-def _format_rows(write, table):
-    """``write`` the text of ``table`` chunk by chunk."""
-    for text in _text_chunks(table):
-        write(text.decode("ascii"))
-
-
 def _rows_bytes(table):
-    """The text of ``table`` that :func:`_format_rows` writes, as ASCII bytes."""
+    """The CSV text of the rows of ``table``, as ASCII bytes."""
     return b"".join(_text_chunks(table))
 
 
-def _start_worker(produce, readers):
+def _start_worker(produce):
     """Fork a process that writes the bytes ``produce()`` returns into a new
     pipe and exits, with code 1 when anything raises.  Returns the pipe's read
-    end and the pid, or None when no process can be started; ``readers`` are
-    the read ends of the earlier workers."""
+    end and the pid, or None when no process can be started."""
     rfd, wfd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -119,8 +112,7 @@ def _start_worker(produce, readers):
     if pid == 0:
         code = 1
         try:
-            for fd in readers + [rfd]:  # the parent's EOF and EPIPE need them closed
-                os.close(fd)
+            os.close(rfd)  # so that the parent's close of it ends a blocked write
             # all bytes before the first write: a worker that wrote as it went
             # would block on the pipe until the parent reads it, and run serially
             data = memoryview(produce())
@@ -148,40 +140,31 @@ def _write_rows(fh, index, values):
 
     The bytes equal ``np.savetxt`` with formats %d and %.17g, which formats
     one row at a time; :mod:`earc._csvtext` makes them for a chunk of rows at
-    a time.  A table of at least twice ``PARALLEL_ENTRIES`` entries is cut
-    into contiguous row slices, one per usable core and per
-    ``PARALLEL_ENTRIES`` entries: this process writes the first, forked
-    processes format the others, and their text is copied into ``fh`` in
-    order.  A worker that fails or sends too few rows raises
-    ``ChildProcessError``; every worker is waited for.
+    a time.  A table that :func:`_forks` is cut into two row halves: this
+    process writes the first, a forked worker formats the second, and its
+    text is copied into ``fh`` after it.  A failed fork leaves both halves to
+    this process.  A worker that fails or sends too few rows raises
+    ``ChildProcessError``; the worker is waited for on every path.
     """
     table = np.column_stack([index, values])
-    procs = _processes(table.size)
-    bounds = [table.shape[0] * i // procs for i in range(procs + 1)]
-    parts = [table[a:b] for a, b in zip(bounds, bounds[1:])]
-    workers = []  # (read end, pid) for parts[1:], fewer when a fork failed
+    half = table.shape[0] // 2
+    first, second = table[:half], table[half:]
+    worker = _start_worker(partial(_rows_bytes, second)) if _forks(table.size) else None
     try:
-        for part in parts[1:]:
-            worker = _start_worker(partial(_rows_bytes, part), [fd for fd, _ in workers])
-            if worker is None:
-                break
-            workers.append(worker)
-        _format_rows(fh.write, parts[0])
-        for part, (fd, pid) in zip(parts[1:], workers):
+        for text in _text_chunks(table if worker is None else first):
+            fh.write(text.decode("ascii"))
+        if worker is not None:
             lines = 0
-            while chunk := os.read(fd, 1 << 16):  # one pipe's capacity at a time
+            while chunk := os.read(worker[0], 1 << 16):  # one pipe's capacity at a time
                 lines += chunk.count(b"\n")
                 fh.write(chunk.decode("ascii"))
-            if lines != part.shape[0]:
-                raise ChildProcessError(f"CSV worker {pid} sent {lines} of "
-                                        f"{part.shape[0]} rows")
-        for part in parts[1 + len(workers):]:
-            _format_rows(fh.write, part)
+            if lines != second.shape[0]:
+                raise ChildProcessError(f"CSV worker {worker[1]} sent {lines} of "
+                                        f"{second.shape[0]} rows")
     finally:
-        codes = [(worker[1], _reap(worker)) for worker in workers]
-    for pid, code in codes:
-        if code != 0:
-            raise ChildProcessError(f"CSV worker {pid} exited with code {code}")
+        code = 0 if worker is None else _reap(worker)
+    if code != 0:
+        raise ChildProcessError(f"CSV worker {worker[1]} exited with code {code}")
 
 
 def _write_table(path, header, index, values, trailer=""):
@@ -444,6 +427,8 @@ def cmd_train(args):
     for key in _CONFIG_TYPES:  # explicit flag, then config file, then default
         if getattr(args, key) is None:
             setattr(args, key, config.get(key, _TRAIN_DEFAULTS.get(key)))
+    if args.max_lag < 1:  # whatever --L is, before the data is read
+        raise ValidationError(f"max_lag must be >= 1, got {args.max_lag}")
     if args.train_count is None and args.train_fraction is None:
         raise ValidationError("one of --train-count / --train-fraction is required")
     if args.group is None and args.group_file is None:
@@ -514,7 +499,7 @@ def cmd_forecast(args):
         seed = window_action(m.group.elements[j], m.lag) @ seed
     start = offset if offset is not None else 0
     reader = None
-    if args.reference is not None and _processes(args.horizon * (2 * m.n + 1)) > 1:
+    if args.reference is not None and _forks(args.horizon * (2 * m.n + 1)):
         # The reference of a forecast whose table (the index, the values and
         # their errors) forks is parsed by a worker while the rollout runs,
         # once the rollout has passed its checks.  The worker parses the rows
@@ -522,7 +507,7 @@ def cmd_forecast(args):
         # diverges, whose rows are then read here; they are read here as
         # before too when the worker fails in any way.
         model_mod.check_rollout(m, seed, args.horizon, args.mode)
-        reader = _start_worker(partial(_series_bytes, args.reference, args.horizon, start), [])
+        reader = _start_worker(partial(_series_bytes, args.reference, args.horizon, start))
     sent = None
     try:
         fc = model_mod.rollout(m, seed, args.horizon, mode=args.mode)

@@ -218,9 +218,9 @@ def save(model, path):
         "n": model.n,
         "L": model.lag,
         "p": model.order,
-        "generators": [[float(v) for v in g.ravel()] for g in model.group.generators],
-        "rep_index": [int(i) for i in model.plan.rep_index],
-        "W": [float(v) for v in model.coupling.ravel()],
+        "generators": [g.ravel().tolist() for g in model.group.generators],
+        "rep_index": model.plan.rep_index.tolist(),
+        "W": model.coupling.ravel().tolist(),
         "fit": {
             "basis_dim": int(model.fit.basis_dim),
             "train_residual": float(model.fit.train_residual),

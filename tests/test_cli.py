@@ -377,6 +377,25 @@ class TestTrain:
         assert _code_and_err(argv, capsys) == (2, f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("lag", ["auto", "1"])
+    @pytest.mark.parametrize("source,value", [("flag", 0), ("flag", -3), ("config", 0)])
+    def test_max_lag_below_one_exits_2(self, comp_csv, tmp_path, capsys, monkeypatch, lag,
+                                       source, value):
+        """Refused as ``acf`` refuses it, from a flag or a config key and
+        whatever ``--L`` is, before the series is read."""
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", comp_csv, "--group", "z5", "--L", lag, "--p", 2,
+                "--train-count", 31, "--out", out]
+        if source == "flag":
+            argv += ["--max-lag", value]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"max_lag": value}))
+            argv += ["--config", cfg_path]
+        monkeypatch.setattr(cli, "read_series", lambda *args: pytest.fail("series read"))
+        assert _code_and_err(argv, capsys) == (2, f"error: max_lag must be >= 1, got {value}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", ["[1, 2]", "3", '"z5"', "null"])
     def test_config_that_is_not_an_object_exits_2(self, comp_csv, tmp_path, capsys, content):
         cfg_path = tmp_path / "cfg.json"
@@ -1529,26 +1548,27 @@ class TestCsvRows:
         header = "lag," + ",".join(f"ch{j}" for j in range(1, 6))
         assert out.read_text() == _oracle_csv(header, range(1, 11), table)
 
-    # Forked row slices: PARALLEL_ENTRIES = 1 gives min(cores, entries) processes
+    # Forked row halves: PARALLEL_ENTRIES = 1 forks one worker from 2 entries
+    # on 2 or more cores
 
-    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_special_and_random_values_forked(self, cores, monkeypatch, forks):
         _fork_from(monkeypatch, cores, 1)
         self.test_special_and_random_values()
-        assert len(forks) == cores - 1
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("cores", [2, 3])
     @pytest.mark.parametrize("rows,first", [(0, 0), (1, 0), (2, 0), (64, 0),
                                             (2500, 0), (2501, 31)])
     def test_row_blocks_forked(self, rows, first, cores, monkeypatch, forks):
-        """Row counts of 0, 1, fewer than the processes, less than a chunk and
-        more than one (``CSV_CHUNK_ENTRIES`` is 1024 rows of 4 entries), not
-        divisible by 2 or 3, and an index that does not start at 0."""
+        """Row counts of 0, 1 (an empty first half), 2, less than a chunk and
+        more than one (``CSV_CHUNK_ENTRIES`` is 1024 rows of 4 entries), odd,
+        and an index that does not start at 0."""
         _fork_from(monkeypatch, cores, 1)
         values = np.random.default_rng(rows).standard_normal((rows, 3))
         index = np.arange(first, first + rows)
         assert _rows_text(index, values) == _oracle_rows(index, values)
-        assert len(forks) == max(min(cores, 4 * rows), 1) - 1
+        assert len(forks) == min(rows, 1)
         _assert_no_child()
 
     @pytest.mark.parametrize("rows,expected", [(PARALLEL_ENTRIES // 2 - 1, 0),
@@ -1579,18 +1599,11 @@ class TestCsvRows:
         assert cli._usable_cores() == 1
 
     def test_failed_fork_formats_here(self, monkeypatch, forks):
-        """A fork that raises leaves its slice and the next to this process."""
+        """A fork that raises leaves both halves to this process."""
         _fork_from(monkeypatch, 3, 1)
-        fork = os.fork
-
-        def fork_once():
-            if forks:
-                raise BlockingIOError("fork: resource temporarily unavailable")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", fork_once)
+        monkeypatch.setattr(os, "fork", _refuse_fork)
         self.test_special_and_random_values()
-        assert len(forks) == 1
+        assert forks == []
         _assert_no_child()
 
     def test_commands_forked(self, special_csv, z5_model_path, tmp_path, monkeypatch, forks):
@@ -1689,19 +1702,19 @@ TEXT_CHUNKS = cli._text_chunks
 
 
 class TestCsvWorkers:
-    """The forked CSV writer reaps every worker, raises on a worker's failure
-    and never reports a truncated table as written.  At most 3 processes."""
+    """The forked CSV writer reaps its worker, raises on the worker's failure
+    and never reports a truncated table as written.  One worker, whatever the
+    cores."""
 
     VALUES = np.random.default_rng(5).standard_normal((6000, 3))
-    """About 0.5 MB of text: each worker's slice is more than a pipe holds."""
+    """About 0.5 MB of text: the worker's half is more than a pipe holds."""
 
-    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("cores", [2, 3, 4])
     def test_success_reaps_every_worker(self, cores, monkeypatch, forks, deadline):
         _fork_from(monkeypatch, cores, 1000)
         index = np.arange(self.VALUES.shape[0])
         assert _rows_text(index, self.VALUES) == _oracle_rows(index, self.VALUES)
-        entries = self.VALUES.shape[0] * 4
-        assert len(forks) == min(cores, entries // cli.PARALLEL_ENTRIES) - 1
+        assert len(forks) == 1
         _assert_no_child()
 
     @pytest.mark.parametrize("cores", [2, 3])
@@ -1715,7 +1728,7 @@ class TestCsvWorkers:
         _in_workers(monkeypatch, action)
         with pytest.raises(ChildProcessError, match=message):
             _rows_text(np.arange(self.VALUES.shape[0]), self.VALUES)
-        assert len(forks) == cores - 1
+        assert len(forks) == 1
         _assert_no_child()
 
     def test_worker_exit_code_checked(self, monkeypatch, forks, deadline):
@@ -1737,8 +1750,8 @@ class TestCsvWorkers:
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_write_error_reaps_every_worker(self, cores, monkeypatch, forks, deadline):
-        """The file fails while the workers are blocked on full pipes: they
-        get EPIPE when the read ends close, and exit."""
+        """The file fails while the worker is blocked on a full pipe: it
+        gets EPIPE when the read end closes, and exits."""
         _fork_from(monkeypatch, cores, 1000)
 
         class Full(io.StringIO):
@@ -1749,7 +1762,7 @@ class TestCsvWorkers:
 
         with pytest.raises(OSError, match="No space left"):
             _rows_text(np.arange(self.VALUES.shape[0]), self.VALUES, Full())
-        assert len(forks) == cores - 1
+        assert len(forks) == 1
         _assert_no_child()
 
     def test_failed_worker_fails_forecast(self, comp_csv, z5_model_path, tmp_path,

@@ -166,8 +166,8 @@ def test_chunk_size_does_not_change_the_text(chunk, monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [7, cli.CSV_CHUNK_ENTRIES])
 def test_rows_per_worker_do_not_change_the_text(cores, chunk, monkeypatch):
-    """The forked writer at one to three processes, each with its own row
-    slice, writes the oracle's text."""
+    """The writer on one to three usable cores, in one process or in two with
+    a row half each, writes the oracle's text."""
     monkeypatch.setattr(cli, "CSV_CHUNK_ENTRIES", chunk)
     monkeypatch.setattr(cli, "PARALLEL_ENTRIES", 1)
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)

@@ -140,6 +140,22 @@ def test_series_csv_has_one_reader():
     assert len(calls) == 1 and calls[0].startswith("cli.py:"), calls
 
 
+def test_one_fork():
+    """``src/`` calls ``os.fork`` once, in ``cli._start_worker``: the CSV
+    writer and the reference read share its pipe, its child's exit and its
+    reaping, and a second fork must not grow a second copy of them."""
+    def is_fork(func):
+        return (isinstance(func, ast.Attribute) and func.attr == "fork"
+                and isinstance(func.value, ast.Name) and func.value.id == "os")
+    calls = _calls(is_fork)
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    start = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_start_worker")
+    assert calls == [f"cli.py:{node.lineno}" for node in ast.walk(start)
+                     if isinstance(node, ast.Call) and is_fork(node.func)], calls
+    assert len(calls) == 1, calls
+
+
 def test_json_has_one_decoder():
     """``src/`` calls ``json.load`` or ``json.loads`` once, in
     ``groups.parse_json``: config, group and model files and the command-line

@@ -219,6 +219,19 @@ class TestLstsq:
         assert np.flatnonzero(out).tolist() == [1, 4]
         assert np.max(np.abs(out - x_true)) <= 1e-12
 
+    def test_omp_stops_when_no_column_correlates(self, monkeypatch):
+        # after column 0 the residual [0, 0, 1] is orthogonal to both columns,
+        # so the correlation test stops the budget of 2 after one pick
+        a = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        b = np.array([1.0, 0.0, 1.0])
+        solves = []
+        solve = T._truncated_solve
+        monkeypatch.setattr(T, "_truncated_solve",
+                            lambda *args: solves.append(args[0].shape) or solve(*args))
+        out = T._omp(a, b, 2, 1e-12)
+        assert solves == [(3, 1)]
+        assert out.tolist() == [1.0, 0.0]
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             lstsq(np.eye(3), np.ones(2))
