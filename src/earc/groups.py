@@ -69,7 +69,7 @@ def close_group(generators):
 
 def window_action(g, lag):
     """Action of a channel-space element on delay windows: g (x) I_lag, as
-    the broadcast products g[i, j] * I_lag[s, t] that ``np.kron`` forms, so
+    the broadcast products g[i, j] * I_lag[s, t] of the Kronecker product, so
     a negative entry of g leaves -0.0 off the diagonal of its block; at lag 1
     the products g[i, j] * 1.0 are g bit for bit.  A stack (E, n, n) of
     elements gives the (E, n*lag, n*lag) stack of their actions."""

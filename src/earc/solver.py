@@ -252,8 +252,8 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
     of the (n*T, k) matrix A, solved against the lag slots' targets, has the
     design's singular values (each repeated lag times), cutoff and solution,
     and rank lag * rank(A).  The cutoff is ``tensorops.LSTSQ_RTOL`` of the
-    largest singular value.  ``sparsify`` runs orthogonal matching pursuit on
-    the whole design A (x) I_lag instead, and the rank is the nonzero count.
+    largest singular value.  ``sparsify`` runs matching pursuit (``tensorops._omp``) on A
+    and the slots' targets instead, never forming A (x) I_lag; the rank is the nonzero count.
 
     When the data has T >= 2 (q + n*lag) columns, A is built from the R factor
     of [h0r_u; h1]^T instead of the data, where h0r_u holds the u rows of h0r
@@ -269,8 +269,8 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
     ``train_residual`` is always measured on the caller's data.
 
     Either way A has fewer than 2 n (q + n*lag) rows and at most n*q columns,
-    so there is no fallback solver: a design above ``tensorops.ENTRY_CAP``
-    raises before it is built.
+    so there is no fallback solver: one check counts A and, under ``sparsify``, the
+    largest refit design (n*T*lag*min(sparsify, k*lag) entries) before either is built.
     """
     h0r = tensorops._as_matrix(h0r, "h0r")
     h1 = tensorops._as_matrix(h1, "h1")
@@ -300,18 +300,16 @@ def fit_coefficients(basis, h0r, h1, sparsify=None):
         h0_fit, h1_fit = r[:, :used.size].T, r[:, used.size:].T
     k, n, _ = slots.shape
     lag = basis.lag
-    # matching pursuit needs the whole design, lag*lag times the entries of A
-    held = 1 if sparsify is None else lag * lag
-    tensorops._check_entries(n * h0_fit.shape[1] * k * held)
+    rows = n * h0_fit.shape[1]
+    refit = 0 if sparsify is None else rows * lag * min(sparsify, k * lag)
+    tensorops._check_entries(rows * k + refit)
     a, rhs = _slot_system(slots, h0_fit, h1_fit)
     if sparsify is None:
         coeffs, rank = tensorops._truncated_solve(a, rhs, tensorops.LSTSQ_RTOL)
         coeffs = coeffs.ravel()
         rank *= lag
     else:
-        # A (x) I_lag is the whole design in vec(h1) row order
-        coeffs = tensorops._omp(np.kron(a, np.eye(lag)), rhs.ravel(), sparsify,
-                                tensorops.LSTSQ_RTOL)
+        coeffs = tensorops._omp(a, rhs, sparsify, tensorops.LSTSQ_RTOL)
         rank = int(np.count_nonzero(coeffs))
     w = _combine(basis, coeffs)
     h1norm = np.linalg.norm(h1)

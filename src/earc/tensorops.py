@@ -59,28 +59,30 @@ def _truncated_solve(a, b, rel_tol):
     return vt[keep].T @ x, int(np.count_nonzero(keep))
 
 
-def _omp(a, b, max_nonzero, rel_tol):
-    """Orthogonal matching pursuit: a solution of a x ~ b with at most
-    ``max_nonzero`` nonzero entries, each support refitted by ``_truncated_solve``."""
+def _omp(a, rhs, max_nonzero, rel_tol):
+    """Orthogonal matching pursuit on (a (x) I_L) x ~ rhs.ravel(), rhs (rows of a, L), keeping
+    at most ``max_nonzero`` nonzeros.  Atom j*L + t is column j of ``a`` fitted to column t of
+    ``rhs``, with correlation |a^T R|[j, t] / ||a_j|| to the residual R.  Each refit builds only
+    its support's columns of a (x) I_L, as the broadcast products a[r, j] * I_L[t, s]."""
+    rows, lag = rhs.shape
     norms = np.linalg.norm(a, axis=0)
-    viable = norms > 0
+    scale = np.where(norms > 0, norms, np.inf)[:, None]  # a zero column correlates as 0 / inf
+    b = rhs.ravel()
     bnorm = np.linalg.norm(b)
-    residual = b.copy()
+    residual = b
     selected: list[int] = []
-    coeffs = np.zeros(0)
-    for _ in range(min(max_nonzero, int(viable.sum()))):
-        corr = np.zeros(a.shape[1])
-        corr[viable] = np.abs(a[:, viable].T @ residual) / norms[viable]
+    x = np.zeros(a.shape[1] * lag)
+    for _ in range(min(max_nonzero, lag * np.count_nonzero(norms > 0))):
+        corr = (np.abs(a.T @ residual.reshape(rows, lag)) / scale).ravel()
         corr[selected] = 0.0
         j = int(np.argmax(corr))
         if corr[j] <= 1e-14 * max(bnorm, 1.0):
             break
         selected.append(j)
-        coeffs = _truncated_solve(a[:, selected], b, rel_tol)[0]
-        residual = b - a[:, selected] @ coeffs
+        cols, slots = np.divmod(selected, lag)
+        design = (a[:, None, cols] * np.eye(lag)[:, slots]).reshape(rows * lag, -1)
+        x[selected] = _truncated_solve(design, b, rel_tol)[0]
+        residual = b - design @ x[selected]
         if np.linalg.norm(residual) <= 1e-13 * max(bnorm, 1.0):
             break
-    x = np.zeros(a.shape[1])
-    if selected:
-        x[selected] = coeffs
     return x

@@ -4,7 +4,8 @@ selection and expansion maps, the compression plan built from tables of
 sorted variable tuples, the whole-plan lead/parent chains, dense group
 actions, the whole stacked basis constraint, the equivariant basis from one
 SVD of it and from the component blocks sliced out of it, the components of
-the generators' Ghat pattern, single prediction steps, the
+the generators' Ghat pattern, matching pursuit over the whole Kronecker
+design of a fit, single prediction steps, the
 rollout kernels that tested divergence at every step, the Hamiltonian field
 and energy, one competition step, group files, CSV rows formatted by
 Python's ``%`` and a series read that parses every row from row 0.
@@ -687,8 +688,37 @@ def lstsq(a, b, rel_tol=tensorops.LSTSQ_RTOL, sparsify=None):
     if sparsify is not None:
         if sparsify < 1:
             raise ShapeError(f"sparsify must be >= 1, got {sparsify}")
-        return tensorops._omp(a, b, sparsify, rel_tol)
+        return omp_by_columns(a, b, sparsify, rel_tol)
     return tensorops._truncated_solve(a, b, rel_tol)[0]
+
+
+def omp_by_columns(a, b, max_nonzero, rel_tol):
+    """Orthogonal matching pursuit: a solution of a x ~ b with at most
+    ``max_nonzero`` nonzero entries, each support refitted by ``_truncated_solve``.
+    The library ran it until its matching pursuit moved to A and the lag
+    slots' right-hand sides; for a fit, ``a`` is the whole design A (x) I_lag."""
+    norms = np.linalg.norm(a, axis=0)
+    viable = norms > 0
+    bnorm = np.linalg.norm(b)
+    residual = b.copy()
+    selected: list[int] = []
+    coeffs = np.zeros(0)
+    for _ in range(min(max_nonzero, int(viable.sum()))):
+        corr = np.zeros(a.shape[1])
+        corr[viable] = np.abs(a[:, viable].T @ residual) / norms[viable]
+        corr[selected] = 0.0
+        j = int(np.argmax(corr))
+        if corr[j] <= 1e-14 * max(bnorm, 1.0):
+            break
+        selected.append(j)
+        coeffs = tensorops._truncated_solve(a[:, selected], b, rel_tol)[0]
+        residual = b - a[:, selected] @ coeffs
+        if np.linalg.norm(residual) <= 1e-13 * max(bnorm, 1.0):
+            break
+    x = np.zeros(a.shape[1])
+    if selected:
+        x[selected] = coeffs
+    return x
 
 
 def unconstrained_fit(h0r, h1, rel_tol=tensorops.LSTSQ_RTOL):

@@ -167,13 +167,12 @@ def test_json_has_one_decoder():
     assert len(calls) == 1 and calls[0].startswith("groups.py:"), calls
 
 
-def test_kron_only_in_the_sparse_fit():
-    """``src/`` forms a Kronecker product only for the matching-pursuit design
-    A (x) I_lag of ``solver.fit_coefficients``: the basis constraint is filled
-    from the rows of ``groups.action_rows``, with no dense Ghat and no
-    Kronecker product."""
+def test_src_forms_no_kronecker_product():
+    """``src/`` calls no ``kron``: the basis constraint is filled from the rows
+    of ``groups.action_rows``, with no dense Ghat, and matching pursuit in
+    ``tensorops._omp`` builds only the selected columns of A (x) I_lag."""
     calls = _calls(lambda func: isinstance(func, ast.Attribute) and func.attr == "kron")
-    assert [c.split(":")[0] for c in calls] == ["solver.py"], calls
+    assert calls == [], calls
 
 
 def test_every_module_import_is_read():

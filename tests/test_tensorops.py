@@ -214,7 +214,7 @@ class TestLstsq:
         solve = T._truncated_solve
         monkeypatch.setattr(T, "_truncated_solve",
                             lambda *args: solves.append(args[0].shape) or solve(*args))
-        out = T._omp(a, b, 5, 1e-12)
+        out = T._omp(a, b[:, None], 5, 1e-12)
         assert solves == [(15, 1), (15, 2)]
         assert np.flatnonzero(out).tolist() == [1, 4]
         assert np.max(np.abs(out - x_true)) <= 1e-12
@@ -228,7 +228,7 @@ class TestLstsq:
         solve = T._truncated_solve
         monkeypatch.setattr(T, "_truncated_solve",
                             lambda *args: solves.append(args[0].shape) or solve(*args))
-        out = T._omp(a, b, 2, 1e-12)
+        out = T._omp(a, b[:, None], 2, 1e-12)
         assert solves == [(3, 1)]
         assert out.tolist() == [1.0, 0.0]
 
